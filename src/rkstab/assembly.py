@@ -39,6 +39,7 @@ __all__ = [
     "SurrogateAxiomError",
     "NonSPDDiffusionError",
     "surrogate_reference_matrix",
+    "surrogate_solver",
     "assemble_mass",
     "assemble_stiffness",
     "assemble_system",
@@ -232,8 +233,23 @@ class AssembledSystem:
 
     @property
     def surrogate_is_diagonal(self) -> bool:
-        coo = self.surrogate_mass.tocoo()
-        return bool(np.all(coo.coords[0] == coo.coords[1]))
+        return _is_diagonal(self.surrogate_mass)
+
+
+def _is_diagonal(matrix: sp.csr_array) -> bool:
+    coo = matrix.tocoo()
+    return bool(np.all(coo.coords[0] == coo.coords[1]))
+
+
+def surrogate_solver(matrix: sp.csr_array) -> Callable[[np.ndarray], np.ndarray]:
+    """Apply-inverse for an SPD surrogate mass; exact division when diagonal."""
+    if _is_diagonal(matrix):
+        diag = matrix.diagonal()
+        if np.any(diag <= 0):
+            raise ValueError("surrogate mass diagonal must be positive")
+        inv = 1.0 / diag
+        return lambda b: inv * b
+    return spla.splu(sp.csc_matrix(matrix)).solve
 
 
 def _scatter(

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import AssembledSystem
-from .bounds import BoundReport, _make_solver
+from .assembly import AssembledSystem, surrogate_solver
+from .bounds import BoundReport
 from .reference import ReferenceElement
 
 BLOW_UP_THRESHOLD = 1e100
@@ -157,11 +157,6 @@ def scheme_from_tableau(
     return RKScheme(name, poly, _boundary_from_poly(poly))
 
 
-def real_stability_boundary(scheme: RKScheme, tol: float = 1e-12) -> float:
-    """Recompute the real-axis stability boundary of a scheme from scratch."""
-    return _boundary_from_poly(scheme.stability_poly, tol)
-
-
 def stable_timestep(scheme: RKScheme, bound_source: str, report: BoundReport) -> float:
     """Largest provably stable step: boundary / eigenvalue estimate.
 
@@ -249,7 +244,7 @@ def integrate(
 
     mass = system.mass
     stiffness = system.stiffness
-    solve = _make_solver(system.surrogate_mass)
+    solve = surrogate_solver(system.surrogate_mass)
     coeffs = scheme.stability_poly
 
     times = np.empty(n_steps + 1)

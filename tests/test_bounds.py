@@ -1,10 +1,17 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
+import rkstab
 from rkstab.assembly import (
     CONSISTENT,
     HRZ_DIAGONAL,
@@ -113,6 +120,74 @@ def test_convergence_error_carries_best_estimate():
     err = info.value
     assert err.best_estimate > 0
     assert np.isfinite(err.residual)
+
+
+class CountingCSR(sp.csr_array):
+    """CSR matrix that counts its applications A @ x."""
+
+    applications = 0
+
+    def __matmul__(self, other):
+        self.applications += 1
+        return super().__matmul__(other)
+
+
+def banded_lambda_max(A: sp.csr_array, diag_m: np.ndarray) -> float:
+    """Exact top eigenvalue of D^-1/2 A D^-1/2 (D = diag_m) via its band form."""
+    scale = sp.diags_array(1.0 / np.sqrt(diag_m))
+    S = sp.csr_array(scale @ A @ scale)
+    n = S.shape[0]
+    perm = reverse_cuthill_mckee(S, symmetric_mode=True)
+    upper = sp.triu(S[perm][:, perm]).tocoo()
+    width = int(np.max(upper.coords[1] - upper.coords[0]))
+    band = np.zeros((width + 1, n))
+    band[width + upper.coords[0] - upper.coords[1], upper.coords[1]] = upper.data
+    return float(sla.eigvals_banded(band, select="i", select_range=(n - 1, n - 1))[0])
+
+
+@pytest.fixture(scope="module")
+def p3_hrz_1000():
+    mesh = uniform_interval(1000)
+    elem = build_reference_element(1, 3)
+    system = assemble_system(mesh, elem, identity(1), HRZ_DIAGONAL)
+    return system, banded_lambda_max(system.stiffness, system.diag_surrogate)
+
+
+def test_lambda_max_1d_p3_hrz_clustered_spectrum(p3_hrz_1000):
+    system, oracle = p3_hrz_1000
+    lam = lambda_max_generalized(system.stiffness, system.surrogate_mass)
+    assert abs(lam - oracle) < 1e-10 * oracle
+
+
+def test_capped_solve_respects_max_ops(p3_hrz_1000):
+    system, oracle = p3_hrz_1000
+    stiffness = CountingCSR(system.stiffness)
+    with pytest.raises(ConvergenceError) as info:
+        lambda_max_generalized(stiffness, system.surrogate_mass, max_ops=500)
+    assert 0 < stiffness.applications <= 500
+    err = info.value
+    assert 0 < err.best_estimate <= oracle
+    assert np.isfinite(err.residual) and err.residual > 0
+
+
+def test_lambda_max_identical_across_blas_threads():
+    script = (
+        "from rkstab import *\n"
+        "elem = build_reference_element(2, 2)\n"
+        "D = DiffusionField.rotated_anisotropic(0.5, (1.0, 50.0))\n"
+        "s = assemble_system(structured_triangular(24, 24), elem, D, HRZ_DIAGONAL)\n"
+        "print(lambda_max_generalized(s.stiffness, s.surrogate_mass).hex())\n"
+    )
+    package_root = str(Path(rkstab.__file__).resolve().parent.parent)
+    values = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=package_root,
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        values.append(proc.stdout.strip())
+    assert values[0] == values[1]
 
 
 def test_non_spd_pencil_rejected():

@@ -1,11 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rkstab
 from rkstab.cli import main
 
 MESH_1D = "uniform_interval:n=8"
@@ -363,12 +366,22 @@ class TestMeshCommands:
         assert code == 2
 
 
-def test_console_entry_point_runs():
+def test_console_entry_point_runs(tmp_path):
+    # The child runs outside the checkout, so it gets the package's own parent
+    # directory on PYTHONPATH instead of any relative entry inherited from us.
+    package_root = str(Path(rkstab.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ,
+        PYTHONPATH=package_root + (os.pathsep + inherited if inherited else ""),
+    )
     proc = subprocess.run(
-        [sys.executable, "-m", "rkstab.cli", "bounds", "--mesh", "uniform_interval:n=4"],
+        [sys.executable, "-m", "rkstab.cli", "bounds", "--mesh", "uniform_interval:n=4",
+         "--out", str(tmp_path)],
         capture_output=True,
         text=True,
-        cwd="/tmp",
+        cwd=tmp_path,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1])["command"] == "bounds"

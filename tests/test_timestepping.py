@@ -23,7 +23,6 @@ from rkstab.timestepping import (
     IntegrationTrace,
     integrate,
     l2_growth_certificate,
-    real_stability_boundary,
     rk_scheme,
     scheme_from_tableau,
     stable_timestep,
@@ -80,12 +79,6 @@ class TestSchemes:
         xs = np.linspace(0.0, scheme.real_stability_boundary, 10**4)
         amps = np.abs(scheme.amplification(-xs))
         assert np.all(amps <= 1.0 + 1e-12)
-
-    def test_boundary_function_matches_stored_field(self):
-        for name in BOUNDARY_ORACLE:
-            scheme = rk_scheme(name)
-            recomputed = real_stability_boundary(scheme)
-            assert recomputed == pytest.approx(scheme.real_stability_boundary, abs=1e-12)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown scheme"):
