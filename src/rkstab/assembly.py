@@ -18,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import (
-    AffineMap,
+    AffineGeometry,
     DofNumbering,
     SimplicialMesh,
     build_affine_maps,
@@ -111,38 +111,45 @@ class DiffusionField:
         return self.kind in ("constant", "rotated_anisotropic")
 
     def sample(self, points: np.ndarray) -> np.ndarray:
-        """Tensor values at physical points; shape (n_points, d, d)."""
+        """Tensor values at physical points of shape (..., d); shape (..., d, d).
+
+        A callable is called once per point.
+        """
         points = np.atleast_2d(points)
         if self.is_constant:
             return np.broadcast_to(
-                self.matrix, (points.shape[0], *self.matrix.shape)
+                self.matrix, (*points.shape[:-1], *self.matrix.shape)
             ).copy()
-        values = np.array([self.func(p) for p in points], dtype=float)
+        flat = points.reshape(-1, points.shape[-1])
+        values = np.array([self.func(p) for p in flat], dtype=float)
         if values.ndim == 1:  # scalar-valued callable in 1D
             values = values[:, None, None]
-        return values
+        return values.reshape(*points.shape[:-1], *values.shape[1:])
 
 
-def _check_spd_samples(samples: np.ndarray, element: int) -> None:
-    """Validate symmetry and positive definiteness of sampled tensors."""
-    sym_err = np.abs(samples - samples.transpose(0, 2, 1)).max(axis=(1, 2))
-    scale = np.abs(samples).max(axis=(1, 2))
-    bad = np.nonzero(sym_err > 1e-13 * np.maximum(scale, 1.0))[0]
-    if bad.size:
-        raise NonSPDDiffusionError(
-            f"diffusion tensor not symmetric at element {element}, "
-            f"quadrature point {bad[0]}"
-        )
-    if samples.shape[1] == 1:
-        bad = np.nonzero(samples[:, 0, 0] <= 0)[0]
+def _check_spd_samples(samples: np.ndarray) -> None:
+    """Validate symmetry and positive definiteness of sampled tensors.
+
+    samples is (n_elements, n_points, d, d); the error names the first
+    element with a bad sample, and its first bad point.
+    """
+    sym_err = np.abs(samples - samples.swapaxes(-1, -2)).max(axis=(-2, -1))
+    scale = np.abs(samples).max(axis=(-2, -1))
+    asymmetric = sym_err > 1e-13 * np.maximum(scale, 1.0)
+    if samples.shape[-1] == 1:
+        indefinite = samples[..., 0, 0] <= 0
     else:
-        trace = samples[:, 0, 0] + samples[:, 1, 1]
-        det = samples[:, 0, 0] * samples[:, 1, 1] - samples[:, 0, 1] * samples[:, 1, 0]
-        bad = np.nonzero((trace <= 0) | (det <= 0))[0]
-    if bad.size:
+        trace = samples[..., 0, 0] + samples[..., 1, 1]
+        det = samples[..., 0, 0] * samples[..., 1, 1] - samples[..., 0, 1] * samples[..., 1, 0]
+        indefinite = (trace <= 0) | (det <= 0)
+    bad_elements = np.nonzero(np.any(asymmetric | indefinite, axis=1))[0]
+    if bad_elements.size:
+        e = bad_elements[0]
+        kind, bad = ("symmetric", asymmetric[e]) if asymmetric[e].any() else (
+            "positive definite", indefinite[e])
         raise NonSPDDiffusionError(
-            f"diffusion tensor not positive definite at element {element}, "
-            f"quadrature point {bad[0]}"
+            f"diffusion tensor not {kind} at element {e}, "
+            f"quadrature point {np.argmax(bad)}"
         )
 
 
@@ -212,7 +219,8 @@ class AssembledSystem:
     lambda_hat_min: float
     lambda_hat_max: float
     numbering: DofNumbering
-    patch_volumes: np.ndarray | None = None
+    geometry: AffineGeometry
+    patch_volumes: np.ndarray
 
     @property
     def n_dofs(self) -> int:
@@ -275,7 +283,7 @@ def assemble_mass(
     elem: ReferenceElement,
     policy: SurrogatePolicy = CONSISTENT,
     numbering: DofNumbering | None = None,
-    maps: list[AffineMap] | None = None,
+    geometry: AffineGeometry | None = None,
 ) -> tuple[sp.csr_array, np.ndarray]:
     """Assemble M (consistent policy) or a surrogate M-tilde.
 
@@ -283,17 +291,20 @@ def assemble_mass(
     (axiom (M2)).  Returns the sparse matrix and the reference matrix used.
     """
     numbering = numbering or number_dofs(mesh, elem)
-    maps = maps or build_affine_maps(mesh)
+    geometry = geometry or build_affine_maps(mesh)
     ref = surrogate_reference_matrix(elem, policy)
-    volumes = np.array([m.volume for m in maps])
-    local = volumes[:, None, None] * ref[None, :, :]
+    local = geometry.volume[:, None, None] * ref[None, :, :]
     return _scatter(local, numbering.element_dofs, numbering.n_dofs), ref
 
 
 def _stiffness_quadrature(
     elem: ReferenceElement, diffusion: DiffusionField
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quadrature points/weights/gradients adequate for the stiffness integral."""
+    """Quadrature points/weights/gradients adequate for the stiffness integral.
+
+    The alignment factors sample D at these same points, which is what makes
+    the geometric bound hold for the assembled stiffness.
+    """
     needed = 2 * (elem.order - 1) + max(diffusion.degree, 0)
     if needed <= 2 * elem.order:
         return elem.quad_points, elem.quad_weights, elem.quad_grads
@@ -306,7 +317,7 @@ def assemble_stiffness(
     elem: ReferenceElement,
     diffusion: DiffusionField,
     numbering: DofNumbering | None = None,
-    maps: list[AffineMap] | None = None,
+    geometry: AffineGeometry | None = None,
 ) -> sp.csr_array:
     """Assemble the stiffness matrix for the diffusion field.
 
@@ -314,26 +325,20 @@ def assemble_stiffness(
     reference-cell quadrature; the result is symmetrized exactly.
     """
     numbering = numbering or number_dofs(mesh, elem)
-    maps = maps or build_affine_maps(mesh)
+    geometry = geometry or build_affine_maps(mesh)
     pts, wts, grads = _stiffness_quadrature(elem, diffusion)
-    inv_jac = np.stack([m.inv_jacobian for m in maps])        # (e, d, d)
-    volumes = np.array([m.volume for m in maps])
+    inv_jac = geometry.inv_jacobian                            # (e, d, d)
 
     if diffusion.is_constant:
-        _check_spd_samples(diffusion.matrix[None, :, :], element=0)
+        _check_spd_samples(diffusion.matrix[None, None, :, :])
         geo = np.einsum("eab,bc,edc->ead", inv_jac, diffusion.matrix, inv_jac)
         local = np.einsum("q,qia,eab,qjb->eij", wts, grads, geo, grads)
     else:
-        offsets = np.stack([m.offset for m in maps])
-        jac = np.stack([m.jacobian for m in maps])
-        local = np.empty((mesh.n_elements, elem.node_count, elem.node_count))
-        for e in range(mesh.n_elements):
-            x = pts @ jac[e].T + offsets[e]
-            samples = diffusion.sample(x)
-            _check_spd_samples(samples, element=e)
-            geo = np.einsum("ab,qbc,dc->qad", inv_jac[e], samples, inv_jac[e])
-            local[e] = np.einsum("q,qia,qab,qjb->ij", wts, grads, geo, grads)
-    local *= volumes[:, None, None]
+        samples = diffusion.sample(geometry.map_points(pts))
+        _check_spd_samples(samples)
+        geo = np.einsum("eab,eqbc,edc->eqad", inv_jac, samples, inv_jac)
+        local = np.einsum("q,qia,eqab,qjb->eij", wts, grads, geo, grads)
+    local *= geometry.volume[:, None, None]
     local = 0.5 * (local + local.transpose(0, 2, 1))
     return _scatter(local, numbering.element_dofs, numbering.n_dofs)
 
@@ -347,15 +352,15 @@ def assemble_system(
 ) -> AssembledSystem:
     """Assemble M, A, and M-tilde, then apply Dirichlet reduction by default."""
     numbering = number_dofs(mesh, elem)
-    maps = build_affine_maps(mesh)
-    mass, _ = assemble_mass(mesh, elem, CONSISTENT, numbering, maps)
-    stiffness = assemble_stiffness(mesh, elem, diffusion, numbering, maps)
+    geometry = build_affine_maps(mesh)
+    mass, _ = assemble_mass(mesh, elem, CONSISTENT, numbering, geometry)
+    stiffness = assemble_stiffness(mesh, elem, diffusion, numbering, geometry)
     if policy.kind == "consistent":
         surrogate, ref = mass, elem.ref_mass_matrix
     else:
-        surrogate, ref = assemble_mass(mesh, elem, policy, numbering, maps)
+        surrogate, ref = assemble_mass(mesh, elem, policy, numbering, geometry)
     eigenvalues = np.linalg.eigvalsh(ref)
-    patches = build_patches(mesh, elem, numbering, maps)
+    _, patch_volumes = build_patches(mesh, elem, numbering, geometry)
     system = AssembledSystem(
         mass=mass,
         stiffness=stiffness,
@@ -367,7 +372,8 @@ def assemble_system(
         lambda_hat_min=float(eigenvalues[0]),
         lambda_hat_max=float(eigenvalues[-1]),
         numbering=numbering,
-        patch_volumes=patches.volumes,
+        geometry=geometry,
+        patch_volumes=patch_volumes,
     )
     return apply_dirichlet(system) if reduce else system
 
@@ -399,9 +405,8 @@ def apply_dirichlet(system: AssembledSystem) -> AssembledSystem:
         lambda_hat_min=system.lambda_hat_min,
         lambda_hat_max=system.lambda_hat_max,
         numbering=system.numbering,
-        patch_volumes=None
-        if system.patch_volumes is None
-        else system.patch_volumes[free],
+        geometry=system.geometry,
+        patch_volumes=system.patch_volumes[free],
     )
 
 
@@ -416,27 +421,29 @@ def _spectral_norm_small(mats: np.ndarray) -> np.ndarray:
 
 
 def element_alignment_factor(
-    amap: AffineMap,
+    geometry: AffineGeometry,
     diffusion: DiffusionField,
-    quad_points: np.ndarray | None = None,
-) -> float:
-    """max over sample points of || F'^-1 D(x) F'^-T ||_2 for one element.
+    elem: ReferenceElement | None = None,
+) -> np.ndarray:
+    """max over sample points of || F'^-1 D(x) F'^-T ||_2, for every element.
 
-    Exact for constant diffusion; otherwise the maximum is taken over the
-    element's quadrature images plus its vertices.
+    Exact for constant diffusion.  Otherwise D is sampled at each element's
+    vertices and at the images of the stiffness quadrature points of elem,
+    the points the assembled stiffness integrates with, so the geometric
+    bound built from these factors holds for that stiffness.
     """
-    inv = amap.inv_jacobian
+    inv = geometry.inv_jacobian
     if diffusion.is_constant:
-        mat = inv @ diffusion.matrix @ inv.T
-        return float(_spectral_norm_small(mat[None])[0])
-    d = inv.shape[0]
-    ref_pts = [np.zeros(d), *np.eye(d)]
-    if quad_points is not None:
-        ref_pts.extend(quad_points)
-    x = np.array(ref_pts) @ amap.jacobian.T + amap.offset
-    samples = diffusion.sample(x)
-    pulled = np.einsum("ab,qbc,dc->qad", inv, samples, inv)
-    return float(np.max(_spectral_norm_small(pulled)))
+        return _spectral_norm_small(inv @ diffusion.matrix @ inv.transpose(0, 2, 1))
+    if elem is None:
+        raise ValueError("position-dependent diffusion needs the reference element")
+    d = inv.shape[-1]
+    pts, _, _ = _stiffness_quadrature(elem, diffusion)
+    ref_pts = np.vstack([np.zeros((1, d)), np.eye(d), pts])
+    samples = diffusion.sample(geometry.map_points(ref_pts))
+    inv = inv[:, None]
+    pulled = inv @ samples @ inv.transpose(0, 1, 3, 2)
+    return _spectral_norm_small(pulled).max(axis=1)
 
 
 def l2_project(
@@ -444,20 +451,24 @@ def l2_project(
     elem: ReferenceElement,
     func: Callable[[np.ndarray], float],
     numbering: DofNumbering | None = None,
-    maps: list[AffineMap] | None = None,
+    geometry: AffineGeometry | None = None,
 ) -> np.ndarray:
-    """L2 projection of a scalar function onto the FE space (full DOF vector)."""
+    """L2 projection of a scalar function onto the FE space (full DOF vector).
+
+    func is called once per quadrature point with that point's coordinates.
+    """
     numbering = numbering or number_dofs(mesh, elem)
-    maps = maps or build_affine_maps(mesh)
-    mass, _ = assemble_mass(mesh, elem, CONSISTENT, numbering, maps)
+    geometry = geometry or build_affine_maps(mesh)
+    mass, _ = assemble_mass(mesh, elem, CONSISTENT, numbering, geometry)
     pts, wts = simplex_quadrature(elem.dimension, 2 * elem.order + 2)
     basis = tabulate_basis(elem, pts)
-    load = np.zeros(numbering.n_dofs)
-    for e, amap in enumerate(maps):
-        x = pts @ amap.jacobian.T + amap.offset
-        f_vals = np.array([func(p) for p in x], dtype=float)
-        local = amap.volume * (basis.T @ (wts * f_vals))
-        np.add.at(load, numbering.element_dofs[e], local)
+    x = geometry.map_points(pts)
+    f_vals = np.array([func(p) for p in x.reshape(-1, x.shape[-1])], dtype=float)
+    weighted = wts * f_vals.reshape(x.shape[:2])
+    local = geometry.volume[:, None] * (basis.T @ weighted[:, :, None])[:, :, 0]
+    load = np.bincount(
+        numbering.element_dofs.ravel(), weights=local.ravel(), minlength=numbering.n_dofs
+    )
     return spla.spsolve(mass.tocsc(), load)
 
 

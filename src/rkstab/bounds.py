@@ -28,7 +28,14 @@ from .assembly import (
     surrogate_reference_matrix,
     surrogate_solver,
 )
-from .mesh import SimplicialMesh, build_affine_maps, build_patches, number_dofs
+from .mesh import (
+    AffineGeometry,
+    DofNumbering,
+    SimplicialMesh,
+    build_affine_maps,
+    build_patches,
+    number_dofs,
+)
 from .reference import ReferenceElement
 
 __all__ = [
@@ -196,51 +203,47 @@ def geometric_bound(
     elem: ReferenceElement,
     diffusion: DiffusionField,
     policy: SurrogatePolicy,
-    free_only: bool = True,
+    numbering: DofNumbering | None = None,
+    geometry: AffineGeometry | None = None,
 ) -> float:
     """Patch-based upper bound on lambda_max.
 
-    eta * (C_H1 / lambda_hat_min(Mt_ref)) * max over DOFs of the patch
-    average sum_{K in patch} (|K| / |patch|) * alignment(K).
+    eta * (C_H1 / lambda_hat_min(Mt_ref)) * max over free DOFs of the patch
+    average (P @ (|K| * alignment(K))) / (P @ |K|), with P the DOF-by-element
+    patch incidence.
     """
-    numbering = number_dofs(mesh, elem)
-    maps = build_affine_maps(mesh)
-    patches = build_patches(mesh, elem, numbering, maps)
+    numbering = numbering or number_dofs(mesh, elem)
+    geometry = geometry or build_affine_maps(mesh)
+    incidence, patch_volumes = build_patches(mesh, elem, numbering, geometry)
     ref = surrogate_reference_matrix(elem, policy)
     lam_hat_min = float(np.linalg.eigvalsh(ref)[0])
-    align = np.array(
-        [element_alignment_factor(m, diffusion, elem.quad_points) for m in maps]
-    )
-    dofs = numbering.free_dofs if free_only else np.arange(numbering.n_dofs)
-    worst = 0.0
-    for i in dofs:
-        incident = patches.elements[i]
-        patch_volume = patches.volumes[i]
-        total = sum(maps[e].volume * align[e] for e in incident) / patch_volume
-        worst = max(worst, total)
+    align = element_alignment_factor(geometry, diffusion, elem)
+    averages = (incidence @ (geometry.volume * align)) / patch_volumes
+    worst = float(np.max(averages[numbering.free_dofs], initial=0.0))
     return elem.node_count * (elem.c_h1 / lam_hat_min) * worst
 
 
-def zhudu_bound(mesh: SimplicialMesh, diffusion: DiffusionField) -> float:
+def zhudu_bound(
+    mesh: SimplicialMesh,
+    diffusion: DiffusionField,
+    geometry: AffineGeometry | None = None,
+) -> float:
     """Comparison bound: max_K max_x lambda_max(D(x)) * ||F'^-1 F'^-T||_2.
 
     Reported without its unstated leading constant; used for trend
     comparisons against the geometric bound, not as a certified bound.
+    Position-dependent D is sampled at each element's vertices and centroid.
     """
-    maps = build_affine_maps(mesh)
-    identity = DiffusionField.constant(np.eye(mesh.dimension))
-    worst = 0.0
-    for amap in maps:
-        jacobian_part = element_alignment_factor(amap, identity)
-        if diffusion.is_constant:
-            lam_d = float(np.linalg.eigvalsh(diffusion.matrix)[-1])
-        else:
-            ref_pts = np.vstack([np.zeros(mesh.dimension), np.eye(mesh.dimension),
-                                 np.full((1, mesh.dimension), 1.0 / (mesh.dimension + 1))])
-            x = ref_pts @ amap.jacobian.T + amap.offset
-            lam_d = float(max(np.linalg.eigvalsh(s)[-1] for s in diffusion.sample(x)))
-        worst = max(worst, lam_d * jacobian_part)
-    return worst
+    geometry = geometry or build_affine_maps(mesh)
+    d = mesh.dimension
+    jacobian_part = element_alignment_factor(geometry, DiffusionField.constant(np.eye(d)))
+    if diffusion.is_constant:
+        lam_d = float(np.linalg.eigvalsh(diffusion.matrix)[-1])
+    else:
+        ref_pts = np.vstack([np.zeros((1, d)), np.eye(d), np.full((1, d), 1.0 / (d + 1))])
+        samples = diffusion.sample(geometry.map_points(ref_pts))
+        lam_d = np.linalg.eigvalsh(samples)[..., -1].max(axis=1)
+    return float(np.max(lam_d * jacobian_part, initial=0.0))
 
 
 def _psd_margin_dense(diff: np.ndarray, scale: float) -> tuple[float, np.ndarray]:
@@ -292,8 +295,6 @@ def verify_matrix_inequalities(
     amplified roundoff.  Raises InequalityViolation with a witness vector
     when a margin falls below -tol.
     """
-    if system.patch_volumes is None:
-        raise ValueError("system carries no patch volumes; assemble via assemble_system")
     eta = elem.node_count
     A = system.stiffness
     surrogate = system.surrogate_mass
@@ -400,14 +401,20 @@ def compute_bound_report(
 ) -> BoundReport:
     """Assemble (unless given a system) and evaluate every bound expression.
 
+    The geometric and comparison bounds reuse the system's DOF numbering and
+    element geometry.
+
     The exact eigenvalue is skipped (reported as None) when the reduced
     system exceeds dof_cap degrees of freedom.
     """
     if system is None:
         system = assemble_system(mesh, elem, diffusion, policy)
     lower, upper = diag_ratio_bounds(system, elem)
-    geometric = geometric_bound(mesh, elem, diffusion, policy)
-    zhudu = zhudu_bound(mesh, diffusion)
+    geometric = geometric_bound(
+        mesh, elem, diffusion, policy,
+        numbering=system.numbering, geometry=system.geometry,
+    )
+    zhudu = zhudu_bound(mesh, diffusion, geometry=system.geometry)
     m_matrix = is_m_matrix(system.stiffness)
     refined = 2.0 * system.kappa_surrogate * lower if m_matrix else None
     lam = None

@@ -30,7 +30,6 @@ from .assembly import (
     AssembledSystem,
     DiffusionField,
     SurrogatePolicy,
-    apply_dirichlet,
     assemble_system,
     l2_project,
 )
@@ -373,7 +372,7 @@ def _initial_vector(
         func = lambda x: math.sin(math.pi * x[0])
     else:
         func = lambda x: math.sin(math.pi * x[0]) * math.sin(math.pi * x[1])
-    coeffs = l2_project(mesh, elem, func)
+    coeffs = l2_project(mesh, elem, func, system.numbering, system.geometry)
     return coeffs[system.dof_map]
 
 
@@ -382,7 +381,7 @@ def cmd_integrate(config: RunConfig) -> dict:
     elem = build_reference_element(mesh.dimension, config.order)
     diffusion = build_diffusion(config, mesh)
     policy = SurrogatePolicy(config.policy)
-    system = apply_dirichlet(assemble_system(mesh, elem, diffusion, policy))
+    system = assemble_system(mesh, elem, diffusion, policy)
     scheme = _build_scheme(config)
 
     report = None

@@ -12,13 +12,13 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .reference import ReferenceElement
 
 __all__ = [
     "SimplicialMesh",
-    "AffineMap",
-    "PatchTable",
+    "AffineGeometry",
     "DofNumbering",
     "MeshSpec",
     "MeshFormatError",
@@ -78,21 +78,21 @@ class SimplicialMesh:
 
 
 @dataclass(frozen=True)
-class AffineMap:
-    """Affine map from the reference simplex onto one element."""
+class AffineGeometry:
+    """Affine maps from the reference simplex onto every element, as arrays.
 
-    jacobian: np.ndarray
-    offset: np.ndarray
-    volume: float
-    inv_jacobian: np.ndarray
+    Element e maps reference point xi to jacobian[e] @ xi + offset[e]; the
+    Jacobian columns are the edge vectors from the element's first vertex.
+    """
 
+    jacobian: np.ndarray        # (n_elements, d, d)
+    inv_jacobian: np.ndarray    # (n_elements, d, d)
+    volume: np.ndarray          # (n_elements,)
+    offset: np.ndarray          # (n_elements, d)
 
-@dataclass(frozen=True)
-class PatchTable:
-    """Incident elements and patch volume for every degree of freedom."""
-
-    elements: tuple[np.ndarray, ...]
-    volumes: np.ndarray
+    def map_points(self, ref_points: np.ndarray) -> np.ndarray:
+        """Physical images of reference points; shape (n_elements, n_points, d)."""
+        return ref_points @ self.jacobian.transpose(0, 2, 1) + self.offset[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,7 @@ class DofNumbering:
     n_dofs: int
     element_dofs: np.ndarray          # (n_elements, eta)
     dirichlet_dofs: np.ndarray        # sorted global indices
-    n_vertex_dofs: int
     n_edge_dofs: int
-    n_interior_dofs: int
 
     @property
     def free_dofs(self) -> np.ndarray:
@@ -130,47 +128,43 @@ class MeshSpec:
 _FACTORIAL = {1: 1.0, 2: 2.0}
 
 
-def build_affine_maps(mesh: SimplicialMesh) -> list[AffineMap]:
-    """One affine map per element; raises DegenerateElementError on collapse.
+def _jacobians(vertices: np.ndarray, elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Element Jacobians (edge vectors from the first vertex as columns) and determinants."""
+    coords = vertices[elements]
+    jac = (coords[:, 1:] - coords[:, :1]).transpose(0, 2, 1)
+    return jac, np.linalg.det(jac)
 
-    The Jacobian columns are the edge vectors from the element's first vertex,
-    so the map sends reference vertex k to physical vertex k.  Volume is
-    det(jacobian)/d!.
+
+def build_affine_maps(mesh: SimplicialMesh) -> AffineGeometry:
+    """Affine maps of all elements; raises DegenerateElementError on collapse.
+
+    The map sends reference vertex k to physical vertex k.  Volume is
+    det(jacobian)/d!.  Errors name the first offending element.
     """
     d = mesh.dimension
-    maps = []
-    for idx, element in enumerate(mesh.elements):
-        coords = mesh.vertices[element]
-        jac = (coords[1:] - coords[0]).T
-        det = float(np.linalg.det(jac))
-        edges = coords[1:] - coords[0]
-        scale = float(np.max(np.linalg.norm(edges, axis=1))) ** d
-        if abs(det) <= 1e-14 * scale:
+    jac, det = _jacobians(mesh.vertices, mesh.elements)
+    scale = np.linalg.norm(jac, axis=1).max(axis=1) ** d
+    degenerate = np.abs(det) <= 1e-14 * scale
+    bad = np.nonzero(degenerate | (det < 0))[0]
+    if bad.size:
+        idx = bad[0]
+        if degenerate[idx]:
             raise DegenerateElementError(
-                f"degenerate element {idx}: |det F'| = {abs(det):.3e}"
+                f"degenerate element {idx}: |det F'| = {abs(det[idx]):.3e}"
             )
-        if det < 0:
-            raise MeshStructureError(
-                f"element {idx} is negatively oriented (det F' = {det:.3e})"
-            )
-        maps.append(
-            AffineMap(
-                jacobian=jac,
-                offset=coords[0].copy(),
-                volume=det / _FACTORIAL[d],
-                inv_jacobian=np.linalg.inv(jac),
-            )
+        raise MeshStructureError(
+            f"element {idx} is negatively oriented (det F' = {det[idx]:.3e})"
         )
-    return maps
+    return AffineGeometry(
+        jacobian=jac,
+        inv_jacobian=np.linalg.inv(jac),
+        volume=det / _FACTORIAL[d],
+        offset=mesh.vertices[mesh.elements[:, 0]],
+    )
 
 
-def _edge_table(mesh: SimplicialMesh) -> dict[tuple[int, int], int]:
-    """Global edge numbering: sorted vertex pairs in lexicographic order."""
-    pairs = set()
-    for element in mesh.elements:
-        v = sorted(element.tolist())
-        pairs.update((v[i], v[j]) for i in range(len(v)) for j in range(i + 1, len(v)))
-    return {pair: k for k, pair in enumerate(sorted(pairs))}
+# local vertex pairs of a triangle's edges
+_TRIANGLE_EDGES = [(0, 1), (0, 2), (1, 2)]
 
 
 def number_dofs(mesh: SimplicialMesh, elem: ReferenceElement) -> DofNumbering:
@@ -182,64 +176,55 @@ def number_dofs(mesh: SimplicialMesh, elem: ReferenceElement) -> DofNumbering:
     non-vertex nodes are element-interior.
     """
     d, m = mesh.dimension, elem.order
-    n_vertices = mesh.n_vertices
-    multi = elem.multi_indices
+    n_vertices, n_elements = mesh.n_vertices, mesh.n_elements
+    elements = mesh.elements
     use_edges = d == 2 and m >= 2
-    edge_index = _edge_table(mesh) if use_edges else {}
-    n_edge_dofs = len(edge_index) * (m - 1) if use_edges else 0
+    if use_edges:
+        # global edges: sorted vertex pairs, numbered in lexicographic order
+        pairs = np.sort(elements[:, _TRIANGLE_EDGES], axis=2)
+        keys = pairs[..., 0] * n_vertices + pairs[..., 1]
+        edge_keys, edge_of = np.unique(keys, return_inverse=True)
+        edge_of = edge_of.reshape(keys.shape)
+    n_edge_dofs = edge_keys.size * (m - 1) if use_edges else 0
 
-    # classify local nodes once
-    vertex_slot = {}       # local -> barycentric position k
-    edge_slot = {}         # local -> (k1, k2, alpha_k2)
+    element_dofs = np.empty((n_elements, elem.node_count), dtype=np.int64)
     interior_locals = []
-    for loc, alpha in enumerate(multi):
+    for loc, alpha in enumerate(elem.multi_indices):
         support = np.nonzero(alpha)[0]
         if support.size == 1:
-            vertex_slot[loc] = int(support[0])
+            element_dofs[:, loc] = elements[:, support[0]]
         elif support.size == 2 and use_edges:
             k1, k2 = int(support[0]), int(support[1])
-            edge_slot[loc] = (k1, k2, int(alpha[k2]))
+            a2 = int(alpha[k2])
+            # the node sits a2/m of the way from local vertex k1 to k2
+            slot = np.where(elements[:, k1] < elements[:, k2], a2 - 1, m - a2 - 1)
+            edge = edge_of[:, _TRIANGLE_EDGES.index((k1, k2))]
+            element_dofs[:, loc] = n_vertices + edge * (m - 1) + slot
         else:
             interior_locals.append(loc)
     n_interior_per_elem = len(interior_locals)
     interior_base = n_vertices + n_edge_dofs
+    element_dofs[:, interior_locals] = interior_base + np.arange(
+        n_elements * n_interior_per_elem
+    ).reshape(n_elements, n_interior_per_elem)
+    n_dofs = interior_base + n_elements * n_interior_per_elem
 
-    element_dofs = np.empty((mesh.n_elements, elem.node_count), dtype=np.int64)
-    for e, element in enumerate(mesh.elements):
-        for loc in range(elem.node_count):
-            if loc in vertex_slot:
-                element_dofs[e, loc] = element[vertex_slot[loc]]
-            elif loc in edge_slot:
-                k1, k2, a2 = edge_slot[loc]
-                va, vb = int(element[k1]), int(element[k2])
-                if va < vb:
-                    slot = a2 - 1            # node sits a2/m of the way va -> vb
-                else:
-                    va, vb = vb, va
-                    slot = (m - a2) - 1
-                element_dofs[e, loc] = n_vertices + edge_index[va, vb] * (m - 1) + slot
-            else:
-                pos = interior_locals.index(loc)
-                element_dofs[e, loc] = interior_base + e * n_interior_per_elem + pos
-
-    n_dofs = interior_base + mesh.n_elements * n_interior_per_elem
-
-    dirichlet = set()
-    for facet, marker in zip(mesh.boundary_facets, mesh.boundary_markers):
-        if marker != DIRICHLET:
-            continue
-        dirichlet.update(int(v) for v in facet)
-        if use_edges and len(facet) == 2:
-            a, b = sorted(int(v) for v in facet)
-            base = n_vertices + edge_index[a, b] * (m - 1)
-            dirichlet.update(range(base, base + m - 1))
+    is_dirichlet = np.array([mk == DIRICHLET for mk in mesh.boundary_markers], dtype=bool)
+    facets = mesh.boundary_facets.astype(np.int64).reshape(-1, d)[is_dirichlet]
+    dirichlet = [facets.ravel()]
+    if use_edges:
+        keys = facets.min(axis=1) * n_vertices + facets.max(axis=1)
+        edge = np.searchsorted(edge_keys, keys)
+        missing = edge_keys[np.minimum(edge, edge_keys.size - 1)] != keys
+        if np.any(missing):
+            facet = facets[np.argmax(missing)].tolist()
+            raise MeshStructureError(f"Dirichlet facet {facet} is not an element edge")
+        dirichlet.append((n_vertices + edge[:, None] * (m - 1) + np.arange(m - 1)).ravel())
     return DofNumbering(
         n_dofs=n_dofs,
         element_dofs=element_dofs,
-        dirichlet_dofs=np.array(sorted(dirichlet), dtype=np.int64),
-        n_vertex_dofs=n_vertices,
+        dirichlet_dofs=np.unique(np.concatenate(dirichlet)),
         n_edge_dofs=n_edge_dofs,
-        n_interior_dofs=mesh.n_elements * n_interior_per_elem,
     )
 
 
@@ -247,28 +232,29 @@ def build_patches(
     mesh: SimplicialMesh,
     elem: ReferenceElement,
     numbering: DofNumbering | None = None,
-    maps: list[AffineMap] | None = None,
-) -> PatchTable:
-    """Per-DOF element patches and their volumes.
+    geometry: AffineGeometry | None = None,
+) -> tuple[sp.csr_array, np.ndarray]:
+    """DOF-by-element patch incidence P and the patch volumes P @ volume.
 
-    A DOF's patch is the set of elements whose basis function it belongs to;
-    the patch volume is the exact sum of those element volumes.
+    A DOF's patch is the set of elements whose basis function it belongs to:
+    row i of P holds 1.0 at those elements, in increasing element order, so
+    the patch volume is the sum of their volumes in that order.
     """
     numbering = numbering or number_dofs(mesh, elem)
-    maps = maps or build_affine_maps(mesh)
-    incident: list[list[int]] = [[] for _ in range(numbering.n_dofs)]
-    for e in range(mesh.n_elements):
-        for dof in numbering.element_dofs[e]:
-            incident[dof].append(e)
-    volumes = np.zeros(numbering.n_dofs)
-    elements = []
-    for dof, elems in enumerate(incident):
-        if not elems:
-            raise MeshStructureError(f"orphan DOF {dof}: no incident element")
-        arr = np.array(sorted(set(elems)), dtype=np.int64)
-        elements.append(arr)
-        volumes[dof] = sum(maps[e].volume for e in arr)
-    return PatchTable(elements=tuple(elements), volumes=volumes)
+    geometry = geometry or build_affine_maps(mesh)
+    n_elements, eta = numbering.element_dofs.shape
+    incidence = sp.csr_array(
+        (
+            np.ones(n_elements * eta),
+            (numbering.element_dofs.ravel(), np.repeat(np.arange(n_elements), eta)),
+        ),
+        shape=(numbering.n_dofs, n_elements),
+    )
+    incidence.sort_indices()
+    orphans = np.nonzero(np.diff(incidence.indptr) == 0)[0]
+    if orphans.size:
+        raise MeshStructureError(f"orphan DOF {orphans[0]}: no incident element")
+    return incidence, incidence @ geometry.volume
 
 
 # ---------------------------------------------------------------------------
@@ -499,13 +485,9 @@ def read_mesh(path) -> SimplicialMesh:
         raise _parse_error(lineno, " ".join(words), "trailing content")
 
     # repair negatively oriented elements
-    repaired = 0
-    for k in range(n_elements):
-        coords = vertices[elements[k]]
-        det = np.linalg.det((coords[1:] - coords[0]).T)
-        if det < 0:
-            elements[k, [0, 1]] = elements[k, [1, 0]]
-            repaired += 1
+    flipped = _jacobians(vertices, elements)[1] < 0
+    elements[flipped, :2] = elements[flipped, 1::-1]
+    repaired = int(np.count_nonzero(flipped))
     if repaired:
         warnings.warn(
             f"repaired {repaired} negatively oriented element(s) by vertex swap",

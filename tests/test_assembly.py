@@ -133,13 +133,13 @@ def test_m2_axiom_element_contributions():
     mesh = random_perturbed(3, 3, 0.05, seed=4)
     elem = build_reference_element(2, 2)
     numbering = number_dofs(mesh, elem)
-    maps = build_affine_maps(mesh)
+    geometry = build_affine_maps(mesh)
     for policy in (CONSISTENT, HRZ_DIAGONAL):
-        assembled, ref = assemble_mass(mesh, elem, policy, numbering, maps)
+        assembled, ref = assemble_mass(mesh, elem, policy, numbering, geometry)
         dense = np.zeros((numbering.n_dofs, numbering.n_dofs))
-        for e, amap in enumerate(maps):
+        for e, volume in enumerate(geometry.volume):
             dofs = numbering.element_dofs[e]
-            dense[np.ix_(dofs, dofs)] += amap.volume * ref
+            dense[np.ix_(dofs, dofs)] += volume * ref
         diff = np.abs(assembled.toarray() - dense).max()
         assert diff < 1e-13 * np.abs(dense).max()
 
@@ -224,8 +224,7 @@ def test_surrogate_is_diagonal_flag():
 
 def test_alignment_factor_1d():
     mesh = uniform_interval(8)
-    maps = build_affine_maps(mesh)
-    factor = element_alignment_factor(maps[0], identity(1))
+    factor = element_alignment_factor(build_affine_maps(mesh), identity(1))[0]
     assert abs(factor - 64.0) < 1e-12  # 1/h^2 with h = 1/8
 
 
@@ -238,8 +237,8 @@ def test_alignment_factor_flattened_triangle():
         np.array([[0, 1], [1, 2], [0, 2]]),
         ("D", "D", "D"),
     )
-    f_ref = element_alignment_factor(build_affine_maps(reference)[0], identity(2))
-    f_sq = element_alignment_factor(build_affine_maps(squashed)[0], identity(2))
+    (f_ref,) = element_alignment_factor(build_affine_maps(reference), identity(2))
+    (f_sq,) = element_alignment_factor(build_affine_maps(squashed), identity(2))
     assert abs(f_sq / f_ref - 1e4) < 1e-3 * 1e4
 
 
@@ -251,19 +250,21 @@ def test_alignment_factor_perfect_alignment():
         np.array([[0, 1], [1, 2], [0, 2]]),
         ("D", "D", "D"),
     )
-    (amap,) = build_affine_maps(mesh)
-    D = DiffusionField.constant(amap.jacobian @ amap.jacobian.T)
-    assert abs(element_alignment_factor(amap, D) - 1.0) < 1e-13
+    geometry = build_affine_maps(mesh)
+    (jac,) = geometry.jacobian
+    D = DiffusionField.constant(jac @ jac.T)
+    (factor,) = element_alignment_factor(geometry, D)
+    assert abs(factor - 1.0) < 1e-13
 
 
 def test_alignment_factor_callable_sampling():
     mesh = single_triangle()
-    (amap,) = build_affine_maps(mesh)
+    geometry = build_affine_maps(mesh)
     field = DiffusionField.from_callable(
         lambda x: (1.0 + x[0]) * np.eye(2), degree=1
     )
     elem = build_reference_element(2, 1)
-    factor = element_alignment_factor(amap, field, elem.quad_points)
+    (factor,) = element_alignment_factor(geometry, field, elem)
     assert abs(factor - 2.0) < 1e-12  # max(1+x) = 2 at vertex (1, 0)
 
 
@@ -294,13 +295,14 @@ def test_lemma3_diagonal_bound():
     from rkstab.mesh import build_patches
 
     numbering = number_dofs(mesh, elem)
-    maps = build_affine_maps(mesh)
-    patches = build_patches(mesh, elem, numbering, maps)
-    A = assemble_stiffness(mesh, elem, D, numbering, maps)
-    align = [element_alignment_factor(m, D) for m in maps]
+    geometry = build_affine_maps(mesh)
+    incidence, _ = build_patches(mesh, elem, numbering, geometry)
+    A = assemble_stiffness(mesh, elem, D, numbering, geometry)
+    align = element_alignment_factor(geometry, D)
     diag = A.diagonal()
     for i in range(numbering.n_dofs):
-        bound = elem.c_h1 * sum(maps[e].volume * align[e] for e in patches.elements[i])
+        patch = incidence.indices[incidence.indptr[i]:incidence.indptr[i + 1]]
+        bound = elem.c_h1 * sum(geometry.volume[e] * align[e] for e in patch)
         assert diag[i] <= bound * (1 + 1e-12)
 
 

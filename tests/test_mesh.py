@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -22,29 +25,31 @@ from rkstab.mesh import (
 from rkstab.reference import build_reference_element
 
 
-def physical_node_positions(mesh, elem, maps):
+def physical_node_positions(mesh, elem, geometry):
     """Physical coordinates of every (element, local node) pair."""
-    out = np.empty((mesh.n_elements, elem.node_count, mesh.dimension))
-    for e, amap in enumerate(maps):
-        out[e] = elem.nodes @ amap.jacobian.T + amap.offset
-    return out
+    return geometry.map_points(elem.nodes)
+
+
+def patch_elements(incidence, dof):
+    """Elements in one DOF's patch: the column indices of its incidence row."""
+    return incidence.indices[incidence.indptr[dof]:incidence.indptr[dof + 1]]
 
 
 def test_uniform_interval_basic():
     mesh = uniform_interval(4)
     assert mesh.n_elements == 4
     assert mesh.n_vertices == 5
-    maps = build_affine_maps(mesh)
-    assert all(abs(m.volume - 0.25) < 1e-15 for m in maps)
-    assert all(abs(m.jacobian[0, 0] - 0.25) < 1e-15 for m in maps)
+    geometry = build_affine_maps(mesh)
+    assert all(abs(v - 0.25) < 1e-15 for v in geometry.volume)
+    assert all(abs(j - 0.25) < 1e-15 for j in geometry.jacobian[:, 0, 0])
 
 
 def test_two_element_interval_maps():
     mesh = uniform_interval(2)
-    maps = build_affine_maps(mesh)
-    for m in maps:
-        assert abs(m.jacobian[0, 0] - 0.5) < 1e-15
-        assert abs(m.volume - 0.5) < 1e-15
+    geometry = build_affine_maps(mesh)
+    for jac, volume in zip(geometry.jacobian, geometry.volume):
+        assert abs(jac[0, 0] - 0.5) < 1e-15
+        assert abs(volume - 0.5) < 1e-15
 
 
 def test_reference_triangle_identity_map():
@@ -55,20 +60,21 @@ def test_reference_triangle_identity_map():
         np.array([[0, 1], [1, 2], [0, 2]]),
         ("D", "D", "D"),
     )
-    (amap,) = build_affine_maps(mesh)
-    np.testing.assert_allclose(amap.jacobian, np.eye(2), atol=1e-15)
-    assert abs(amap.volume - 0.5) < 1e-15
+    geometry = build_affine_maps(mesh)
+    (jac,), (volume,) = geometry.jacobian, geometry.volume
+    np.testing.assert_allclose(jac, np.eye(2), atol=1e-15)
+    assert abs(volume - 0.5) < 1e-15
 
 
 def test_affine_map_reproduces_vertices():
     mesh = random_perturbed(4, 3, 0.05, seed=7)
-    maps = build_affine_maps(mesh)
+    geometry = build_affine_maps(mesh)
     ref_vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    for e, amap in enumerate(maps):
-        mapped = ref_vertices @ amap.jacobian.T + amap.offset
-        np.testing.assert_allclose(mapped, mesh.vertices[mesh.elements[e]], atol=1e-13)
+    mapped = geometry.map_points(ref_vertices)
+    for e in range(mesh.n_elements):
+        np.testing.assert_allclose(mapped[e], mesh.vertices[mesh.elements[e]], atol=1e-13)
         np.testing.assert_allclose(
-            amap.inv_jacobian @ amap.jacobian, np.eye(2), atol=1e-13
+            geometry.inv_jacobian[e] @ geometry.jacobian[e], np.eye(2), atol=1e-13
         )
 
 
@@ -92,16 +98,16 @@ def test_total_volume_matches_domain():
         (random_perturbed(5, 5, 0.04, seed=3), 1.0),
     ]
     for mesh, measure in cases:
-        total = sum(m.volume for m in build_affine_maps(mesh))
+        total = sum(build_affine_maps(mesh).volume)
         assert abs(total - measure) < 1e-12 * measure
 
 
 def test_structured_counts_and_areas():
     mesh = structured_triangular(2, 2)
     assert mesh.n_elements == 8
-    maps = build_affine_maps(mesh)
-    for m in maps:
-        assert abs(m.volume - 1 / 8) < 1e-15
+    geometry = build_affine_maps(mesh)
+    for volume in geometry.volume:
+        assert abs(volume - 1 / 8) < 1e-15
 
 
 def test_stretched_aspect_ratio():
@@ -163,8 +169,7 @@ def test_dof_numbering_geometrically_consistent(d, m, gen):
     mesh = gen()
     elem = build_reference_element(d, m)
     numbering = number_dofs(mesh, elem)
-    maps = build_affine_maps(mesh)
-    positions = physical_node_positions(mesh, elem, maps)
+    positions = physical_node_positions(mesh, elem, build_affine_maps(mesh))
     seen = {}
     for e in range(mesh.n_elements):
         for loc in range(elem.node_count):
@@ -190,8 +195,7 @@ def test_dirichlet_dofs_include_boundary_edge_nodes():
     numbering = number_dofs(mesh, elem)
     # 8 boundary vertices + 8 boundary mid-edge nodes
     assert numbering.dirichlet_dofs.size == 16
-    maps = build_affine_maps(mesh)
-    positions = physical_node_positions(mesh, elem, maps)
+    positions = physical_node_positions(mesh, elem, build_affine_maps(mesh))
     dof_position = {}
     for e in range(mesh.n_elements):
         for loc in range(elem.node_count):
@@ -204,36 +208,36 @@ def test_dirichlet_dofs_include_boundary_edge_nodes():
 def test_patches_1d_interior_vertex():
     mesh = uniform_interval(4)
     elem = build_reference_element(1, 1)
-    patches = build_patches(mesh, elem)
+    incidence, volumes = build_patches(mesh, elem)
     for vertex in (1, 2, 3):
-        assert len(patches.elements[vertex]) == 2
-        assert abs(patches.volumes[vertex] - 0.5) < 1e-15
-    assert len(patches.elements[0]) == 1
+        assert len(patch_elements(incidence, vertex)) == 2
+        assert abs(volumes[vertex] - 0.5) < 1e-15
+    assert len(patch_elements(incidence, 0)) == 1
 
 
 def test_patches_2d_interior_vertex_has_six_triangles():
     mesh = structured_triangular(4, 4)
     elem = build_reference_element(2, 1)
-    patches = build_patches(mesh, elem)
-    maps = build_affine_maps(mesh)
+    incidence, volumes = build_patches(mesh, elem)
+    geometry = build_affine_maps(mesh)
     interior = [
         i
         for i, v in enumerate(mesh.vertices)
         if min(v[0], v[1], 1 - v[0], 1 - v[1]) > 1e-12
     ]
     for i in interior:
-        assert len(patches.elements[i]) == 6
-        expected = sum(maps[e].volume for e in patches.elements[i])
-        assert patches.volumes[i] == expected
+        assert len(patch_elements(incidence, i)) == 6
+        expected = sum(geometry.volume[e] for e in patch_elements(incidence, i))
+        assert volumes[i] == expected
 
 
 def test_patches_p2_edge_dofs():
     mesh = structured_triangular(2, 2)
     elem = build_reference_element(2, 2)
     numbering = number_dofs(mesh, elem)
-    patches = build_patches(mesh, elem, numbering)
+    incidence, _ = build_patches(mesh, elem, numbering)
     edge_dofs = range(mesh.n_vertices, mesh.n_vertices + numbering.n_edge_dofs)
-    sizes = {len(patches.elements[dof]) for dof in edge_dofs}
+    sizes = {len(patch_elements(incidence, dof)) for dof in edge_dofs}
     assert sizes == {1, 2}  # boundary edges vs interior edges
 
 
@@ -241,9 +245,9 @@ def test_patch_volume_identity_p1():
     """Vertex patch volumes sum to (d+1) times the mesh volume for P1."""
     mesh = structured_triangular(3, 3)
     elem = build_reference_element(2, 1)
-    patches = build_patches(mesh, elem)
-    total = sum(m.volume for m in build_affine_maps(mesh))
-    assert abs(patches.volumes.sum() - 3 * total) < 1e-12
+    _, volumes = build_patches(mesh, elem)
+    total = sum(build_affine_maps(mesh).volume)
+    assert abs(volumes.sum() - 3 * total) < 1e-12
 
 
 def test_orphan_dof_detected():
@@ -299,8 +303,8 @@ def test_read_mesh_repairs_orientation(tmp_path):
     )
     with pytest.warns(UserWarning, match="orient"):
         mesh = read_mesh(path)
-    maps = build_affine_maps(mesh)
-    assert maps[0].volume > 0
+    geometry = build_affine_maps(mesh)
+    assert geometry.volume[0] > 0
 
 
 def test_read_mesh_comments_and_missing_marker(tmp_path):
@@ -357,3 +361,126 @@ def test_generate_mesh_dispatch():
     assert mesh.n_elements == 12
     spec1d = MeshSpec(kind="uniform_interval", n=6)
     assert generate_mesh(spec1d).n_elements == 6
+
+
+# ---------------------------------------------------------------------------
+# per-element oracles for the array geometry, numbering and patch incidence
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def oracle_number_dofs(mesh, elem):
+    """Element-by-element numbering: vertices, edges in sorted order, interiors."""
+    d, m, nv = mesh.dimension, elem.order, mesh.n_vertices
+    use_edges = d == 2 and m >= 2
+    pairs = sorted({
+        tuple(sorted((int(a), int(b))))
+        for element in mesh.elements
+        for a, b in itertools.combinations(element, 2)
+    }) if use_edges else []
+    edge_index = {pair: k for k, pair in enumerate(pairs)}
+    interior = [
+        loc for loc, alpha in enumerate(elem.multi_indices)
+        if np.count_nonzero(alpha) > (2 if use_edges else 1)
+    ]
+    base = nv + len(pairs) * (m - 1)
+    dofs = np.empty((mesh.n_elements, elem.node_count), dtype=np.int64)
+    for e, element in enumerate(mesh.elements):
+        for loc, alpha in enumerate(elem.multi_indices):
+            support = np.nonzero(alpha)[0]
+            if support.size == 1:
+                dofs[e, loc] = element[support[0]]
+            elif loc in interior:
+                dofs[e, loc] = base + e * len(interior) + interior.index(loc)
+            else:
+                k1, k2 = support
+                va, vb = int(element[k1]), int(element[k2])
+                slot = alpha[k2] - 1 if va < vb else m - alpha[k2] - 1
+                dofs[e, loc] = nv + edge_index[min(va, vb), max(va, vb)] * (m - 1) + slot
+    dirichlet = set()
+    for facet, marker in zip(mesh.boundary_facets, mesh.boundary_markers):
+        if marker != "D":
+            continue
+        dirichlet.update(int(v) for v in facet)
+        if use_edges:
+            k = edge_index[tuple(sorted(int(v) for v in facet))]
+            dirichlet.update(range(nv + k * (m - 1), nv + (k + 1) * (m - 1)))
+    return dofs, base + mesh.n_elements * len(interior), sorted(dirichlet)
+
+
+def round_trip(mesh, tmp_path):
+    path = tmp_path / "mesh.txt"
+    write_mesh(mesh, path)
+    return read_mesh(path)
+
+
+ORACLE_MESHES = {
+    "uniform_interval": lambda tmp: uniform_interval(5),
+    "structured_diagonal": lambda tmp: structured_triangular(3, 2),
+    "structured_alternating": lambda tmp: structured_triangular(3, 3, "alternating"),
+    "stretched": lambda tmp: stretched(3, 3, 20.0),
+    "random_perturbed": lambda tmp: random_perturbed(4, 3, 0.04, seed=8),
+    "read_mesh": lambda tmp: round_trip(random_perturbed(3, 3, 0.05, seed=4), tmp),
+}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("kind", sorted(ORACLE_MESHES))
+def test_vectorised_geometry_matches_element_oracle(tmp_path, kind, m):
+    mesh = ORACLE_MESHES[kind](tmp_path)
+    d = mesh.dimension
+    elem = build_reference_element(d, m)
+
+    numbering = number_dofs(mesh, elem)
+    dofs, n_dofs, dirichlet = oracle_number_dofs(mesh, elem)
+    assert numbering.n_dofs == n_dofs
+    np.testing.assert_array_equal(numbering.element_dofs, dofs)
+    assert numbering.element_dofs.dtype == np.int64
+    assert numbering.dirichlet_dofs.tolist() == dirichlet
+
+    geometry = build_affine_maps(mesh)
+    assert geometry.jacobian.shape == (mesh.n_elements, d, d)
+    for e, element in enumerate(mesh.elements):
+        coords = mesh.vertices[element]
+        jac = (coords[1:] - coords[0]).T
+        assert same_bits(geometry.jacobian[e], jac)
+        assert same_bits(geometry.inv_jacobian[e], np.linalg.inv(jac))
+        assert same_bits(geometry.volume[e], np.linalg.det(jac) / math.factorial(d))
+        assert same_bits(geometry.offset[e], coords[0])
+
+    incidence, volumes = build_patches(mesh, elem, numbering, geometry)
+    assert incidence.shape == (n_dofs, mesh.n_elements)
+    assert incidence.has_sorted_indices
+    for i in range(n_dofs):
+        patch = sorted({e for e in range(mesh.n_elements) if i in dofs[e]})
+        assert patch_elements(incidence, i).tolist() == patch
+        assert same_bits(volumes[i], sum(geometry.volume[e] for e in patch))
+
+
+def triangles(elements, vertices):
+    return SimplicialMesh(2, np.array(vertices, dtype=float), np.array(elements),
+                          np.array([[0, 1]]), ("D",))
+
+
+@pytest.mark.parametrize("elements,error,first", [
+    # element 1 is collapsed, element 2 inverted: the collapse is reported
+    ([[0, 1, 3], [0, 1, 2], [0, 3, 1]], DegenerateElementError, "element 1"),
+    # element 1 is inverted, element 2 collapsed: the inversion is reported
+    ([[0, 1, 3], [0, 3, 1], [0, 1, 2]], MeshStructureError, "element 1"),
+])
+def test_first_bad_element_is_named(elements, error, first):
+    mesh = triangles(elements, [[0, 0], [1, 0], [2, 0], [0, 1]])
+    with pytest.raises(error, match=first + r"\b"):
+        build_affine_maps(mesh)
+
+
+def test_dirichlet_facet_off_the_edge_set_rejected():
+    base = structured_triangular(2, 2)
+    facets = np.vstack([base.boundary_facets, [[0, 8]]])  # opposite corners
+    mesh = SimplicialMesh(2, base.vertices, base.elements, facets,
+                          base.boundary_markers + ("D",))
+    with pytest.raises(MeshStructureError, match=r"\[0, 8\]"):
+        number_dofs(mesh, build_reference_element(2, 2))
