@@ -246,24 +246,19 @@ def zhudu_bound(
     return float(np.max(lam_d * jacobian_part, initial=0.0))
 
 
-def _psd_margin_dense(diff: np.ndarray, scale: float) -> tuple[float, np.ndarray]:
-    values, vectors = np.linalg.eigh(diff)
+def _psd_margin(diff: sp.csr_array, scale: float, dense_limit: int) -> tuple[float, np.ndarray]:
+    """Smallest eigenvalue of diff over scale, and its eigenvector as witness.
+
+    Dense eigh up to dense_limit rows; above that ARPACK's Lanczos for the
+    smallest algebraic eigenvalue, converged to machine precision from a
+    seeded start vector.
+    """
+    if diff.shape[0] <= dense_limit:
+        values, vectors = np.linalg.eigh(diff.toarray())
+    else:
+        v0 = np.random.default_rng(DEFAULT_SEED).standard_normal(diff.shape[0])
+        values, vectors = spla.eigsh(diff, k=1, which="SA", v0=v0)
     return float(values[0] / scale), vectors[:, 0]
-
-
-def _psd_margin_sampled(
-    diff: sp.csr_array, n_samples: int, rng: np.random.Generator, scale: float
-) -> tuple[float, np.ndarray]:
-    n = diff.shape[0]
-    worst = np.inf
-    witness = np.zeros(n)
-    for _ in range(n_samples):
-        v = rng.standard_normal(n)
-        quad = float(v @ (diff @ v)) / (scale * float(v @ v))
-        if quad < worst:
-            worst = quad
-            witness = v
-    return worst, witness
 
 
 def _inf_norm(matrix: sp.csr_array) -> float:
@@ -275,8 +270,6 @@ def _inf_norm(matrix: sp.csr_array) -> float:
 def verify_matrix_inequalities(
     system: AssembledSystem,
     elem: ReferenceElement,
-    n_samples: int = 1000,
-    rng_seed: int = DEFAULT_SEED,
     dense_limit: int = 200,
     tol: float = 1e-10,
 ) -> dict[str, float]:
@@ -288,12 +281,11 @@ def verify_matrix_inequalities(
         W = diag(patch volumes),
       * diagonal sandwich: kappa^-1 * diag(Mt) <= Mt <= kappa * diag(Mt).
 
-    Systems up to dense_limit DOFs get a dense eigensolve; larger ones are
-    sampled with n_samples random quadratic forms (fixed seed).  Margins are
-    the worst eigenvalue (or quadratic form) of lhs - rhs normalized by the
-    larger operand norm, so a tight inequality reads as ~0 rather than as
-    amplified roundoff.  Raises InequalityViolation with a witness vector
-    when a margin falls below -tol.
+    Margins are the smallest eigenvalue of lhs - rhs, computed densely up to
+    dense_limit DOFs and by sparse Lanczos (eigsh, which="SA") above, and
+    normalized by the larger operand norm, so a tight inequality reads as ~0
+    rather than as amplified roundoff.  Raises InequalityViolation with the
+    offending eigenvector as witness when a margin falls below -tol.
     """
     eta = elem.node_count
     A = system.stiffness
@@ -309,20 +301,17 @@ def verify_matrix_inequalities(
         "diagonal_sandwich_lower": (surrogate, (1.0 / kappa) * diag_m),
         "diagonal_sandwich_upper": (kappa * diag_m, surrogate),
     }
-    rng = np.random.default_rng(rng_seed)
     margins: dict[str, float] = {}
     for name, (lhs, rhs) in checks.items():
         lhs = sp.csr_array(lhs)
         rhs = sp.csr_array(rhs)
         scale = max(_inf_norm(lhs), _inf_norm(rhs))
-        if scale == 0.0:
+        diff = sp.csr_array(lhs - rhs)
+        if diff.nnz == 0:
+            # equal operands; ARPACK cannot start on the zero operator
             margins[name] = 0.0
             continue
-        diff = sp.csr_array(lhs - rhs)
-        if system.n_dofs <= dense_limit:
-            margin, witness = _psd_margin_dense(diff.toarray(), scale)
-        else:
-            margin, witness = _psd_margin_sampled(diff, n_samples, rng, scale)
+        margin, witness = _psd_margin(diff, scale, dense_limit)
         margins[name] = margin
         if margin < -tol:
             raise InequalityViolation(name, margin, witness)

@@ -167,6 +167,14 @@ def build_affine_maps(mesh: SimplicialMesh) -> AffineGeometry:
 _TRIANGLE_EDGES = [(0, 1), (0, 2), (1, 2)]
 
 
+def _facet_keys(facets: np.ndarray, n_vertices: int) -> np.ndarray:
+    """Integer keys of sorted vertex tuples along the last axis (a * n_vertices + b)."""
+    keys = facets[..., 0]
+    for column in range(1, facets.shape[-1]):
+        keys = keys * n_vertices + facets[..., column]
+    return keys
+
+
 def number_dofs(mesh: SimplicialMesh, elem: ReferenceElement) -> DofNumbering:
     """Deterministic global DOF numbering for order-m Lagrange elements.
 
@@ -181,8 +189,7 @@ def number_dofs(mesh: SimplicialMesh, elem: ReferenceElement) -> DofNumbering:
     use_edges = d == 2 and m >= 2
     if use_edges:
         # global edges: sorted vertex pairs, numbered in lexicographic order
-        pairs = np.sort(elements[:, _TRIANGLE_EDGES], axis=2)
-        keys = pairs[..., 0] * n_vertices + pairs[..., 1]
+        keys = _facet_keys(np.sort(elements[:, _TRIANGLE_EDGES], axis=2), n_vertices)
         edge_keys, edge_of = np.unique(keys, return_inverse=True)
         edge_of = edge_of.reshape(keys.shape)
     n_edge_dofs = edge_keys.size * (m - 1) if use_edges else 0
@@ -213,7 +220,7 @@ def number_dofs(mesh: SimplicialMesh, elem: ReferenceElement) -> DofNumbering:
     facets = mesh.boundary_facets.astype(np.int64).reshape(-1, d)[is_dirichlet]
     dirichlet = [facets.ravel()]
     if use_edges:
-        keys = facets.min(axis=1) * n_vertices + facets.max(axis=1)
+        keys = _facet_keys(np.sort(facets, axis=1), n_vertices)
         edge = np.searchsorted(edge_keys, keys)
         missing = edge_keys[np.minimum(edge, edge_keys.size - 1)] != keys
         if np.any(missing):
@@ -500,18 +507,8 @@ def read_mesh(path) -> SimplicialMesh:
 # validation
 
 
-def _facet_incidence(mesh: SimplicialMesh) -> dict[tuple[int, ...], int]:
-    """Count how many elements share each facet (vertex in 1D, edge in 2D)."""
-    counts: dict[tuple[int, ...], int] = {}
-    for element in mesh.elements:
-        v = element.tolist()
-        if mesh.dimension == 1:
-            facets = [(v[0],), (v[1],)]
-        else:
-            facets = [tuple(sorted((v[i], v[j]))) for i, j in ((0, 1), (1, 2), (0, 2))]
-        for f in facets:
-            counts[f] = counts.get(f, 0) + 1
-    return counts
+# local vertex tuples of an element's facets, in the order validate_mesh reports them
+_ELEMENT_FACETS = {1: [(0,), (1,)], 2: [(0, 1), (1, 2), (0, 2)]}
 
 
 def validate_mesh(mesh: SimplicialMesh) -> list[str]:
@@ -527,19 +524,31 @@ def validate_mesh(mesh: SimplicialMesh) -> list[str]:
     except (DegenerateElementError, MeshStructureError) as exc:
         problems.append(str(exc))
 
-    counts = _facet_incidence(mesh)
-    over_shared = [f for f, c in counts.items() if c > 2]
-    for f in over_shared:
-        problems.append(f"facet {f} shared by {counts[f]} elements (non-conforming)")
+    d, n = mesh.dimension, mesh.n_vertices
+    facets = np.sort(mesh.elements.astype(np.int64)[:, _ELEMENT_FACETS[d]], axis=2).reshape(-1, d)
+    keys, first, counts = np.unique(
+        _facet_keys(facets, n), return_index=True, return_counts=True
+    )
+    facets = facets[first]
+    over_shared = np.nonzero(counts > 2)[0]
+    for f in over_shared[np.argsort(first[over_shared])]:
+        problems.append(
+            f"facet {tuple(facets[f].tolist())} shared by {counts[f]} elements (non-conforming)"
+        )
 
-    boundary = {f for f, c in counts.items() if c == 1}
-    listed = {tuple(sorted(int(v) for v in facet)) for facet in mesh.boundary_facets}
-    for f in sorted(listed - set(counts)):
-        problems.append(f"boundary facet {f} does not belong to any element")
-    for f in sorted(listed & set(counts) - boundary):
-        problems.append(f"boundary facet {f} is interior (shared by two elements)")
-    missing = boundary - listed
-    for f in sorted(missing):
+    listed = sorted({tuple(sorted(int(v) for v in facet)) for facet in mesh.boundary_facets})
+    listed_arr = np.array(listed, dtype=np.int64).reshape(-1, d)
+    in_range = np.all((listed_arr >= 0) & (listed_arr < n), axis=1)
+    # out-of-range facets get distinct negative keys, which match no element facet
+    listed_keys = np.where(in_range, _facet_keys(listed_arr, n), -1 - np.arange(len(listed)))
+    known = np.isin(listed_keys, keys, assume_unique=True)
+    interior = np.isin(listed_keys, keys[counts >= 2], assume_unique=True)
+    for f in np.nonzero(~known)[0]:
+        problems.append(f"boundary facet {listed[f]} does not belong to any element")
+    for f in np.nonzero(interior)[0]:
+        problems.append(f"boundary facet {listed[f]} is interior (shared by two elements)")
+    boundary = set(map(tuple, facets[counts == 1].tolist()))
+    for f in sorted(boundary.difference(listed)):
         problems.append(f"boundary facet {f} has no marker (defaults require listing)")
 
     if DIRICHLET not in mesh.boundary_markers:

@@ -8,8 +8,12 @@ with the surrogate mass on the left-hand side.  For a linear autonomous
 system every explicit Runge-Kutta method reduces to multiplication by its
 stability polynomial: U_{n+1} = R(-tau * M-tilde^-1 A) U_n.  The stepper
 exploits that directly (Horner evaluation, one operator application per
-stage), which is bit-for-bit the classical stage-by-stage update but with
-a single SPD factorization of the surrogate shared across the whole run.
+stage), which matches the classical stage-by-stage update up to roundoff.
+tau * M-tilde^-1 is set up once per run: folded into a scaled copy of the
+stiffness for a diagonal surrogate, one sparse LU factorization otherwise.
+The first stage of each step reuses the stiffness product the energy norm
+of the previous step already took, so an s-stage step costs s stiffness
+products and one mass product, norm monitoring included.
 
 Norm monitoring deliberately uses the *consistent* mass for the L2 norm
 and the stiffness for the energy norm, whatever surrogate drives the
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -214,6 +219,32 @@ class IntegrationTrace:
                 )
 
 
+def _stage_maps(
+    system: AssembledSystem, tau: float
+) -> tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+    """The maps w -> tau M-tilde^-1 w and v -> tau M-tilde^-1 A v of one run.
+
+    The first may overwrite its argument.  A diagonal surrogate folds tau/m
+    into a copy of the stiffness (same class and pattern), so a stage is a
+    single sparse product; any other surrogate keeps one sparse LU.
+    """
+    solve = surrogate_solver(system.surrogate_mass)
+    stiffness = system.stiffness
+    if system.surrogate_is_diagonal:
+        # the constant vector tau through M-tilde^-1 is the diagonal of tau M-tilde^-1
+        scale = solve(np.full(system.n_dofs, tau))
+        stage = stiffness.tocsr(copy=True)
+        stage.data *= np.repeat(scale, np.diff(stage.indptr))
+        return (lambda w: np.multiply(scale, w, out=w)), (lambda v: stage @ v)
+
+    def scaled_solve(w: np.ndarray) -> np.ndarray:
+        x = solve(w)
+        x *= tau
+        return x
+
+    return scaled_solve, (lambda v: scaled_solve(stiffness @ v))
+
+
 def integrate(
     system: AssembledSystem,
     scheme: RKScheme,
@@ -224,11 +255,12 @@ def integrate(
     """Run n_steps of the scheme on M-tilde U' = -A U from u0.
 
     Each step multiplies by the stability polynomial of the scheme
-    evaluated at -tau * M-tilde^-1 A (Horner form: one stiffness product
-    and one surrogate solve per stage).  This is exact for the linear
-    system, so the result matches the stage-by-stage Runge-Kutta update.
-    The surrogate is factorized once; the trace records sqrt(U^T M U) and
-    sqrt(U^T A U) with the consistent mass M after every step.
+    evaluated at -tau * M-tilde^-1 A in Horner form, which equals the
+    stage-by-stage Runge-Kutta update up to roundoff.  The trace records
+    sqrt(U^T M U) and sqrt(U^T A U) with the consistent mass M after every
+    step; the product A U taken for the energy norm is also the first stage
+    of the next step.  An s-stage step therefore costs s products with the
+    stiffness pattern and one with the mass.
 
     Raises BlowUpError (with step index and partial trace) as soon as a
     norm is non-finite or exceeds 1e100.
@@ -237,23 +269,26 @@ def integrate(
         raise ValueError(f"step size must be positive, got {tau}")
     if n_steps < 0:
         raise ValueError(f"step count must be nonnegative, got {n_steps}")
-    u = np.asarray(u0, dtype=float).copy()
+    u = np.array(u0, dtype=float)
     n = system.n_dofs
     if u.shape != (n,):
         raise ValueError(f"initial vector has shape {u.shape}, expected ({n},)")
 
     mass = system.mass
     stiffness = system.stiffness
-    solve = surrogate_solver(system.surrogate_mass)
+    scale, apply = _stage_maps(system, tau)
     coeffs = scheme.stability_poly
+    v = np.empty_like(u)
 
     times = np.empty(n_steps + 1)
     l2_norms = np.empty(n_steps + 1)
     energy_norms = np.empty(n_steps + 1)
 
-    def record(step: int) -> None:
+    def record(step: int) -> np.ndarray:
+        """Store the norms of u; return A u for the next step's first stage."""
+        w = stiffness @ u
         l2_sq = float(u @ (mass @ u))
-        energy_sq = float(u @ (stiffness @ u))
+        energy_sq = float(u @ w)
         l2 = math.sqrt(max(l2_sq, 0.0)) if math.isfinite(l2_sq) else math.inf
         energy = math.sqrt(max(energy_sq, 0.0)) if math.isfinite(energy_sq) else math.inf
         if max(l2, energy) > BLOW_UP_THRESHOLD:
@@ -275,14 +310,22 @@ def integrate(
         times[step] = step * tau
         l2_norms[step] = l2
         energy_norms[step] = energy
+        return w
 
-    record(0)
+    w = record(0)
     for step in range(1, n_steps + 1):
-        v = coeffs[-1] * u
-        for c in coeffs[-2::-1]:
-            v = c * u - tau * solve(stiffness @ v)
-        u = v
-        record(step)
+        # Horner: v <- c_k u - K v from v = c_s u, with K = tau M-tilde^-1 A;
+        # the first product K (c_s u) comes from w = A u.
+        k = scale(w)
+        k *= coeffs[-1]
+        for c in coeffs[-2:0:-1]:
+            np.multiply(u, c, out=v)
+            v -= k
+            k = apply(v)
+        np.multiply(u, coeffs[0], out=v)
+        v -= k
+        u, v = v, u
+        w = record(step)
     return IntegrationTrace(times, l2_norms, energy_norms, tau, scheme.name, u)
 
 

@@ -16,6 +16,7 @@ from rkstab.assembly import (
     CONSISTENT,
     HRZ_DIAGONAL,
     DiffusionField,
+    apply_dirichlet,
     assemble_mass,
     assemble_system,
 )
@@ -354,14 +355,40 @@ def test_matrix_inequalities_dense_path(d, m, make, policy):
         assert margin >= -1e-10, name
 
 
-def test_matrix_inequalities_sampled_path():
+def test_matrix_inequalities_sparse_path():
     mesh = structured_triangular(16, 16)
     elem = build_reference_element(2, 1)
     system = assemble_system(mesh, elem, identity(2), HRZ_DIAGONAL)
     assert system.n_dofs > 200
-    margins = verify_matrix_inequalities(system, elem, n_samples=250)
+    margins = verify_matrix_inequalities(system, elem)
     for name, margin in margins.items():
         assert margin >= -1e-10, name
+
+
+def test_sparse_path_finds_violation_random_forms_miss():
+    """One stiffness diagonal entry scaled by 0.05 breaks eta diag(A) >= A.
+
+    1000 random quadratic forms read a margin of +0.633 here; the smallest
+    eigenvalue is -0.011, which the sparse path must find like the dense one.
+    """
+    mesh = structured_triangular(24, 24)
+    elem = build_reference_element(2, 1)
+    system = apply_dirichlet(assemble_system(mesh, elem, identity(2), HRZ_DIAGONAL))
+    stiffness = system.stiffness.tolil()
+    mid = system.n_dofs // 2
+    stiffness[mid, mid] *= 0.05
+    tampered = dataclasses.replace(system, stiffness=sp.csr_array(stiffness))
+    assert tampered.n_dofs == 529
+    violations = []
+    for dense_limit in (200, tampered.n_dofs):
+        with pytest.raises(InequalityViolation) as info:
+            verify_matrix_inequalities(tampered, elem, dense_limit=dense_limit)
+        violations.append(info.value)
+    sparse, dense = violations
+    assert sparse.name == dense.name == "diagonal_domination"
+    assert dense.margin == pytest.approx(-0.011, abs=1e-3)
+    assert sparse.margin == pytest.approx(dense.margin, abs=1e-12)
+    assert sparse.witness.shape == (tampered.n_dofs,)
 
 
 def test_matrix_inequality_violation_reported():

@@ -355,6 +355,44 @@ def test_validate_flags_interior_facet_marked():
     assert any("interior" in p for p in problems)
 
 
+def test_validate_reports_every_facet_problem_in_order():
+    """Over-shared edges in first-seen order, then the boundary list's problems.
+
+    Edge (1, 4) is met before (0, 4) in the first element, so it is reported
+    first although its sorted tuple is larger.
+    """
+    base = structured_triangular(2, 2)
+    vertices = np.vstack([base.vertices, [[0.25, 0.75], [0.6, 0.25]]])
+    elements = np.vstack([base.elements, [[0, 4, 9], [1, 10, 4]]])
+    # (0, 1) left out, interior (4, 5) listed, (2, 99) on no element
+    facets = np.vstack([base.boundary_facets[1:], [[5, 4]], [[2, 99]]])
+    markers = base.boundary_markers[1:] + ("N", "N")
+    mesh = SimplicialMesh(2, vertices, elements, facets, markers)
+    assert validate_mesh(mesh) == [
+        "facet (1, 4) shared by 3 elements (non-conforming)",
+        "facet (0, 4) shared by 3 elements (non-conforming)",
+        "boundary facet (2, 99) does not belong to any element",
+        "boundary facet (4, 5) is interior (shared by two elements)",
+        "boundary facet (0, 1) has no marker (defaults require listing)",
+        "boundary facet (0, 9) has no marker (defaults require listing)",
+        "boundary facet (1, 10) has no marker (defaults require listing)",
+        "boundary facet (4, 9) has no marker (defaults require listing)",
+        "boundary facet (4, 10) has no marker (defaults require listing)",
+    ]
+
+
+def test_validate_1d_over_shared_vertex_and_unknown_facet():
+    base = uniform_interval(3)
+    elements = np.vstack([base.elements, [[1, 2]]])
+    facets = np.vstack([base.boundary_facets, [[7]]])
+    mesh = SimplicialMesh(1, base.vertices, elements, facets, base.boundary_markers + ("N",))
+    assert validate_mesh(mesh) == [
+        "facet (1,) shared by 3 elements (non-conforming)",
+        "facet (2,) shared by 3 elements (non-conforming)",
+        "boundary facet (7,) does not belong to any element",
+    ]
+
+
 def test_generate_mesh_dispatch():
     spec = MeshSpec(kind="structured_triangular", nx=3, ny=2)
     mesh = generate_mesh(spec)

@@ -391,3 +391,106 @@ class TestGrowthCertificate:
             system, rk_scheme("explicit_euler"), 1e-3, 10, np.zeros(system.n_dofs)
         )
         assert l2_growth_certificate(trace, system, elem) == 0.0
+
+
+# Butcher tableaux (A strictly lower, b) of the named schemes, for the oracle.
+NAMED_TABLEAUX = {
+    "explicit_euler": ([[0.0]], [1.0]),
+    "heun2": ([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5]),
+    "kutta3": (
+        [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [-1.0, 2.0, 0.0]],
+        [1 / 6, 2 / 3, 1 / 6],
+    ),
+    "classic_rk4": (
+        [[0, 0, 0, 0], [0.5, 0, 0, 0], [0, 0.5, 0, 0], [0, 0, 1.0, 0]],
+        [1 / 6, 1 / 3, 1 / 3, 1 / 6],
+    ),
+}
+# A tableau whose polynomial 1 + z + 0.4 z^2 + 0.0625 z^3 is none of the above.
+GENERIC_TABLEAU = ([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.25, 0.25, 0.0]], [0.2, 0.3, 0.5])
+
+
+def butcher_oracle(system, tableau, tau, n_steps, u0):
+    """Stage-by-stage explicit RK with dense matrices: state and both norm series."""
+    a, b = (np.asarray(x, dtype=float) for x in tableau)
+    mass = system.mass.toarray()
+    stiffness = system.stiffness.toarray()
+    rhs = -np.linalg.solve(system.surrogate_mass.toarray(), stiffness)
+    u = np.array(u0, dtype=float)
+    l2, energy = [], []
+    for step in range(n_steps + 1):
+        l2.append(math.sqrt(u @ mass @ u))
+        energy.append(math.sqrt(u @ stiffness @ u))
+        if step == n_steps:
+            break
+        k = np.zeros((b.size, u.size))
+        for i in range(b.size):
+            k[i] = rhs @ (u + tau * (a[i, :i] @ k[:i]))
+        u = u + tau * (b @ k)
+    return u, np.array(l2), np.array(energy)
+
+
+def p2_system(dimension, policy):
+    mesh = uniform_interval(12) if dimension == 1 else structured_triangular(6, 6)
+    elem = build_reference_element(dimension, 2)
+    diffusion = (
+        DiffusionField.constant(1.0, d=1)
+        if dimension == 1
+        else DiffusionField.rotated_anisotropic(np.pi / 6, (1.0, 10.0))
+    )
+    return apply_dirichlet(assemble_system(mesh, elem, diffusion, policy))
+
+
+ORACLE_SCHEMES = [
+    *((rk_scheme(name), tableau) for name, tableau in NAMED_TABLEAUX.items()),
+    (scheme_from_tableau(*GENERIC_TABLEAU, name="generic3"), GENERIC_TABLEAU),
+]
+
+
+class TestAgainstButcherOracle:
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("policy", [HRZ_DIAGONAL, CONSISTENT], ids=["hrz", "consistent"])
+    @pytest.mark.parametrize(
+        "scheme,tableau", ORACLE_SCHEMES, ids=[s.name for s, _ in ORACLE_SCHEMES]
+    )
+    def test_integrate_matches_stage_by_stage_update(self, scheme, tableau, policy, dimension):
+        system = p2_system(dimension, policy)
+        lam = lambda_max_dense(system.stiffness, system.surrogate_mass)
+        tau = 0.9 * scheme.real_stability_boundary / lam
+        u0 = np.random.default_rng(5).standard_normal(system.n_dofs)
+        trace = integrate(system, scheme, tau, 50, u0)
+        state, l2, energy = butcher_oracle(system, tableau, tau, 50, u0)
+        # components are compared relative to the state's scale, not their own
+        np.testing.assert_allclose(
+            trace.final_state, state, rtol=1e-12, atol=1e-12 * np.abs(state).max()
+        )
+        np.testing.assert_allclose(trace.l2_norms, l2, rtol=1e-12)
+        np.testing.assert_allclose(trace.energy_norms, energy, rtol=1e-12)
+
+
+def counting_csr(matrix):
+    """A copy of matrix whose class counts its products (A @ x), copies included."""
+
+    class Counting(sp.csr_array):
+        products = 0
+
+        def __matmul__(self, other):
+            type(self).products += 1
+            return super().__matmul__(other)
+
+    return Counting(matrix)
+
+
+@pytest.mark.parametrize("policy", [HRZ_DIAGONAL, CONSISTENT], ids=["hrz", "consistent"])
+@pytest.mark.parametrize("name", sorted(NAMED_TABLEAUX))
+def test_step_costs_s_stiffness_products_and_one_mass_product(name, policy):
+    _, _, system = interval_system(10, policy, order=2)
+    counted = dataclasses.replace(
+        system, stiffness=counting_csr(system.stiffness), mass=counting_csr(system.mass)
+    )
+    scheme = rk_scheme(name)
+    n_steps = 7
+    integrate(counted, scheme, 1e-4, n_steps, np.linspace(0.0, 1.0, system.n_dofs))
+    # the initial state's norms take one product of each
+    assert type(counted.stiffness).products == n_steps * scheme.n_stages + 1
+    assert type(counted.mass).products == n_steps + 1
