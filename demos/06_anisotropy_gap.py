@@ -11,6 +11,7 @@ import numpy as np
 from rkstab import (
     CONSISTENT,
     DiffusionField,
+    assemble_system,
     build_reference_element,
     geometric_bound,
     stretched,
@@ -23,8 +24,9 @@ print(f"{'aspect a':>9} {'comparison':>14} {'geometric':>12} {'gap':>10}")
 for a in (1.0, 10.0, 100.0, 1000.0):
     mesh = stretched(16, 16, a)
     diffusion = DiffusionField.constant(np.diag([1.0, a**-2]))
-    comparison = zhudu_bound(mesh, diffusion)
-    geometric = geometric_bound(mesh, elem, diffusion, CONSISTENT)
+    system = assemble_system(mesh, elem, diffusion, CONSISTENT)
+    comparison = zhudu_bound(system.geometry, diffusion)
+    geometric = geometric_bound(system, elem, diffusion)
     print(f"{a:9g} {comparison:14.4e} {geometric:12.4e} {comparison / geometric:10.2f}")
 
 print()

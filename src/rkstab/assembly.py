@@ -10,7 +10,7 @@ diffusion tensor back to the reference cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -20,6 +20,7 @@ import scipy.sparse.linalg as spla
 from .mesh import (
     AffineGeometry,
     DofNumbering,
+    MeshStructureError,
     SimplicialMesh,
     build_affine_maps,
     build_patches,
@@ -43,7 +44,6 @@ __all__ = [
     "assemble_mass",
     "assemble_stiffness",
     "assemble_system",
-    "apply_dirichlet",
     "element_alignment_factor",
     "l2_project",
     "write_coo",
@@ -203,23 +203,23 @@ def surrogate_reference_matrix(elem: ReferenceElement, policy: SurrogatePolicy) 
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Sparse system M, A, and surrogate M-tilde on a common DOF set.
+    """Dirichlet-reduced sparse system M, A, and surrogate M-tilde.
 
-    Matrices are on the full DOF set until apply_dirichlet produces the
-    reduced system; dof_map then records which full DOFs survived.
+    dof_map lists the full DOFs that survived the Dirichlet cut, in the order
+    of the reduced rows.  surrogate_lambda_min/max are the extreme
+    eigenvalues of the surrogate reference matrix.  patch_incidence is the
+    free-DOF-by-element patch incidence P, and patch_volumes is P @ |K|.
     """
 
     mass: sp.csr_array
     stiffness: sp.csr_array
     surrogate_mass: sp.csr_array
     dof_map: np.ndarray
-    reduced: bool
-    policy: SurrogatePolicy
-    surrogate_ref_matrix: np.ndarray
-    lambda_hat_min: float
-    lambda_hat_max: float
+    surrogate_lambda_min: float
+    surrogate_lambda_max: float
     numbering: DofNumbering
     geometry: AffineGeometry
+    patch_incidence: sp.csr_array
     patch_volumes: np.ndarray
 
     @property
@@ -229,7 +229,7 @@ class AssembledSystem:
     @property
     def kappa_surrogate(self) -> float:
         """Condition number of the surrogate reference matrix."""
-        return self.lambda_hat_max / self.lambda_hat_min
+        return self.surrogate_lambda_max / self.surrogate_lambda_min
 
     @property
     def diag_stiffness(self) -> np.ndarray:
@@ -348,9 +348,8 @@ def assemble_system(
     elem: ReferenceElement,
     diffusion: DiffusionField,
     policy: SurrogatePolicy = CONSISTENT,
-    reduce: bool = True,
 ) -> AssembledSystem:
-    """Assemble M, A, and M-tilde, then apply Dirichlet reduction by default."""
+    """Assemble M, A, and M-tilde and return the Dirichlet-reduced system."""
     numbering = number_dofs(mesh, elem)
     geometry = build_affine_maps(mesh)
     mass, _ = assemble_mass(mesh, elem, CONSISTENT, numbering, geometry)
@@ -360,31 +359,28 @@ def assemble_system(
     else:
         surrogate, ref = assemble_mass(mesh, elem, policy, numbering, geometry)
     eigenvalues = np.linalg.eigvalsh(ref)
-    _, patch_volumes = build_patches(mesh, elem, numbering, geometry)
-    system = AssembledSystem(
+    incidence, patch_volumes = build_patches(mesh, elem, numbering, geometry)
+    return apply_dirichlet(AssembledSystem(
         mass=mass,
         stiffness=stiffness,
         surrogate_mass=surrogate,
         dof_map=np.arange(numbering.n_dofs),
-        reduced=False,
-        policy=policy,
-        surrogate_ref_matrix=ref,
-        lambda_hat_min=float(eigenvalues[0]),
-        lambda_hat_max=float(eigenvalues[-1]),
+        surrogate_lambda_min=float(eigenvalues[0]),
+        surrogate_lambda_max=float(eigenvalues[-1]),
         numbering=numbering,
         geometry=geometry,
+        patch_incidence=incidence,
         patch_volumes=patch_volumes,
-    )
-    return apply_dirichlet(system) if reduce else system
+    ))
 
 
 def apply_dirichlet(system: AssembledSystem) -> AssembledSystem:
-    """Remove Dirichlet rows and columns (reduction, not penalty)."""
-    if system.reduced:
-        return system
-    dirichlet = system.numbering.dirichlet_dofs
-    if dirichlet.size == 0:
-        raise ValueError(
+    """Remove Dirichlet rows and columns (reduction, not penalty).
+
+    Takes the system on the full DOF set, as assemble_system builds it.
+    """
+    if system.numbering.dirichlet_dofs.size == 0:
+        raise MeshStructureError(
             "empty Dirichlet set: the Dirichlet boundary must have positive measure"
         )
     free = system.numbering.free_dofs
@@ -394,18 +390,13 @@ def apply_dirichlet(system: AssembledSystem) -> AssembledSystem:
         out.sort_indices()
         return out
 
-    return AssembledSystem(
+    return replace(
+        system,
         mass=cut(system.mass),
         stiffness=cut(system.stiffness),
         surrogate_mass=cut(system.surrogate_mass),
         dof_map=free,
-        reduced=True,
-        policy=system.policy,
-        surrogate_ref_matrix=system.surrogate_ref_matrix,
-        lambda_hat_min=system.lambda_hat_min,
-        lambda_hat_max=system.lambda_hat_max,
-        numbering=system.numbering,
-        geometry=system.geometry,
+        patch_incidence=system.patch_incidence[free],
         patch_volumes=system.patch_volumes[free],
     )
 

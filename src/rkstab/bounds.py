@@ -25,17 +25,9 @@ from .assembly import (
     SurrogatePolicy,
     assemble_system,
     element_alignment_factor,
-    surrogate_reference_matrix,
     surrogate_solver,
 )
-from .mesh import (
-    AffineGeometry,
-    DofNumbering,
-    SimplicialMesh,
-    build_affine_maps,
-    build_patches,
-    number_dofs,
-)
+from .mesh import AffineGeometry, SimplicialMesh
 from .reference import ReferenceElement
 
 __all__ = [
@@ -199,43 +191,31 @@ def is_m_matrix(matrix: sp.csr_array, tol: float = 1e-12) -> bool:
 
 
 def geometric_bound(
-    mesh: SimplicialMesh,
+    system: AssembledSystem,
     elem: ReferenceElement,
     diffusion: DiffusionField,
-    policy: SurrogatePolicy,
-    numbering: DofNumbering | None = None,
-    geometry: AffineGeometry | None = None,
 ) -> float:
-    """Patch-based upper bound on lambda_max.
+    """Patch-based upper bound on lambda_max of the system's pencil.
 
-    eta * (C_H1 / lambda_hat_min(Mt_ref)) * max over free DOFs of the patch
-    average (P @ (|K| * alignment(K))) / (P @ |K|), with P the DOF-by-element
-    patch incidence.
+    eta * (C_H1 / surrogate_lambda_min) * max over free DOFs of the patch
+    average (P @ (|K| * alignment(K))) / (P @ |K|), with P the system's
+    free-DOF-by-element patch incidence.
     """
-    numbering = numbering or number_dofs(mesh, elem)
-    geometry = geometry or build_affine_maps(mesh)
-    incidence, patch_volumes = build_patches(mesh, elem, numbering, geometry)
-    ref = surrogate_reference_matrix(elem, policy)
-    lam_hat_min = float(np.linalg.eigvalsh(ref)[0])
+    geometry = system.geometry
     align = element_alignment_factor(geometry, diffusion, elem)
-    averages = (incidence @ (geometry.volume * align)) / patch_volumes
-    worst = float(np.max(averages[numbering.free_dofs], initial=0.0))
-    return elem.node_count * (elem.c_h1 / lam_hat_min) * worst
+    averages = (system.patch_incidence @ (geometry.volume * align)) / system.patch_volumes
+    worst = float(np.max(averages, initial=0.0))
+    return elem.node_count * (elem.c_h1 / system.surrogate_lambda_min) * worst
 
 
-def zhudu_bound(
-    mesh: SimplicialMesh,
-    diffusion: DiffusionField,
-    geometry: AffineGeometry | None = None,
-) -> float:
+def zhudu_bound(geometry: AffineGeometry, diffusion: DiffusionField) -> float:
     """Comparison bound: max_K max_x lambda_max(D(x)) * ||F'^-1 F'^-T||_2.
 
     Reported without its unstated leading constant; used for trend
     comparisons against the geometric bound, not as a certified bound.
     Position-dependent D is sampled at each element's vertices and centroid.
     """
-    geometry = geometry or build_affine_maps(mesh)
-    d = mesh.dimension
+    d = geometry.jacobian.shape[-1]
     jacobian_part = element_alignment_factor(geometry, DiffusionField.constant(np.eye(d)))
     if diffusion.is_constant:
         lam_d = float(np.linalg.eigvalsh(diffusion.matrix)[-1])
@@ -277,8 +257,8 @@ def verify_matrix_inequalities(
 
     Verifies, as positive-semidefiniteness of difference matrices:
       * diagonal domination: eta * diag(A) - A,
-      * patch-volume sandwich: lambda_hat * W <= Mt <= Lambda_hat * W with
-        W = diag(patch volumes),
+      * patch-volume sandwich: surrogate_lambda_min * W <= Mt <=
+        surrogate_lambda_max * W with W = diag(patch volumes),
       * diagonal sandwich: kappa^-1 * diag(Mt) <= Mt <= kappa * diag(Mt).
 
     Margins are the smallest eigenvalue of lhs - rhs, computed densely up to
@@ -296,8 +276,8 @@ def verify_matrix_inequalities(
     kappa = system.kappa_surrogate
     checks = {
         "diagonal_domination": (eta * diag_a, A),
-        "patch_volume_lower": (surrogate, system.lambda_hat_min * W),
-        "patch_volume_upper": (system.lambda_hat_max * W, surrogate),
+        "patch_volume_lower": (surrogate, system.surrogate_lambda_min * W),
+        "patch_volume_upper": (system.surrogate_lambda_max * W, surrogate),
         "diagonal_sandwich_lower": (surrogate, (1.0 / kappa) * diag_m),
         "diagonal_sandwich_upper": (kappa * diag_m, surrogate),
     }
@@ -390,8 +370,8 @@ def compute_bound_report(
 ) -> BoundReport:
     """Assemble (unless given a system) and evaluate every bound expression.
 
-    The geometric and comparison bounds reuse the system's DOF numbering and
-    element geometry.
+    The geometric and comparison bounds read the system's element geometry,
+    patch incidence and surrogate spectrum; nothing is rebuilt.
 
     The exact eigenvalue is skipped (reported as None) when the reduced
     system exceeds dof_cap degrees of freedom.
@@ -399,11 +379,8 @@ def compute_bound_report(
     if system is None:
         system = assemble_system(mesh, elem, diffusion, policy)
     lower, upper = diag_ratio_bounds(system, elem)
-    geometric = geometric_bound(
-        mesh, elem, diffusion, policy,
-        numbering=system.numbering, geometry=system.geometry,
-    )
-    zhudu = zhudu_bound(mesh, diffusion, geometry=system.geometry)
+    geometric = geometric_bound(system, elem, diffusion)
+    zhudu = zhudu_bound(system.geometry, diffusion)
     m_matrix = is_m_matrix(system.stiffness)
     refined = 2.0 * system.kappa_surrogate * lower if m_matrix else None
     lam = None

@@ -7,7 +7,8 @@ validated before any computation starts.
 
 Exit codes: 0 on success (an unstable integration or an invalid mesh is
 a finding, not a failure), 1 on internal numerical failure, 2 on config
-errors.  Failures emit a one-line JSON error record on stderr.
+errors, bad mesh input, and inadmissible diffusion or surrogate choices.
+Failures emit a one-line JSON error record on stderr.
 
 Outputs are plain JSON and CSV, written with fixed key order and 17
 significant digits so that identical configurations with identical seeds
@@ -29,6 +30,8 @@ import numpy as np
 from .assembly import (
     AssembledSystem,
     DiffusionField,
+    NonSPDDiffusionError,
+    SurrogateAxiomError,
     SurrogatePolicy,
     assemble_system,
     l2_project,
@@ -40,6 +43,7 @@ from .bounds import (
     compute_bound_report,
 )
 from .mesh import (
+    DegenerateElementError,
     MeshFormatError,
     MeshSpec,
     MeshStructureError,
@@ -65,6 +69,19 @@ from .timestepping import (
 
 class ConfigError(ValueError):
     """Invalid run configuration (exit code 2)."""
+
+
+# Errors the library raises on bad input once computation has started: an
+# inadmissible surrogate, a non-SPD diffusion tensor, or a mesh whose
+# elements collapse or whose structure the DOF numbering rejects.  They exit
+# like a ConfigError.
+INPUT_ERRORS = (
+    ConfigError,
+    SurrogateAxiomError,
+    NonSPDDiffusionError,
+    DegenerateElementError,
+    MeshStructureError,
+)
 
 
 MESH_SPEC_KEYS = {
@@ -177,7 +194,11 @@ def build_mesh(config: RunConfig) -> SimplicialMesh:
             return read_mesh(config.mesh)
         except (MeshFormatError, MeshStructureError) as exc:
             raise ConfigError(f"bad mesh file {config.mesh!r}: {exc}") from exc
-    return generate_mesh(_mesh_spec(config))
+    spec = _mesh_spec(config)
+    try:
+        return generate_mesh(spec)
+    except ValueError as exc:
+        raise ConfigError(f"bad mesh spec {config.mesh!r}: {exc}") from exc
 
 
 def build_diffusion(config: RunConfig, mesh: SimplicialMesh) -> DiffusionField:
@@ -503,7 +524,7 @@ def cmd_sweep(config: RunConfig) -> dict:
 
 
 def cmd_mesh_gen(config: RunConfig) -> dict:
-    mesh = generate_mesh(_mesh_spec(config))
+    mesh = build_mesh(config)
     os.makedirs(config.out, exist_ok=True)
     path = os.path.join(config.out, "mesh.txt")
     write_mesh(mesh, path)
@@ -617,7 +638,7 @@ def main(argv=None) -> int:
 
     try:
         result = COMMANDS[args.command](config)
-    except ConfigError as exc:
+    except INPUT_ERRORS as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return 2
     except Exception as exc:

@@ -19,7 +19,6 @@ from rkstab.assembly import (
     CONSISTENT,
     HRZ_DIAGONAL,
     DiffusionField,
-    apply_dirichlet,
     assemble_system,
     l2_project,
 )
@@ -109,7 +108,7 @@ def matrix():
     for label, dim, order, builder, diffusion, policy in CONFIGS:
         mesh = builder()
         elem = build_reference_element(dim, order)
-        system = apply_dirichlet(assemble_system(mesh, elem, diffusion, policy))
+        system = assemble_system(mesh, elem, diffusion, policy)
         assert system.n_dofs <= 3000
         rep = compute_bound_report(mesh, elem, diffusion, policy, system=system)
         cases.append((label, mesh, elem, diffusion, policy, system, rep))
@@ -214,18 +213,14 @@ def test_criterion_5_eigenvalue_scaling_law():
     for nx in (8, 16, 32):
         mesh = structured_triangular(nx, nx)
         assert mesh.n_elements == 2 * nx * nx
-        system = apply_dirichlet(
-            assemble_system(mesh, elem2, IDENTITY_2D, CONSISTENT)
-        )
+        system = assemble_system(mesh, elem2, IDENTITY_2D, CONSISTENT)
         lams_2d.append(lambda_max_generalized(system.stiffness, system.surrogate_mass))
     ratios_2d = [lams_2d[i + 1] / lams_2d[i] for i in range(2)]
 
     elem1 = build_reference_element(1, 1)
     lams_1d = []
     for n in (64, 128, 256):
-        system = apply_dirichlet(
-            assemble_system(uniform_interval(n), elem1, IDENTITY_1D, CONSISTENT)
-        )
+        system = assemble_system(uniform_interval(n), elem1, IDENTITY_1D, CONSISTENT)
         lams_1d.append(lambda_max_generalized(system.stiffness, system.surrogate_mass))
     ratios_1d = [lams_1d[i + 1] / lams_1d[i] for i in range(2)]
 
@@ -248,9 +243,10 @@ def test_criterion_6_anisotropy_gap():
     for a in (10.0, 100.0):
         mesh = stretched(16, 16, a)
         diffusion = DiffusionField.constant(np.diag([1.0, a**-2]))
+        system = assemble_system(mesh, elem, diffusion, CONSISTENT)
         values[a] = (
-            zhudu_bound(mesh, diffusion),
-            geometric_bound(mesh, elem, diffusion, CONSISTENT),
+            zhudu_bound(system.geometry, diffusion),
+            geometric_bound(system, elem, diffusion),
         )
     zhudu_growth = values[100.0][0] / values[10.0][0]
     geo_change = values[100.0][1] / values[10.0][1]
@@ -302,9 +298,7 @@ def test_criterion_8_eigensolver_oracle_equivalence(matrix):
             failures.append(f"{label}: {iterative} vs {dense}")
     elem = build_reference_element(1, 1)
     for n in (8, 32, 128):
-        system = apply_dirichlet(
-            assemble_system(uniform_interval(n), elem, IDENTITY_1D, HRZ_DIAGONAL)
-        )
+        system = assemble_system(uniform_interval(n), elem, IDENTITY_1D, HRZ_DIAGONAL)
         iterative = lambda_max_generalized(system.stiffness, system.surrogate_mass)
         h = 1.0 / n
         closed = (4.0 / h**2) * math.sin((n - 1) * math.pi * h / 2.0) ** 2

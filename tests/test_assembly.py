@@ -10,7 +10,6 @@ from rkstab.assembly import (
     NonSPDDiffusionError,
     SurrogateAxiomError,
     SurrogatePolicy,
-    apply_dirichlet,
     assemble_mass,
     assemble_stiffness,
     assemble_system,
@@ -185,12 +184,13 @@ def test_unknown_policy_rejected():
 def test_apply_dirichlet_reduces_counts():
     mesh = uniform_interval(4)
     elem = build_reference_element(1, 1)
-    system = assemble_system(mesh, elem, identity(1), reduce=False)
-    assert system.n_dofs == 5
-    reduced = apply_dirichlet(system)
-    assert reduced.n_dofs == 3
-    assert reduced.dof_map.tolist() == [1, 2, 3]
-    eigenvalues = np.linalg.eigvalsh(reduced.stiffness.toarray())
+    system = assemble_system(mesh, elem, identity(1))
+    assert system.numbering.n_dofs == 5
+    assert system.n_dofs == 3
+    assert system.dof_map.tolist() == [1, 2, 3]
+    assert system.patch_incidence.shape == (3, 4)
+    assert system.patch_volumes.shape == (3,)
+    eigenvalues = np.linalg.eigvalsh(system.stiffness.toarray())
     assert eigenvalues[0] > 0
 
 
@@ -200,9 +200,8 @@ def test_apply_dirichlet_requires_dirichlet_facets():
         1, base.vertices, base.elements, base.boundary_facets, ("N", "N")
     )
     elem = build_reference_element(1, 1)
-    system = assemble_system(mesh, elem, identity(1), reduce=False)
     with pytest.raises(ValueError, match="Dirichlet"):
-        apply_dirichlet(system)
+        assemble_system(mesh, elem, identity(1))
 
 
 def test_reduced_matrices_spd():

@@ -16,7 +16,6 @@ from rkstab.assembly import (
     CONSISTENT,
     HRZ_DIAGONAL,
     DiffusionField,
-    apply_dirichlet,
     assemble_mass,
     assemble_system,
 )
@@ -35,6 +34,7 @@ from rkstab.bounds import (
     zhudu_bound,
 )
 from rkstab.mesh import (
+    build_affine_maps,
     random_perturbed,
     stretched,
     structured_triangular,
@@ -52,6 +52,11 @@ def lumped_interior_lambda_max(n_cells: int) -> float:
     h = 1.0 / n_cells
     k = n_cells - 1
     return (4.0 / h**2) * math.sin(k * math.pi * h / 2.0) ** 2
+
+
+def geometric(mesh, elem, diffusion, policy):
+    system = assemble_system(mesh, elem, diffusion, policy)
+    return geometric_bound(system, elem, diffusion)
 
 
 def lumped_1d_system(n_cells):
@@ -236,19 +241,17 @@ def test_geometric_bound_1d_hand_values():
     mesh = uniform_interval(8)
     elem = build_reference_element(1, 1)
     h = 1.0 / 8
-    lumped = geometric_bound(mesh, elem, identity(1), HRZ_DIAGONAL)
+    lumped = geometric(mesh, elem, identity(1), HRZ_DIAGONAL)
     assert abs(lumped - 4.0 / h**2) < 1e-9
-    consistent = geometric_bound(mesh, elem, identity(1), CONSISTENT)
+    consistent = geometric(mesh, elem, identity(1), CONSISTENT)
     assert abs(consistent - 12.0 / h**2) < 1e-9
 
 
 def test_geometric_bound_scales_with_diffusion():
     mesh = structured_triangular(3, 3)
     elem = build_reference_element(2, 1)
-    base = geometric_bound(mesh, elem, identity(2), CONSISTENT)
-    scaled = geometric_bound(
-        mesh, elem, DiffusionField.constant(5.0 * np.eye(2)), CONSISTENT
-    )
+    base = geometric(mesh, elem, identity(2), CONSISTENT)
+    scaled = geometric(mesh, elem, DiffusionField.constant(5.0 * np.eye(2)), CONSISTENT)
     assert abs(scaled - 5.0 * base) < 1e-10 * scaled
 
 
@@ -259,7 +262,7 @@ def test_geometric_bound_dominates_lambda_max():
     for policy in (CONSISTENT, HRZ_DIAGONAL):
         system = assemble_system(mesh, elem, D, policy)
         lam = lambda_max_generalized(system.stiffness, system.surrogate_mass)
-        bound = geometric_bound(mesh, elem, D, policy)
+        bound = geometric_bound(system, elem, D)
         assert lam <= bound * (1 + 1e-9)
 
 
@@ -295,7 +298,7 @@ def test_geometric_bound_insensitive_to_aligned_anisotropy():
     values = []
     for a in (10.0, 100.0):
         mesh, D = aligned_family(a)
-        values.append(geometric_bound(mesh, elem, D, CONSISTENT))
+        values.append(geometric(mesh, elem, D, CONSISTENT))
     assert abs(values[1] / values[0] - 1.0) < 1e-12
 
 
@@ -303,7 +306,7 @@ def test_zhudu_bound_grows_quadratically_on_aligned_family():
     values = []
     for a in (10.0, 100.0):
         mesh, D = aligned_family(a)
-        values.append(zhudu_bound(mesh, D))
+        values.append(zhudu_bound(build_affine_maps(mesh), D))
     # ratio tracks (100/10)^2 up to an O(1/a^2) shape correction
     assert abs(values[1] / values[0] / 100.0 - 1.0) < 0.05
 
@@ -312,10 +315,10 @@ def test_zhudu_equals_alignment_for_isotropic():
     mesh = stretched(4, 4, 10.0)
     elem = build_reference_element(2, 1)
     from rkstab.assembly import element_alignment_factor
-    from rkstab.mesh import build_affine_maps
 
-    expected = max(element_alignment_factor(build_affine_maps(mesh), identity(2)))
-    assert abs(zhudu_bound(mesh, identity(2)) - expected) < 1e-12 * expected
+    geometry = build_affine_maps(mesh)
+    expected = max(element_alignment_factor(geometry, identity(2)))
+    assert abs(zhudu_bound(geometry, identity(2)) - expected) < 1e-12 * expected
 
 
 def test_rotation_invariance():
@@ -331,11 +334,11 @@ def test_rotation_invariance():
     lam0 = lambda_max_dense(sys0.stiffness, sys0.surrogate_mass)
     lam1 = lambda_max_dense(sys1.stiffness, sys1.surrogate_mass)
     assert abs(lam0 - lam1) < 1e-10 * lam0
-    g0 = geometric_bound(base, elem, D0, CONSISTENT)
-    g1 = geometric_bound(rotated, elem, D1, CONSISTENT)
+    g0 = geometric_bound(sys0, elem, D0)
+    g1 = geometric_bound(sys1, elem, D1)
     assert abs(g0 - g1) < 1e-10 * g0
-    z0 = zhudu_bound(base, D0)
-    z1 = zhudu_bound(rotated, D1)
+    z0 = zhudu_bound(sys0.geometry, D0)
+    z1 = zhudu_bound(sys1.geometry, D1)
     assert abs(z0 - z1) < 1e-10 * z0
 
 
@@ -373,7 +376,7 @@ def test_sparse_path_finds_violation_random_forms_miss():
     """
     mesh = structured_triangular(24, 24)
     elem = build_reference_element(2, 1)
-    system = apply_dirichlet(assemble_system(mesh, elem, identity(2), HRZ_DIAGONAL))
+    system = assemble_system(mesh, elem, identity(2), HRZ_DIAGONAL)
     stiffness = system.stiffness.tolil()
     mid = system.n_dofs // 2
     stiffness[mid, mid] *= 0.05
@@ -393,7 +396,7 @@ def test_sparse_path_finds_violation_random_forms_miss():
 
 def test_matrix_inequality_violation_reported():
     system, elem = lumped_1d_system(6)
-    tampered = dataclasses.replace(system, lambda_hat_min=100.0)
+    tampered = dataclasses.replace(system, surrogate_lambda_min=100.0)
     with pytest.raises(InequalityViolation) as info:
         verify_matrix_inequalities(tampered, elem)
     assert info.value.name == "patch_volume_lower"
@@ -411,10 +414,34 @@ def test_cross_policy_sandwich():
         v = rng.standard_normal(sys_a.n_dofs)
         qa = v @ (sys_a.surrogate_mass @ v)
         qb = v @ (sys_b.surrogate_mass @ v)
-        lo = sys_a.lambda_hat_min / sys_b.lambda_hat_max
-        hi = sys_a.lambda_hat_max / sys_b.lambda_hat_min
+        lo = sys_a.surrogate_lambda_min / sys_b.surrogate_lambda_max
+        hi = sys_a.surrogate_lambda_max / sys_b.surrogate_lambda_min
         assert lo * qb <= qa * (1 + 1e-12)
         assert qa <= hi * qb * (1 + 1e-12)
+
+
+def test_bound_report_derives_nothing_again(monkeypatch):
+    """Given a system, the report reads its geometry, numbering, patches and
+    surrogate spectrum instead of building any of them a second time."""
+    mesh = random_perturbed(4, 4, 0.05, seed=5)
+    elem = build_reference_element(2, 2)
+    D = DiffusionField.rotated_anisotropic(np.pi / 6, (1.0, 100.0))
+    system = assemble_system(mesh, elem, D, HRZ_DIAGONAL)
+    calls = []
+    for name, original in [
+        ("build_patches", rkstab.mesh.build_patches),
+        ("build_affine_maps", rkstab.mesh.build_affine_maps),
+        ("number_dofs", rkstab.mesh.number_dofs),
+        ("surrogate_reference_matrix", rkstab.assembly.surrogate_reference_matrix),
+    ]:
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        for module in (rkstab.bounds, rkstab.assembly):
+            monkeypatch.setattr(module, name, counted, raising=False)
+    compute_bound_report(mesh, elem, D, HRZ_DIAGONAL, dof_cap=0, system=system)
+    assert calls == []
 
 
 def test_bound_report_sandwich_and_serialization():

@@ -140,6 +140,50 @@ class TestConfigErrors:
         assert code == 2
         assert "unavailable" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("argv", [
+        # SurrogateAxiomError: quadratic triangles have nonpositive nodal weights
+        ["bounds", "--mesh", "structured_triangular:nx=2,ny=2", "--order", "2",
+         "--policy", "node_quadrature"],
+        ["integrate", "--mesh", "structured_triangular:nx=2,ny=2", "--order", "2",
+         "--policy", "node_quadrature"],
+        ["sweep", "--mesh", "structured_triangular:nx=2,ny=2", "--order", "2",
+         "--policy", "node_quadrature", "--sweep-axis", "n", "--sweep-values", "2"],
+        # NonSPDDiffusionError
+        ["bounds", "--mesh", MESH_1D, "--diffusion", "scalar:value=-1"],
+        # ValueError from the mesh generators
+        ["bounds", "--mesh", "random_perturbed:nx=4,ny=4,amplitude=1"],
+        ["bounds", "--mesh", "structured_triangular:nx=0,ny=3"],
+        ["bounds", "--mesh", "uniform_interval:n=0"],
+        ["bounds", "--mesh", "structured_triangular:nx=2,ny=2,pattern=zigzag"],
+        ["mesh-gen", "--mesh", "uniform_interval:n=0"],
+        ["sweep", "--mesh", "stretched:nx=2,ny=2,ratio=1", "--diffusion", "aligned",
+         "--sweep-axis", "ratio", "--sweep-values", "1,-2"],
+        # DegenerateElementError: a zero-area triangle
+        ["bounds", "--mesh", "{tmp}/flat.txt"],
+        # MeshStructureError: a Dirichlet facet that is no element edge (P2),
+        # and a boundary with no Dirichlet facet
+        ["bounds", "--mesh", "{tmp}/diagonal.txt", "--order", "2"],
+        ["bounds", "--mesh", "{tmp}/neumann.txt"],
+    ])
+    def test_input_errors_exit_2(self, capsys, tmp_path, argv):
+        (tmp_path / "flat.txt").write_text(
+            "DIMENSION 2\nVERTICES 3\n0 0\n1 0\n2 0\nELEMENTS 1\n0 1 2\n"
+            "BOUNDARY 3\n0 1 D\n1 2 D\n0 2 D\n"
+        )
+        (tmp_path / "diagonal.txt").write_text(
+            "DIMENSION 2\nVERTICES 4\n0 0\n1 0\n1 1\n0 1\nELEMENTS 2\n0 1 2\n0 2 3\n"
+            "BOUNDARY 5\n0 1 D\n1 2 D\n2 3 D\n3 0 D\n1 3 D\n"
+        )
+        (tmp_path / "neumann.txt").write_text(
+            "DIMENSION 1\nVERTICES 3\n0\n0.5\n1\nELEMENTS 2\n0 1\n1 2\n"
+            "BOUNDARY 2\n0 N\n2 N\n"
+        )
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert code == 2, err
+        assert out == ""
+        assert json.loads(err)["error"] == "config"
+
     def test_bad_sweep_axis_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -12,7 +12,6 @@ from rkstab.assembly import (
     HRZ_DIAGONAL,
     DiffusionField,
     assemble_system,
-    apply_dirichlet,
 )
 from rkstab.bounds import compute_bound_report, lambda_max_dense
 from rkstab.mesh import structured_triangular, uniform_interval
@@ -50,9 +49,7 @@ def lumped_interior_lambda_max(n_cells: int) -> float:
 def interval_system(n_cells, policy, order=1):
     mesh = uniform_interval(n_cells)
     elem = build_reference_element(1, order)
-    system = apply_dirichlet(
-        assemble_system(mesh, elem, DiffusionField.constant(1.0, d=1), policy)
-    )
+    system = assemble_system(mesh, elem, DiffusionField.constant(1.0, d=1), policy)
     return mesh, elem, system
 
 
@@ -296,13 +293,11 @@ class TestStabilityDichotomy:
     def test_2d_stable_run(self):
         mesh = structured_triangular(6, 6)
         elem = build_reference_element(2, 2)
-        system = apply_dirichlet(
-            assemble_system(
-                mesh,
-                elem,
-                DiffusionField.rotated_anisotropic(np.pi / 6, (1.0, 10.0)),
-                HRZ_DIAGONAL,
-            )
+        system = assemble_system(
+            mesh,
+            elem,
+            DiffusionField.rotated_anisotropic(np.pi / 6, (1.0, 10.0)),
+            HRZ_DIAGONAL,
         )
         lam = lambda_max_dense(system.stiffness, system.surrogate_mass)
         scheme = rk_scheme("classic_rk4")
@@ -438,7 +433,7 @@ def p2_system(dimension, policy):
         if dimension == 1
         else DiffusionField.rotated_anisotropic(np.pi / 6, (1.0, 10.0))
     )
-    return apply_dirichlet(assemble_system(mesh, elem, diffusion, policy))
+    return assemble_system(mesh, elem, diffusion, policy)
 
 
 ORACLE_SCHEMES = [
