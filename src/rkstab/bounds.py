@@ -57,6 +57,10 @@ class ConvergenceError(RuntimeError):
         self.best_estimate = best_estimate
         self.residual = residual
 
+    def __reduce__(self):
+        # Pickle rebuilds from every field, so the error crosses a process pool.
+        return type(self), (self.args[0], self.best_estimate, self.residual)
+
 
 class InequalityViolation(AssertionError):
     """A matrix inequality failed; carries the margin and a witness vector."""
@@ -66,6 +70,9 @@ class InequalityViolation(AssertionError):
         self.name = name
         self.margin = margin
         self.witness = witness
+
+    def __reduce__(self):
+        return type(self), (self.name, self.margin, self.witness)
 
 
 # Krylov subspace size handed to ARPACK.  Measured on the 1D P3 HRZ pencil,

@@ -12,7 +12,10 @@ Failures emit a one-line JSON error record on stderr.
 
 Outputs are plain JSON and CSV, written with fixed key order and 17
 significant digits so that identical configurations with identical seeds
-produce byte-identical files regardless of worker count.
+produce byte-identical files regardless of worker count.  With --workers
+above 1, sweep computes its points in that many forked worker processes on
+Linux (never more processes than points) and serially elsewhere; the rows
+are merged in point order, so sweep.csv has the same bytes either way.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ import argparse
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -491,25 +495,28 @@ def _sweep_point_config(config: RunConfig, value) -> RunConfig:
     return dataclasses.replace(config, mesh=_format_spec(kind, params))
 
 
+def _run_point(config: RunConfig, index: int) -> str:
+    """The sweep.csv line of sweep point number index."""
+    value = config.sweep_values[index]
+    _, row = _bounds_record(_sweep_point_config(config, value))
+    return ",".join([config.sweep_axis, str(value)] + row) + "\n"
+
+
 def cmd_sweep(config: RunConfig) -> dict:
-    values = list(config.sweep_values)
-    points_dir = os.path.join(config.out, "points")
-    os.makedirs(points_dir, exist_ok=True)
-
-    def run_point(index: int) -> str:
-        point = _sweep_point_config(config, values[index])
-        _, row = _bounds_record(point)
-        line = ",".join([config.sweep_axis, str(values[index])] + row) + "\n"
-        with open(os.path.join(points_dir, f"point_{index:04d}.csv"), "w") as handle:
-            handle.write(line)
-        return line
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            lines = list(pool.map(run_point, range(len(values))))
+    n_points = len(config.sweep_values)
+    workers = min(config.workers, n_points)
+    if workers > 1 and sys.platform == "linux":
+        # Each point is interpreter-bound work (mesh, assembly, ARPACK driven
+        # from Python), so only processes run points in parallel.  A forked
+        # worker starts with numpy and scipy already imported; the CLI has
+        # no threads of its own to fork.  map keeps the point order.
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+            lines = list(pool.map(_run_point, [config] * n_points, range(n_points)))
     else:
-        lines = [run_point(i) for i in range(len(values))]
+        lines = [_run_point(config, i) for i in range(n_points)]
 
+    os.makedirs(config.out, exist_ok=True)
     sweep_path = os.path.join(config.out, "sweep.csv")
     with open(sweep_path, "w") as handle:
         handle.write(",".join(["axis", "value"] + BOUNDS_CSV_HEADER) + "\n")
@@ -519,7 +526,7 @@ def cmd_sweep(config: RunConfig) -> dict:
         "command": "sweep",
         "sweep_csv": sweep_path,
         "axis": config.sweep_axis,
-        "n_points": len(values),
+        "n_points": n_points,
     }
 
 
@@ -561,7 +568,7 @@ def _add_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="rng seed")
     parser.add_argument("--dof-cap", type=int, dest="dof_cap",
                         help="skip exact eigenvalues above this DOF count")
-    parser.add_argument("--workers", type=int, help="sweep worker pool size")
+    parser.add_argument("--workers", type=int, help="sweep worker processes")
     parser.add_argument("--bound-source", dest="bound_source",
                         help="eigenvalue estimate for the stable step: " + ", ".join(BOUND_SOURCES))
     parser.add_argument("--initial", help="initial condition: " + ", ".join(INITIAL_KINDS))

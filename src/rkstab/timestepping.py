@@ -51,6 +51,10 @@ class BlowUpError(RuntimeError):
         self.step = step
         self.trace = trace
 
+    def __reduce__(self):
+        # Pickle rebuilds from every field, so the error crosses a process pool.
+        return type(self), (self.args[0], self.step, self.trace)
+
 
 class CertificateError(RuntimeError):
     """Raised when observed L2 growth exceeds its certified bound."""
@@ -60,6 +64,9 @@ class CertificateError(RuntimeError):
         self.step = step
         self.ratio = ratio
         self.bound = bound
+
+    def __reduce__(self):
+        return type(self), (self.args[0], self.step, self.ratio, self.bound)
 
 
 @dataclass(frozen=True)

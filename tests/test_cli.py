@@ -1,14 +1,19 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import json
 import os
+import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rkstab
+from rkstab import cli
 from rkstab.cli import main
 
 MESH_1D = "uniform_interval:n=8"
@@ -148,6 +153,10 @@ class TestConfigErrors:
          "--policy", "node_quadrature"],
         ["sweep", "--mesh", "structured_triangular:nx=2,ny=2", "--order", "2",
          "--policy", "node_quadrature", "--sweep-axis", "n", "--sweep-values", "2"],
+        # ... raised inside a sweep worker process
+        ["sweep", "--mesh", "structured_triangular:nx=2,ny=2", "--order", "2",
+         "--sweep-axis", "policy", "--sweep-values", "hrz_diagonal,node_quadrature",
+         "--workers", "2"],
         # NonSPDDiffusionError
         ["bounds", "--mesh", MESH_1D, "--diffusion", "scalar:value=-1"],
         # ValueError from the mesh generators
@@ -283,7 +292,7 @@ class TestIntegrate:
 
 
 class TestSweep:
-    def test_n_axis_rows_and_point_files(self, capsys, tmp_path):
+    def test_n_axis_rows(self, capsys, tmp_path):
         code, _, _ = run_cli(
             capsys,
             "sweep",
@@ -297,8 +306,7 @@ class TestSweep:
         assert len(lines) == 4
         values = [line.split(",")[1] for line in lines[1:]]
         assert values == ["8", "16", "32"]
-        for i in range(3):
-            assert (tmp_path / "points" / f"point_{i:04d}.csv").exists()
+        assert sorted(os.listdir(tmp_path)) == ["sweep.csv"]
 
     def test_single_point_sweep_matches_bounds_row(self, capsys, tmp_path):
         common = ["--mesh", "structured_triangular:nx=4,ny=4", "--policy", "hrz_diagonal"]
@@ -367,6 +375,109 @@ class TestSweep:
         geo = [float(line.split(",")[geo_col]) for line in lines[1:]]
         assert zhudu[1] / zhudu[0] >= 50.0
         assert geo[1] / geo[0] <= 2.0
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="sweep forks workers on Linux only")
+class TestSweepPool:
+    SWEEP_1D = ["sweep", "--mesh", MESH_1D, "--sweep-axis", "n"]
+
+    def test_points_run_in_worker_processes(self, capsys, tmp_path, monkeypatch):
+        bounds_record = cli._bounds_record
+
+        def with_pid(config):
+            time.sleep(0.2)  # holds one worker so that the other takes points too
+            record, row = bounds_record(config)
+            return record, row + [str(os.getpid())]
+
+        monkeypatch.setattr(cli, "_bounds_record", with_pid)
+        code, _, err = run_cli(capsys, *self.SWEEP_1D, "--sweep-values", "4,5,6,7",
+                               "--workers", "2", "--out", str(tmp_path))
+        assert code == 0, err
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["4", "5", "6", "7"]
+        pids = {row.rsplit(",", 1)[1] for row in rows}
+        assert len(pids) >= 2
+        assert str(os.getpid()) not in pids
+
+    def test_worker_convergence_error_exits_1_with_its_message(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        compute_bound_report = cli.compute_bound_report
+
+        def fail_on_five_elements(mesh, *args, **kwargs):
+            if mesh.n_elements == 5:
+                raise rkstab.ConvergenceError(
+                    "no convergence within 3 operator applications",
+                    best_estimate=2.5,
+                    residual=0.125,
+                )
+            return compute_bound_report(mesh, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "compute_bound_report", fail_on_five_elements)
+        code, out, err = run_cli(capsys, *self.SWEEP_1D, "--sweep-values", "4,5,6",
+                                 "--workers", "2", "--out", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "internal",
+            "message": "ConvergenceError: no convergence within 3 operator applications",
+        }
+
+    def test_pool_never_exceeds_point_count(self, capsys, tmp_path, monkeypatch):
+        sizes = []
+
+        class InProcessExecutor:
+            """Records the requested pool size and runs the points here."""
+
+            def __init__(self, max_workers, mp_context):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessExecutor)
+        code, _, err = run_cli(capsys, *self.SWEEP_1D, "--sweep-values", "4,5",
+                               "--workers", "64", "--out", str(tmp_path))
+        assert code == 0, err
+        assert sizes == [2]
+
+
+def _fields(error) -> dict:
+    return {
+        name: vars(value) if dataclasses.is_dataclass(value) else value
+        for name, value in vars(error).items()
+    }
+
+
+@pytest.mark.parametrize("error", [
+    rkstab.ConvergenceError("no convergence", best_estimate=2.5, residual=1e-3),
+    rkstab.InequalityViolation("M <= kappa M~", -0.25, np.arange(3.0)),
+    rkstab.BlowUpError(
+        "blow-up detected at step 2",
+        step=2,
+        trace=rkstab.IntegrationTrace(
+            times=np.array([0.0, 0.1]),
+            l2_norms=np.array([1.0, 4.0]),
+            energy_norms=np.array([2.0, 9.0]),
+            tau=0.1,
+            scheme="heun2",
+            final_state=np.array([3.0, -1.0]),
+        ),
+    ),
+    rkstab.CertificateError("L2 growth 3.5 exceeds 2", step=4, ratio=3.5, bound=2.0),
+], ids=lambda error: type(error).__name__)
+def test_library_errors_survive_pickling(error):
+    """A sweep worker's error reaches the CLI as itself, with every field."""
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error)
+    np.testing.assert_equal(_fields(copy), _fields(error))
 
 
 class TestMeshCommands:
