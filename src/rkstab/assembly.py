@@ -250,14 +250,21 @@ def _is_diagonal(matrix: sp.csr_array) -> bool:
 
 
 def surrogate_solver(matrix: sp.csr_array) -> Callable[[np.ndarray], np.ndarray]:
-    """Apply-inverse for an SPD surrogate mass; exact division when diagonal."""
+    """Apply-inverse for an SPD surrogate mass; exact division when diagonal.
+
+    Otherwise one sparse LU in SuperLU's symmetric mode: a minimum-degree
+    ordering of the symmetric pattern and diagonal pivots, which are stable
+    for an SPD matrix.
+    """
     if _is_diagonal(matrix):
         diag = matrix.diagonal()
         if np.any(diag <= 0):
             raise ValueError("surrogate mass diagonal must be positive")
         inv = 1.0 / diag
         return lambda b: inv * b
-    return spla.splu(sp.csc_matrix(matrix)).solve
+    lu = spla.splu(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0, options={"SymmetricMode": True})
+    return lu.solve
 
 
 def _scatter(
@@ -460,7 +467,7 @@ def l2_project(
     load = np.bincount(
         numbering.element_dofs.ravel(), weights=local.ravel(), minlength=numbering.n_dofs
     )
-    return spla.spsolve(mass.tocsc(), load)
+    return surrogate_solver(mass)(load)
 
 
 def write_coo(matrix: sp.csr_array, path) -> None:

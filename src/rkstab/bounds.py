@@ -5,8 +5,10 @@ eta * kappa(Mt_ref) times that maximum; the geometric bound re-expresses the
 upper end through patch volumes and element alignment factors, and the
 comparison bound (largest diffusion eigenvalue times the squared inverse
 Jacobian norm) is reported alongside for anisotropy studies.  The exact
-eigenvalue itself comes from ARPACK (scipy.sparse.linalg.eigsh) in
-generalized mode, cross-checkable against a dense solve on small systems.
+eigenvalue itself comes from ARPACK (scipy.sparse.linalg.eigsh): in standard
+mode on the Jacobi-scaled stiffness Mt^-1/2 A Mt^-1/2 when the surrogate is
+diagonal, in generalized mode otherwise, cross-checkable against a dense
+solve on small systems.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .assembly import (
     AssembledSystem,
     DiffusionField,
     SurrogatePolicy,
+    _is_diagonal,
     assemble_system,
     element_alignment_factor,
     surrogate_solver,
@@ -91,13 +94,18 @@ def lambda_max_with_vector(
     """Largest pencil eigenvalue and its eigenvector (surrogate-normalized).
 
     One call to ARPACK's implicitly restarted Lanczos method
-    (scipy.sparse.linalg.eigsh) in generalized mode on A x = lambda M-tilde x,
-    applying M-tilde^-1 by plain division when the surrogate is diagonal and
-    by one sparse LU factorization otherwise.  The start vector is seeded
-    deterministically and boosted toward the largest diagonal ratio.  ARPACK
-    declares convergence when the Ritz residual bound drops below tol times
-    the Ritz value.  The restart count is derived from max_ops so that no
-    more than max_ops applications of A are made.
+    (scipy.sparse.linalg.eigsh).  A diagonal surrogate makes the pencil
+    similar to the symmetric S = s A s with s = Mt_ii^-1/2, so the call runs
+    in standard mode on S, applying A once per iteration and M-tilde never,
+    and maps the eigenvector y of S back to x = s * y.  Any other surrogate
+    runs in generalized mode on A x = lambda M-tilde x with M-tilde^-1
+    applied by one sparse LU factorization.  The start vector is seeded
+    deterministically and boosted toward the largest diagonal ratio; in
+    standard mode it is scaled to y0 = v0 / s, which gives the same Krylov
+    iterates as generalized mode.  ARPACK declares convergence when the
+    Ritz residual bound drops below tol times the Ritz value.  The restart
+    count is derived from max_ops so that no more than max_ops applications
+    of A are made.
 
     Raises ConvergenceError when ARPACK stops unconverged.  ARPACK then
     returns no Ritz value, so the error carries a weaker estimate: the
@@ -118,6 +126,15 @@ def lambda_max_with_vector(
     top = int(np.argmax(diag_a / diag_m))
     v0 = np.random.default_rng(seed).standard_normal(n)
     v0[top] += 1.0
+    if _is_diagonal(surrogate):
+        scale = 1.0 / np.sqrt(diag_m)
+        matvec = lambda y: scale * (A @ (scale * y))
+        mode = {"v0": v0 / scale}
+    else:
+        scale = 1.0
+        matvec = lambda x: A @ x
+        mode = {"v0": v0, "M": surrogate,
+                "Minv": spla.LinearOperator(A.shape, matvec=solve, dtype=float)}
     # ARPACK applies A once to the start vector, ncv times to build the first
     # basis and at most ncv - 1 times per restart; one more application is
     # kept for the residual reported on failure.
@@ -126,17 +143,15 @@ def lambda_max_with_vector(
     if maxiter >= 1:
         try:
             values, vectors = spla.eigsh(
-                spla.LinearOperator(A.shape, matvec=lambda x: A @ x, dtype=float),
+                spla.LinearOperator(A.shape, matvec=matvec, dtype=float),
                 k=1,
-                M=surrogate,
-                Minv=spla.LinearOperator(A.shape, matvec=solve, dtype=float),
                 which="LA",
-                v0=v0,
                 ncv=ncv,
                 maxiter=maxiter,
                 tol=tol,
+                **mode,
             )
-            return float(values[0]), vectors[:, 0]
+            return float(values[0]), scale * vectors[:, 0]
         except spla.ArpackNoConvergence:
             pass
     theta = float(diag_a[top] / diag_m[top])

@@ -243,7 +243,10 @@ def _build_scheme(config: RunConfig):
             raise ConfigError(
                 'scheme "generic" requires a tableau config entry {"a": [[...]], "b": [...]}'
             )
-        return scheme_from_tableau(np.asarray(tableau["a"]), np.asarray(tableau["b"]))
+        try:
+            return scheme_from_tableau(np.asarray(tableau["a"]), np.asarray(tableau["b"]))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad tableau: {exc}") from exc
     return rk_scheme(config.scheme)
 
 
@@ -268,8 +271,8 @@ def validate_config(config: RunConfig, command: str) -> None:
             f"unknown bound source {config.bound_source!r}; "
             f"expected one of {', '.join(BOUND_SOURCES)}"
         )
-    if config.tau is not None and not config.tau > 0:
-        raise ConfigError(f"tau override must be positive, got {config.tau!r}")
+    if config.tau is not None and not (isinstance(config.tau, (int, float)) and config.tau > 0):
+        raise ConfigError(f"tau override must be a positive number, got {config.tau!r}")
     if not isinstance(config.steps, int) or config.steps < 0:
         raise ConfigError(f"steps must be a nonnegative integer, got {config.steps!r}")
     if not isinstance(config.seed, int):
@@ -285,6 +288,9 @@ def validate_config(config: RunConfig, command: str) -> None:
         )
     if not _mesh_is_file(config.mesh):
         _mesh_spec(config)
+    for name in ("diffusion", "out"):
+        if not isinstance(getattr(config, name), str):
+            raise ConfigError(f"{name} must be a string, got {getattr(config, name)!r}")
     kind, _ = parse_spec(config.diffusion)
     if kind not in DIFFUSION_KINDS:
         raise ConfigError(
@@ -296,13 +302,19 @@ def validate_config(config: RunConfig, command: str) -> None:
                 f"sweep axis must be one of {', '.join(SWEEP_AXES)}, "
                 f"got {config.sweep_axis!r}"
             )
-        if not config.sweep_values:
-            raise ConfigError("sweep requires a nonempty list of sweep values")
+        if not isinstance(config.sweep_values, (tuple, list)) or not config.sweep_values:
+            raise ConfigError(
+                f"sweep requires a nonempty list of sweep values, got {config.sweep_values!r}"
+            )
         if config.sweep_axis in ("n", "m"):
             bad = [v for v in config.sweep_values if not isinstance(v, int) or v < 1]
             if bad:
                 raise ConfigError(f"sweep values for axis {config.sweep_axis!r} "
                                   f"must be positive integers, got {bad}")
+        if config.sweep_axis == "ratio":
+            bad = [v for v in config.sweep_values if not isinstance(v, (int, float))]
+            if bad:
+                raise ConfigError(f"sweep values for axis 'ratio' must be numbers, got {bad}")
         if config.sweep_axis == "policy":
             bad = [v for v in config.sweep_values if v not in POLICY_NAMES]
             if bad:

@@ -287,34 +287,29 @@ def _grid_triangulation(
         raise ValueError(f"unknown triangulation pattern {pattern!r}")
     xs = np.linspace(0.0, width, nx + 1)
     ys = np.linspace(0.0, height, ny + 1)
-    vid = lambda i, j: j * (nx + 1) + i
-    vertices = np.array([[xs[i], ys[j]] for j in range(ny + 1) for i in range(nx + 1)])
-    elements = []
-    for j in range(ny):
-        for i in range(nx):
-            sw, se = vid(i, j), vid(i + 1, j)
-            nw, ne = vid(i, j + 1), vid(i + 1, j + 1)
-            flip = pattern == "alternating" and (i + j) % 2 == 1
-            if flip:
-                elements.append((sw, se, nw))   # diagonal se-nw
-                elements.append((se, ne, nw))
-            else:
-                elements.append((sw, se, ne))   # diagonal sw-ne
-                elements.append((sw, ne, nw))
-    facets = []
-    for i in range(nx):
-        facets.append((vid(i, 0), vid(i + 1, 0)))
-        facets.append((vid(i, ny), vid(i + 1, ny)))
-    for j in range(ny):
-        facets.append((vid(0, j), vid(0, j + 1)))
-        facets.append((vid(nx, j), vid(nx, j + 1)))
-    markers = tuple(DIRICHLET for _ in facets)
-    return (
-        vertices,
-        np.array(elements, dtype=np.int64),
-        np.array(facets, dtype=np.int64),
-        markers,
-    )
+    gx, gy = np.meshgrid(xs, ys)
+    vertices = np.column_stack([gx.ravel(), gy.ravel()])
+    # cells row by row; vertex (i, j) has index j * (nx + 1) + i
+    j, i = divmod(np.arange(nx * ny, dtype=np.int64), nx)
+    sw = j * (nx + 1) + i
+    se, nw = sw + 1, sw + nx + 1
+    ne = nw + 1
+    flip = (pattern == "alternating") & ((i + j) % 2 == 1)
+    first = np.where(flip[:, None], np.column_stack([sw, se, nw]),   # diagonal se-nw
+                     np.column_stack([sw, se, ne]))                  # diagonal sw-ne
+    second = np.where(flip[:, None], np.column_stack([se, ne, nw]),
+                      np.column_stack([sw, ne, nw]))
+    elements = np.stack([first, second], axis=1).reshape(-1, 3)
+    # bottom and top edges interleaved, then left and right
+    bottom = np.arange(nx, dtype=np.int64)
+    top = bottom + ny * (nx + 1)
+    left = np.arange(ny, dtype=np.int64) * (nx + 1)
+    right = left + nx
+    facets = np.concatenate([
+        np.column_stack([bottom, bottom + 1, top, top + 1]).reshape(-1, 2),
+        np.column_stack([left, left + nx + 1, right, right + nx + 1]).reshape(-1, 2),
+    ])
+    return vertices, elements, facets, (DIRICHLET,) * len(facets)
 
 
 def structured_triangular(nx: int, ny: int, pattern: str = "diagonal") -> SimplicialMesh:

@@ -15,6 +15,7 @@ import rkstab
 from rkstab.assembly import (
     CONSISTENT,
     HRZ_DIAGONAL,
+    NODE_QUADRATURE,
     DiffusionField,
     assemble_mass,
     assemble_system,
@@ -30,6 +31,7 @@ from rkstab.bounds import (
     is_m_matrix,
     lambda_max_dense,
     lambda_max_generalized,
+    lambda_max_with_vector,
     verify_matrix_inequalities,
     zhudu_bound,
 )
@@ -174,6 +176,68 @@ def test_capped_solve_respects_max_ops(p3_hrz_1000):
     err = info.value
     assert 0 < err.best_estimate <= oracle
     assert np.isfinite(err.residual) and err.residual > 0
+
+
+def small_2d_p2_hrz():
+    elem = build_reference_element(2, 2)
+    D = DiffusionField.rotated_anisotropic(0.5, (1.0, 50.0))
+    return assemble_system(structured_triangular(8, 8), elem, D, HRZ_DIAGONAL)
+
+
+def test_diagonal_surrogate_eigensolve_never_applies_the_surrogate():
+    system = small_2d_p2_hrz()
+    surrogate = CountingCSR(system.surrogate_mass)
+    lam = lambda_max_generalized(system.stiffness, surrogate)
+    assert surrogate.applications == 0
+    assert lam == lambda_max_generalized(system.stiffness, system.surrogate_mass)
+
+
+def test_diagonal_surrogate_eigensolve_keeps_the_operator_count():
+    # 61 applications of A: the count of the generalized-mode solve, which
+    # the standard-mode solve on the Jacobi-scaled stiffness must match.
+    system = small_2d_p2_hrz()
+    stiffness = CountingCSR(system.stiffness)
+    lambda_max_generalized(stiffness, system.surrogate_mass)
+    assert stiffness.applications == 61
+
+
+PENCIL_CASES = [
+    (d, m, policy)
+    for d in (1, 2)
+    for m in (1, 2, 3)
+    for policy in (CONSISTENT, HRZ_DIAGONAL, NODE_QUADRATURE)
+    # quadratic triangles have nonpositive nodal quadrature weights
+    if not (d == 2 and m == 2 and policy is NODE_QUADRATURE)
+]
+# Cells per side giving at most 200 free DOFs, by (dimension, order).
+PENCIL_SIZES = {(1, 1): 150, (1, 2): 80, (1, 3): 50, (2, 1): 12, (2, 2): 7, (2, 3): 4}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("d,m,policy", PENCIL_CASES,
+                         ids=lambda v: getattr(v, "kind", str(v)))
+def test_lambda_max_with_vector_is_an_eigenpair(d, m, policy, seed):
+    rng = np.random.default_rng(seed)
+    n = PENCIL_SIZES[d, m]
+    elem = build_reference_element(d, m)
+    if d == 1:
+        mesh, D = uniform_interval(n), identity(1)
+        jiggle = rng.uniform(-0.3 / n, 0.3 / n, size=(n + 1, 1))
+        jiggle[[0, -1]] = 0.0
+        mesh = dataclasses.replace(mesh, vertices=mesh.vertices + jiggle)
+    else:
+        mesh = (random_perturbed(n, n, 0.3 / n, seed=seed) if seed == 0
+                else stretched(n, n, float(rng.uniform(2.0, 50.0))))
+        D = DiffusionField.rotated_anisotropic(rng.uniform(0, np.pi), (1.0, rng.uniform(1, 100)))
+    system = assemble_system(mesh, elem, D, policy)
+    assert 2 <= system.n_dofs <= 200
+    A, Mt = system.stiffness, system.surrogate_mass
+    lam, x = lambda_max_with_vector(A, Mt)
+    dense = lambda_max_dense(A, Mt)
+    assert abs(lam - dense) <= 1e-10 * dense
+    assert abs(x @ (Mt @ x) - 1.0) <= 1e-12
+    r = A @ x - lam * (Mt @ x)
+    assert math.sqrt(r @ np.linalg.solve(Mt.toarray(), r)) <= 1e-8 * lam
 
 
 def test_lambda_max_identical_across_blas_threads():

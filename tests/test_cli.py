@@ -92,6 +92,20 @@ class TestBounds:
         assert json.loads(out)["sandwich_satisfied"] is True
 
 
+# Config files whose values have the wrong type or shape, by file name.
+BAD_CONFIGS = {
+    "tau.json": {"mesh": MESH_1D, "tau": "x"},
+    "diffusion.json": {"mesh": MESH_1D, "diffusion": 5},
+    "tableau_b.json": {"mesh": MESH_1D, "scheme": "generic",
+                       "tableau": {"a": [[0, 0], [1, 0]], "b": [0.5]}},
+    "tableau_a.json": {"mesh": MESH_1D, "scheme": "generic",
+                       "tableau": {"a": [[0], [1, 0]], "b": [0.5, 0.5]}},
+    "sweep_values.json": {"mesh": MESH_1D, "sweep_axis": "n", "sweep_values": 5},
+    "ratio_values.json": {"mesh": "stretched:nx=2,ny=2,ratio=1", "sweep_axis": "ratio",
+                          "sweep_values": ["x"]},
+}
+
+
 class TestConfigErrors:
     def test_unknown_scheme_exits_2_with_record(self, capsys, tmp_path):
         code, out, err = run_cli(
@@ -173,8 +187,18 @@ class TestConfigErrors:
         # and a boundary with no Dirichlet facet
         ["bounds", "--mesh", "{tmp}/diagonal.txt", "--order", "2"],
         ["bounds", "--mesh", "{tmp}/neumann.txt"],
+        # wrongly typed config values: a TypeError, AttributeError or
+        # ValueError before they were checked
+        ["integrate", "--config", "{tmp}/tau.json"],
+        ["bounds", "--config", "{tmp}/diffusion.json"],
+        ["integrate", "--config", "{tmp}/tableau_b.json"],
+        ["integrate", "--config", "{tmp}/tableau_a.json"],
+        ["sweep", "--config", "{tmp}/sweep_values.json"],
+        ["sweep", "--config", "{tmp}/ratio_values.json"],
     ])
     def test_input_errors_exit_2(self, capsys, tmp_path, argv):
+        for name, config in BAD_CONFIGS.items():
+            (tmp_path / name).write_text(json.dumps(config))
         (tmp_path / "flat.txt").write_text(
             "DIMENSION 2\nVERTICES 3\n0 0\n1 0\n2 0\nELEMENTS 1\n0 1 2\n"
             "BOUNDARY 3\n0 1 D\n1 2 D\n0 2 D\n"
@@ -192,6 +216,14 @@ class TestConfigErrors:
         assert code == 2, err
         assert out == ""
         assert json.loads(err)["error"] == "config"
+
+    def test_non_string_out_in_config_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mesh": MESH_1D, "out": 5}))
+        code, out, err = run_cli(capsys, "bounds", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "out must be a string" in json.loads(err)["message"]
 
     def test_bad_sweep_axis_exits_2(self, capsys):
         code, _, err = run_cli(

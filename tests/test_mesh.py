@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rkstab.mesh import (
+    DIRICHLET,
     DegenerateElementError,
     MeshFormatError,
     MeshSpec,
@@ -12,6 +13,7 @@ from rkstab.mesh import (
     SimplicialMesh,
     build_affine_maps,
     build_patches,
+    _grid_triangulation,
     generate_mesh,
     number_dofs,
     random_perturbed,
@@ -128,6 +130,44 @@ def test_generator_validation_errors():
         random_perturbed(4, 4, 0.125, seed=0)  # amplitude = h/2 exactly
     with pytest.raises(ValueError):
         generate_mesh(MeshSpec(kind="hexes"))
+
+
+def loop_grid_triangulation(nx, ny, width, height, pattern):
+    """Cell-by-cell oracle for the vectorised structured triangulation."""
+    xs = np.linspace(0.0, width, nx + 1)
+    ys = np.linspace(0.0, height, ny + 1)
+    vid = lambda i, j: j * (nx + 1) + i
+    vertices = np.array([[xs[i], ys[j]] for j in range(ny + 1) for i in range(nx + 1)])
+    elements = []
+    for j in range(ny):
+        for i in range(nx):
+            sw, se = vid(i, j), vid(i + 1, j)
+            nw, ne = vid(i, j + 1), vid(i + 1, j + 1)
+            if pattern == "alternating" and (i + j) % 2 == 1:
+                elements += [(sw, se, nw), (se, ne, nw)]
+            else:
+                elements += [(sw, se, ne), (sw, ne, nw)]
+    facets = []
+    for i in range(nx):
+        facets += [(vid(i, 0), vid(i + 1, 0)), (vid(i, ny), vid(i + 1, ny))]
+    for j in range(ny):
+        facets += [(vid(0, j), vid(0, j + 1)), (vid(nx, j), vid(nx, j + 1))]
+    return (vertices, np.array(elements, dtype=np.int64), np.array(facets, dtype=np.int64),
+            tuple(DIRICHLET for _ in facets))
+
+
+@pytest.mark.parametrize("pattern", ["diagonal", "alternating"])
+@pytest.mark.parametrize("nx,ny,height", [
+    (1, 1, 1.0), (3, 3, 1.0), (4, 1, 1.0), (1, 5, 1.0), (5, 2, 1.0), (2, 7, 1.0),
+    (6, 6, 1e-3), (4, 3, 1.0 / 30.0),
+])
+def test_grid_triangulation_matches_loop_oracle(nx, ny, height, pattern):
+    got = _grid_triangulation(nx, ny, 1.0, height, pattern)
+    want = loop_grid_triangulation(nx, ny, 1.0, height, pattern)
+    for a, b in zip(got[:3], want[:3]):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert got[3] == want[3]
 
 
 def test_random_perturbed_deterministic():
