@@ -4,17 +4,24 @@ The diagonal-ratio bounds sandwich lambda_max between max_i A_ii/Mt_ii and
 eta * kappa(Mt_ref) times that maximum; the geometric bound re-expresses the
 upper end through patch volumes and element alignment factors, and the
 comparison bound (largest diffusion eigenvalue times the squared inverse
-Jacobian norm) is reported alongside for anisotropy studies.  The exact
-eigenvalue itself comes from ARPACK (scipy.sparse.linalg.eigsh): in standard
-mode on the Jacobi-scaled stiffness Mt^-1/2 A Mt^-1/2 when the surrogate is
-diagonal, in generalized mode otherwise, cross-checkable against a dense
-solve on small systems.
+Jacobian norm) is reported alongside for anisotropy studies.
+
+The exact eigenvalue comes from one three-term Lanczos recurrence for
+Mt^-1 A in the Mt inner product, for every surrogate: one A @ q and one
+surrogate solve per step, no restarts, no reorthogonalization, and a Ritz
+residual test every 10 steps.  The eigenvector is rebuilt by replaying the
+recurrence within the same max_ops cap on A products, and its largest entry
+is positive (see lambda_max_with_vector).  A dense solve cross-checks small
+systems.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
@@ -25,7 +32,6 @@ from .assembly import (
     AssembledSystem,
     DiffusionField,
     SurrogatePolicy,
-    _is_diagonal,
     assemble_system,
     element_alignment_factor,
     surrogate_solver,
@@ -78,40 +84,54 @@ class InequalityViolation(AssertionError):
         return type(self), (self.name, self.margin, self.witness)
 
 
-# Krylov subspace size handed to ARPACK.  Measured on the 1D P3 HRZ pencil,
-# whose top spectrum is tightly clustered: 40 vectors converge where
-# ARPACK's default of 20 does not.
-_KRYLOV_SIZE = 40
+# Lanczos steps between convergence checks.  A check solves the tridiagonal
+# eigenproblem of every step so far, so checking each step costs more than
+# the steps it saves.
+_CHECK_EVERY = 10
 
 
-def lambda_max_with_vector(
+def _lanczos(A: sp.csr_array, solve: Callable, v0: np.ndarray):
+    """Yield (q_k, p_k, alpha_k, beta_k+1), one step per application of A.
+
+    The q_k are Mt-orthonormal, starting from q_0 ~ solve(v0), and p_k = Mt q_k
+    is carried along from the vector that solve turned into q_k, so Mt is
+    never applied.  The alphas and betas make the tridiagonal T.  Stops after
+    a zero beta (an invariant subspace).
+    """
+    w = solve(v0)
+    beta = math.sqrt(v0 @ w)
+    q, p, p_prev = w / beta, v0 / beta, None
+    while True:
+        u = A @ q
+        if p_prev is not None:
+            u -= beta * p_prev
+        alpha = float(q @ u)
+        u -= alpha * p
+        w = solve(u)
+        beta = math.sqrt(max(float(u @ w), 0.0))
+        yield q, p, alpha, beta
+        if beta == 0.0:
+            return
+        w /= beta
+        u /= beta
+        q, p, p_prev = w, u, p
+
+
+def _top_ritz_pair(
     A: sp.csr_array,
     surrogate: sp.csr_array,
-    tol: float = 1e-10,
-    max_ops: int = 10000,
-    seed: int = DEFAULT_SEED,
-) -> tuple[float, np.ndarray]:
-    """Largest pencil eigenvalue and its eigenvector (surrogate-normalized).
+    tol: float,
+    max_ops: int,
+    seed: int,
+    replay: bool,
+) -> tuple[float, np.ndarray, Callable, np.ndarray]:
+    """Converged top Ritz value theta, its T eigenvector s, solve and v0.
 
-    One call to ARPACK's implicitly restarted Lanczos method
-    (scipy.sparse.linalg.eigsh).  A diagonal surrogate makes the pencil
-    similar to the symmetric S = s A s with s = Mt_ii^-1/2, so the call runs
-    in standard mode on S, applying A once per iteration and M-tilde never,
-    and maps the eigenvector y of S back to x = s * y.  Any other surrogate
-    runs in generalized mode on A x = lambda M-tilde x with M-tilde^-1
-    applied by one sparse LU factorization.  The start vector is seeded
-    deterministically and boosted toward the largest diagonal ratio; in
-    standard mode it is scaled to y0 = v0 / s, which gives the same Krylov
-    iterates as generalized mode.  ARPACK declares convergence when the
-    Ritz residual bound drops below tol times the Ritz value.  The restart
-    count is derived from max_ops so that no more than max_ops applications
-    of A are made.
-
-    Raises ConvergenceError when ARPACK stops unconverged.  ARPACK then
-    returns no Ritz value, so the error carries a weaker estimate: the
-    Rayleigh quotient A_ii / Mt_ii of the unit vector at the largest
-    diagonal ratio, a true lower bound on lambda_max, together with its
-    relative residual ||A x - theta Mt x||_{Mt^-1} / (theta ||x||_Mt).
+    The residual test also runs at the last step allowed, and whenever beta
+    falls below tol times the largest alpha: then it passes, since
+    theta >= alpha_j and |s_k| <= 1.  Steps are capped so that max_ops
+    applications of A cover the run, the replay of every step when replay is
+    set, and the one application a failure makes.
     """
     n = A.shape[0]
     if A.shape != surrogate.shape:
@@ -120,40 +140,25 @@ def lambda_max_with_vector(
     diag_m = surrogate.diagonal()
     if np.any(diag_m <= 0) or np.any(diag_a <= 0):
         raise ValueError("pencil matrices must have positive diagonals")
-    if n == 1:
-        return float(diag_a[0] / diag_m[0]), np.ones(1)
     solve = surrogate_solver(surrogate)
     top = int(np.argmax(diag_a / diag_m))
     v0 = np.random.default_rng(seed).standard_normal(n)
     v0[top] += 1.0
-    if _is_diagonal(surrogate):
-        scale = 1.0 / np.sqrt(diag_m)
-        matvec = lambda y: scale * (A @ (scale * y))
-        mode = {"v0": v0 / scale}
-    else:
-        scale = 1.0
-        matvec = lambda x: A @ x
-        mode = {"v0": v0, "M": surrogate,
-                "Minv": spla.LinearOperator(A.shape, matvec=solve, dtype=float)}
-    # ARPACK applies A once to the start vector, ncv times to build the first
-    # basis and at most ncv - 1 times per restart; one more application is
-    # kept for the residual reported on failure.
-    ncv = max(2, min(n, _KRYLOV_SIZE, (max_ops - 1) // 2))
-    maxiter = (max_ops - 2 - ncv) // (ncv - 1)
-    if maxiter >= 1:
-        try:
-            values, vectors = spla.eigsh(
-                spla.LinearOperator(A.shape, matvec=matvec, dtype=float),
-                k=1,
-                which="LA",
-                ncv=ncv,
-                maxiter=maxiter,
-                tol=tol,
-                **mode,
+    max_steps = max_ops // 2 if replay else max_ops - 1
+    alphas, betas, largest = [], [], 0.0
+    steps = itertools.islice(_lanczos(A, solve, v0), max(max_steps, 0))
+    for k, (_, _, alpha, beta) in enumerate(steps, start=1):
+        alphas.append(alpha)
+        betas.append(beta)
+        largest = max(largest, alpha)
+        if k % _CHECK_EVERY == 0 or k == max_steps or beta <= tol * largest:
+            theta, s = sla.eigh_tridiagonal(
+                alphas, betas[:-1], select="i", select_range=(k - 1, k - 1)
             )
-            return float(values[0]), scale * vectors[:, 0]
-        except spla.ArpackNoConvergence:
-            pass
+            if beta * abs(s[-1, 0]) <= tol * theta[0]:
+                return float(theta[0]), s[:, 0], solve, v0
+    # No Ritz value met the tolerance.  Report the Rayleigh quotient of the
+    # unit vector at the largest diagonal ratio, a true lower bound.
     theta = float(diag_a[top] / diag_m[top])
     e = np.zeros(n)
     e[top] = 1.0
@@ -167,6 +172,52 @@ def lambda_max_with_vector(
     )
 
 
+def lambda_max_with_vector(
+    A: sp.csr_array,
+    surrogate: sp.csr_array,
+    tol: float = 1e-10,
+    max_ops: int = 10000,
+    seed: int = DEFAULT_SEED,
+) -> tuple[float, np.ndarray]:
+    """Largest pencil eigenvalue and its eigenvector (surrogate-normalized).
+
+    The plain three-term Lanczos recurrence for Mt^-1 A in the Mt inner
+    product, without restarts or reorthogonalization (Paige 1980; Parlett,
+    The Symmetric Eigenvalue Problem, 1998), which finds the top Ritz value
+    reliably.  Each step applies A once (as A @ q) and the surrogate solver
+    once; M-tilde itself is never applied.  The start vector is
+    Mt^-1 v0, with v0 seeded deterministically and boosted toward the
+    largest diagonal ratio.  Every 10 steps the top eigenpair (theta, s) of
+    the tridiagonal T_k is computed, and the run stops when the Ritz
+    residual bound beta_k+1 |s_k| is at most tol * theta, or when beta
+    vanishes (an invariant subspace, which covers a single DOF).
+
+    The eigenvector x = sum_j s_j q_j is rebuilt by replaying the same
+    deterministic recurrence, which regenerates the q_j bit for bit, while
+    Mt x = sum_j s_j p_j is accumulated alongside, so normalizing
+    x^T Mt x = 1 needs no product with Mt.  The sign is fixed so that the
+    entry of x largest in magnitude is positive.  No more than max_ops
+    applications of A are made, the replay included, so the forward run
+    gets half of them.
+
+    Raises ConvergenceError when no Ritz value meets the tolerance within
+    the cap.  The error carries the Rayleigh quotient A_ii / Mt_ii of the
+    unit vector at the largest diagonal ratio, a true lower bound on
+    lambda_max, together with its relative residual
+    ||A x - theta Mt x||_{Mt^-1} / (theta ||x||_Mt).
+    """
+    theta, s, solve, v0 = _top_ritz_pair(A, surrogate, tol, max_ops, seed, replay=True)
+    x = np.zeros(A.shape[0])
+    mx = np.zeros_like(x)
+    for s_j, (q, p, _, _) in zip(s, _lanczos(A, solve, v0)):
+        x += s_j * q
+        mx += s_j * p
+    x /= math.sqrt(x @ mx)
+    if x[np.argmax(np.abs(x))] < 0:
+        x = -x
+    return theta, x
+
+
 def lambda_max_generalized(
     A: sp.csr_array,
     surrogate: sp.csr_array,
@@ -174,9 +225,11 @@ def lambda_max_generalized(
     max_ops: int = 10000,
     seed: int = DEFAULT_SEED,
 ) -> float:
-    """Largest eigenvalue of the pencil (A, M-tilde); see lambda_max_with_vector."""
-    lam, _ = lambda_max_with_vector(A, surrogate, tol=tol, max_ops=max_ops, seed=seed)
-    return lam
+    """Largest eigenvalue of the pencil (A, M-tilde); see lambda_max_with_vector.
+
+    Runs the same recurrence without the replay, so up to max_ops - 1 steps.
+    """
+    return _top_ritz_pair(A, surrogate, tol, max_ops, seed, replay=False)[0]
 
 
 def lambda_max_dense(A: sp.csr_array, surrogate: sp.csr_array) -> float:

@@ -518,8 +518,8 @@ def cmd_sweep(config: RunConfig) -> dict:
     n_points = len(config.sweep_values)
     workers = min(config.workers, n_points)
     if workers > 1 and sys.platform == "linux":
-        # Each point is interpreter-bound work (mesh, assembly, ARPACK driven
-        # from Python), so only processes run points in parallel.  A forked
+        # Each point is interpreter-bound work (mesh, assembly, a Lanczos
+        # loop in Python), so only processes run points in parallel.  A forked
         # worker starts with numpy and scipy already imported; the CLI has
         # no threads of its own to fork.  map keeps the point order.
         context = multiprocessing.get_context("fork")

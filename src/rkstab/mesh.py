@@ -250,10 +250,16 @@ def build_patches(
     numbering = numbering or number_dofs(mesh, elem)
     geometry = geometry or build_affine_maps(mesh)
     n_elements, eta = numbering.element_dofs.shape
+    # int32 indices unless the entry count needs more; scipy keeps the
+    # index type of the coordinates it is given.
+    index = np.int32 if n_elements * eta <= np.iinfo(np.int32).max else np.int64
     incidence = sp.csr_array(
         (
             np.ones(n_elements * eta),
-            (numbering.element_dofs.ravel(), np.repeat(np.arange(n_elements), eta)),
+            (
+                numbering.element_dofs.ravel().astype(index),
+                np.repeat(np.arange(n_elements, dtype=index), eta),
+            ),
         ),
         shape=(numbering.n_dofs, n_elements),
     )

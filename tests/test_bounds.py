@@ -114,6 +114,17 @@ def test_lambda_max_matches_dense_oracle(d, m, make, policy):
     assert abs(lam - dense) < 1e-8 * dense
 
 
+@pytest.mark.parametrize("policy", [HRZ_DIAGONAL, CONSISTENT], ids=lambda p: p.kind)
+def test_lambda_max_matches_dense_oracle_at_benchmark_size(policy):
+    # 1D P3 on 250 cells, 749 DOFs: the size of the benchmark's 1D eigensolves.
+    system = assemble_system(uniform_interval(250), build_reference_element(1, 3),
+                             identity(1), policy)
+    assert system.n_dofs == 749
+    lam = lambda_max_generalized(system.stiffness, system.surrogate_mass)
+    dense = lambda_max_dense(system.stiffness, system.surrogate_mass)
+    assert abs(lam - dense) <= 1e-10 * dense
+
+
 def test_lambda_max_deterministic():
     system, _ = lumped_1d_system(32)
     a = lambda_max_generalized(system.stiffness, system.surrogate_mass, seed=7)
@@ -178,27 +189,59 @@ def test_capped_solve_respects_max_ops(p3_hrz_1000):
     assert np.isfinite(err.residual) and err.residual > 0
 
 
-def small_2d_p2_hrz():
+def small_2d_p2(policy):
     elem = build_reference_element(2, 2)
     D = DiffusionField.rotated_anisotropic(0.5, (1.0, 50.0))
-    return assemble_system(structured_triangular(8, 8), elem, D, HRZ_DIAGONAL)
+    return assemble_system(structured_triangular(8, 8), elem, D, policy)
 
 
-def test_diagonal_surrogate_eigensolve_never_applies_the_surrogate():
-    system = small_2d_p2_hrz()
+@pytest.mark.parametrize("solver", [lambda_max_generalized, lambda_max_with_vector],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("policy", [HRZ_DIAGONAL, CONSISTENT], ids=lambda p: p.kind)
+def test_eigensolve_never_applies_the_surrogate(policy, solver):
+    system = small_2d_p2(policy)
     surrogate = CountingCSR(system.surrogate_mass)
-    lam = lambda_max_generalized(system.stiffness, surrogate)
+    result = solver(system.stiffness, surrogate)
     assert surrogate.applications == 0
-    assert lam == lambda_max_generalized(system.stiffness, system.surrogate_mass)
+    plain = solver(system.stiffness, system.surrogate_mass)
+    flat = lambda r: np.hstack(r if isinstance(r, tuple) else [r])
+    assert np.array_equal(flat(result), flat(plain))
 
 
 def test_diagonal_surrogate_eigensolve_keeps_the_operator_count():
-    # 61 applications of A: the count of the generalized-mode solve, which
-    # the standard-mode solve on the Jacobi-scaled stiffness must match.
-    system = small_2d_p2_hrz()
+    # 60 applications of A, one per Lanczos step up to the converged check at
+    # step 60.  ARPACK's implicitly restarted solve made 61 here.
+    system = small_2d_p2(HRZ_DIAGONAL)
     stiffness = CountingCSR(system.stiffness)
     lambda_max_generalized(stiffness, system.surrogate_mass)
-    assert stiffness.applications == 61
+    assert stiffness.applications == 60
+    assert stiffness.applications < 61
+
+
+def test_eigenvector_replay_counts_towards_max_ops():
+    # The value takes 60 applications of A and the replay that rebuilds the
+    # eigenvector repeats all 60, so 100 are enough for the value alone only.
+    system = small_2d_p2(HRZ_DIAGONAL)
+    stiffness = CountingCSR(system.stiffness)
+    lam, _ = lambda_max_with_vector(stiffness, system.surrogate_mass)
+    assert stiffness.applications == 120
+    assert lam == lambda_max_generalized(system.stiffness, system.surrogate_mass, max_ops=100)
+    stiffness = CountingCSR(system.stiffness)
+    with pytest.raises(ConvergenceError):
+        lambda_max_with_vector(stiffness, system.surrogate_mass, max_ops=100)
+    assert 0 < stiffness.applications <= 100
+
+
+@pytest.mark.parametrize("policy", [HRZ_DIAGONAL, CONSISTENT], ids=lambda p: p.kind)
+def test_eigenvector_sign_is_fixed(policy):
+    # The seed changes the start vector's sign pattern; the returned vector's
+    # largest entry in magnitude is positive whatever the seed.
+    system = small_2d_p2(policy)
+    A, Mt = system.stiffness, system.surrogate_mass
+    vectors = [lambda_max_with_vector(A, Mt, seed=seed)[1] for seed in range(6)]
+    for x in vectors:
+        assert x[np.argmax(np.abs(x))] > 0
+        assert np.allclose(x, vectors[0], rtol=0, atol=1e-6 * np.max(np.abs(x)))
 
 
 PENCIL_CASES = [
@@ -231,11 +274,24 @@ def test_lambda_max_with_vector_is_an_eigenpair(d, m, policy, seed):
         D = DiffusionField.rotated_anisotropic(rng.uniform(0, np.pi), (1.0, rng.uniform(1, 100)))
     system = assemble_system(mesh, elem, D, policy)
     assert 2 <= system.n_dofs <= 200
-    A, Mt = system.stiffness, system.surrogate_mass
+    assert_top_eigenpair(system.stiffness, system.surrogate_mass)
+
+
+@pytest.mark.parametrize("policy", [CONSISTENT, HRZ_DIAGONAL, NODE_QUADRATURE],
+                         ids=lambda p: p.kind)
+def test_lambda_max_with_vector_is_an_eigenpair_on_one_dof(policy):
+    system = assemble_system(uniform_interval(2), build_reference_element(1, 1),
+                             identity(1), policy)
+    assert system.n_dofs == 1
+    assert_top_eigenpair(system.stiffness, system.surrogate_mass)
+
+
+def assert_top_eigenpair(A, Mt):
     lam, x = lambda_max_with_vector(A, Mt)
     dense = lambda_max_dense(A, Mt)
     assert abs(lam - dense) <= 1e-10 * dense
     assert abs(x @ (Mt @ x) - 1.0) <= 1e-12
+    assert x[np.argmax(np.abs(x))] > 0
     r = A @ x - lam * (Mt @ x)
     assert math.sqrt(r @ np.linalg.solve(Mt.toarray(), r)) <= 1e-8 * lam
 
