@@ -272,10 +272,14 @@ def _scatter(
 ) -> sp.csr_array:
     """Accumulate per-element matrices into canonical CSR.
 
+    Indices and indptr are int32 unless the coordinate count needs more.
     Duplicate (row, col) entries are summed by the COO->CSR conversion in a
     fixed sorted order, so assembly results are bit-reproducible.
     """
     eta = element_dofs.shape[1]
+    # scipy keeps the index type of the coordinates it is given.
+    fits = max(element_dofs.size * eta, n_dofs) <= np.iinfo(np.int32).max
+    element_dofs = element_dofs.astype(np.int32 if fits else np.int64, copy=False)
     rows = np.repeat(element_dofs, eta, axis=1).ravel()
     cols = np.tile(element_dofs, (1, eta)).ravel()
     mat = sp.coo_array((local.ravel(), (rows, cols)), shape=(n_dofs, n_dofs)).tocsr()
@@ -408,13 +412,24 @@ def apply_dirichlet(system: AssembledSystem) -> AssembledSystem:
     )
 
 
-def _spectral_norm_small(mats: np.ndarray) -> np.ndarray:
-    """Spectral norms of a stack of symmetric 1x1 or 2x2 matrices."""
-    if mats.shape[-1] == 1:
-        return np.abs(mats[..., 0, 0])
-    half_sum = 0.5 * (mats[..., 0, 0] + mats[..., 1, 1])
-    half_diff = 0.5 * (mats[..., 0, 0] - mats[..., 1, 1])
-    radius = np.sqrt(half_diff**2 + mats[..., 0, 1] * mats[..., 1, 0])
+def _pulled_back_norm(inv: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """|| inv T inv^T ||_2 over broadcast stacks of 1x1 or 2x2 matrices.
+
+    The entries of the product are formed directly from the entry arrays of
+    inv and T, in the order (inv T) inv^T; the norm is the larger modulus of
+    the two closed-form eigenvalues of that (symmetric) product.
+    """
+    if inv.shape[-1] == 1:
+        return np.abs(inv[..., 0, 0] * tensor[..., 0, 0] * inv[..., 0, 0])
+    a, b, c, d = inv[..., 0, 0], inv[..., 0, 1], inv[..., 1, 0], inv[..., 1, 1]
+    t00, t01, t10, t11 = tensor[..., 0, 0], tensor[..., 0, 1], tensor[..., 1, 0], tensor[..., 1, 1]
+    x00, x01 = a * t00 + b * t10, a * t01 + b * t11
+    x10, x11 = c * t00 + d * t10, c * t01 + d * t11
+    p00, p01 = x00 * a + x01 * b, x00 * c + x01 * d
+    p10, p11 = x10 * a + x11 * b, x10 * c + x11 * d
+    half_sum = 0.5 * (p00 + p11)
+    half_diff = 0.5 * (p00 - p11)
+    radius = np.sqrt(half_diff**2 + p01 * p10)
     return np.maximum(np.abs(half_sum + radius), np.abs(half_sum - radius))
 
 
@@ -429,19 +444,21 @@ def element_alignment_factor(
     vertices and at the images of the stiffness quadrature points of elem,
     the points the assembled stiffness integrates with, so the geometric
     bound built from these factors holds for that stiffness.
+
+    Cost: a few elementwise passes over the element arrays (and the samples
+    of a callable D); the 2x2 products and their norms are written out in
+    closed form, with no stacked matmul.
     """
     inv = geometry.inv_jacobian
     if diffusion.is_constant:
-        return _spectral_norm_small(inv @ diffusion.matrix @ inv.transpose(0, 2, 1))
+        return _pulled_back_norm(inv, diffusion.matrix)
     if elem is None:
         raise ValueError("position-dependent diffusion needs the reference element")
     d = inv.shape[-1]
     pts, _, _ = _stiffness_quadrature(elem, diffusion)
     ref_pts = np.vstack([np.zeros((1, d)), np.eye(d), pts])
     samples = diffusion.sample(geometry.map_points(ref_pts))
-    inv = inv[:, None]
-    pulled = inv @ samples @ inv.transpose(0, 1, 3, 2)
-    return _spectral_norm_small(pulled).max(axis=1)
+    return _pulled_back_norm(inv[:, None], samples).max(axis=1)
 
 
 def l2_project(

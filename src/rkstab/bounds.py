@@ -255,14 +255,24 @@ def diag_ratio_bounds(system: AssembledSystem, elem: ReferenceElement) -> tuple[
 
 
 def is_m_matrix(matrix: sp.csr_array, tol: float = 1e-12) -> bool:
-    """Sign-structure test: off-diagonals <= 0 and row sums >= 0 (within tol)."""
-    coo = matrix.tocoo()
-    scale = float(np.max(np.abs(coo.data))) if coo.nnz else 1.0
-    off = coo.coords[0] != coo.coords[1]
-    if np.any(coo.data[off] > tol * scale):
+    """Sign-structure test: off-diagonals <= 0 and row sums >= 0 (within tol).
+
+    Both tests allow cut = tol * max |entry|.  Cost: one pass over the stored
+    entries, the diagonal, and one product with a vector of ones; no COO
+    copy.  A matrix not in canonical CSR form (sorted, no duplicates) is
+    summed into it first, so each entry is tested by its value.
+    """
+    if not matrix.has_canonical_format:
+        matrix = matrix.copy()
+        matrix.sum_duplicates()
+    data = matrix.data
+    scale = max(float(data.max()), -float(data.min())) if data.size else 1.0
+    cut = tol * scale
+    # Canonical CSR stores each diagonal entry at most once, so the positive
+    # off-diagonal count is the positive entry count less the diagonal's.
+    if np.count_nonzero(data > cut) > np.count_nonzero(matrix.diagonal() > cut):
         return False
-    row_sums = np.asarray(matrix.sum(axis=1)).ravel()
-    return bool(np.all(row_sums >= -tol * scale))
+    return bool(np.all(matrix @ np.ones(matrix.shape[1]) >= -cut))
 
 
 def geometric_bound(

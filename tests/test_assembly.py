@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -23,10 +25,11 @@ from rkstab.mesh import (
     build_affine_maps,
     number_dofs,
     random_perturbed,
+    stretched,
     structured_triangular,
     uniform_interval,
 )
-from rkstab.reference import build_reference_element
+from rkstab.reference import build_reference_element, simplex_quadrature
 
 
 def single_triangle():
@@ -265,6 +268,95 @@ def test_alignment_factor_callable_sampling():
     elem = build_reference_element(2, 1)
     (factor,) = element_alignment_factor(geometry, field, elem)
     assert abs(factor - 2.0) < 1e-12  # max(1+x) = 2 at vertex (1, 0)
+
+
+def matmul_alignment_oracle(geometry, diffusion, elem):
+    """Per-element max of np.linalg.norm(F'^-1 D F'^-T, 2) from stacked matmuls."""
+    inv = geometry.inv_jacobian
+    if diffusion.is_constant:
+        pulled = inv @ diffusion.matrix @ inv.transpose(0, 2, 1)
+        return np.array([np.linalg.norm(m, 2) for m in pulled])
+    d = elem.dimension
+    needed = 2 * (elem.order - 1) + diffusion.degree
+    pts = elem.quad_points if needed <= 2 * elem.order else simplex_quadrature(d, needed)[0]
+    samples = diffusion.sample(geometry.map_points(np.vstack([np.zeros((1, d)), np.eye(d), pts])))
+    inv = inv[:, None]
+    pulled = inv @ samples @ inv.transpose(0, 1, 3, 2)
+    return np.array([[np.linalg.norm(m, 2) for m in per_elem] for per_elem in pulled]).max(axis=1)
+
+
+def graded_interval(n, ratio, seed):
+    """uniform_interval(n) with geometric cell sizes (largest/smallest = ratio)
+    and then its interior vertices jiggled by up to 20% of the adjacent cells."""
+    mesh = uniform_interval(n)
+    widths = ratio ** (np.arange(n) / (n - 1))
+    x = np.concatenate([[0.0], np.cumsum(widths)]) / widths.sum()
+    jiggle = np.random.default_rng(seed).uniform(-0.2, 0.2, n - 1)
+    x[1:-1] += jiggle * np.minimum(np.diff(x)[:-1], np.diff(x)[1:])
+    return dataclasses.replace(mesh, vertices=x[:, None])
+
+
+def perturbed_stretched(ratio, seed):
+    """random_perturbed(5, 5) squeezed to [0, 1] x [0, 1/ratio]."""
+    mesh = random_perturbed(5, 5, 0.045, seed=seed)
+    return dataclasses.replace(mesh, vertices=mesh.vertices * [1.0, 1.0 / ratio])
+
+
+def swirl(x):
+    """Rotated 1:100 tensor whose axis and scale vary with position."""
+    c, s = np.cos(3.0 * x[0] + x[1]), np.sin(3.0 * x[0] + x[1])
+    rot = np.array([[c, -s], [s, c]])
+    return (1.0 + x[0] * x[1]) * rot @ np.diag([1.0, 100.0]) @ rot.T
+
+
+ORACLE_MESHES = {
+    "1d_graded_1": lambda: graded_interval(12, 1.0, seed=7),
+    "1d_graded_1000": lambda: graded_interval(12, 1000.0, seed=7),
+    "2d_perturbed": lambda: random_perturbed(5, 5, 0.045, seed=3),
+    "2d_stretched_10": lambda: stretched(4, 4, 10.0),
+    "2d_stretched_1000": lambda: stretched(4, 4, 1000.0),
+    "2d_perturbed_stretched_1000": lambda: perturbed_stretched(1000.0, seed=5),
+}
+ORACLE_FIELDS = {
+    1: {
+        "constant": DiffusionField.constant(3.5, d=1),
+        **{
+            f"callable_deg{k}": DiffusionField.from_callable(
+                lambda x: np.array([[1.0 + 50.0 * x[0] ** 2]]), degree=k
+            )
+            for k in range(5)
+        },
+    },
+    2: {
+        "constant": DiffusionField.constant(np.array([[2.0, 0.7], [0.7, 1.5]])),
+        "rotated": DiffusionField.rotated_anisotropic(np.pi / 6, (1.0, 100.0)),
+        **{f"callable_deg{k}": DiffusionField.from_callable(swirl, degree=k) for k in range(5)},
+    },
+}
+
+
+@pytest.mark.parametrize("mesh, field", [
+    (mesh, field) for mesh in ORACLE_MESHES for field in ORACLE_FIELDS[int(mesh[0])]
+])
+@pytest.mark.parametrize("order", [1, 3])
+def test_alignment_factor_matches_matmul_oracle(mesh, field, order):
+    mesh = ORACLE_MESHES[mesh]()
+    diffusion = ORACLE_FIELDS[mesh.dimension][field]
+    geometry = build_affine_maps(mesh)
+    elem = build_reference_element(mesh.dimension, order)
+    factor = element_alignment_factor(geometry, diffusion, elem)
+    np.testing.assert_allclose(
+        factor, matmul_alignment_oracle(geometry, diffusion, elem), rtol=1e-14, atol=0
+    )
+
+
+def test_reduced_matrices_have_int32_indices():
+    mesh = random_perturbed(4, 4, 0.05, seed=3)
+    elem = build_reference_element(2, 2)
+    system = assemble_system(mesh, elem, identity(2), HRZ_DIAGONAL)
+    for matrix in (system.mass, system.stiffness, system.surrogate_mass):
+        assert matrix.indices.dtype == np.int32
+        assert matrix.indptr.dtype == np.int32
 
 
 def test_rotated_anisotropic_construction():

@@ -17,6 +17,7 @@ from rkstab.assembly import (
     HRZ_DIAGONAL,
     NODE_QUADRATURE,
     DiffusionField,
+    SurrogateAxiomError,
     assemble_mass,
     assemble_system,
 )
@@ -357,6 +358,86 @@ def test_is_m_matrix():
     assert not is_m_matrix(sys2.stiffness)
 
 
+def coo_m_matrix_oracle(matrix, tol=1e-12):
+    """The sign-structure test on a COO copy, comparing row and column indices."""
+    coo = matrix.tocoo()
+    scale = float(np.max(np.abs(coo.data))) if coo.nnz else 1.0
+    off = coo.coords[0] != coo.coords[1]
+    if np.any(coo.data[off] > tol * scale):
+        return False
+    row_sums = np.asarray(matrix.sum(axis=1)).ravel()
+    return bool(np.all(row_sums >= -tol * scale))
+
+
+def m_matrix_edge_cases():
+    tol = 1e-12
+    cut = tol * 2.0  # every case below has max |entry| = 2
+    base = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+    above, below = base.copy(), base.copy()
+    above[0, 2] = above[2, 0] = 1.01 * cut
+    below[0, 2] = below[2, 0] = 0.99 * cut
+    # row 1 stores no diagonal; with a positive coupling in it, and without
+    positive_no_diag = np.array([[2.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 2.0]])
+    negative_no_diag = np.array([[2.0, 0.0, 0.0], [-0.5, 0.0, 0.0], [0.0, 0.0, 2.0]])
+    # a diagonal entry in (0, cut] beside a positive coupling above cut
+    tiny_diagonal = np.diag([2.0, 0.5 * cut, 2.0])
+    tiny_diagonal[1, 2] = 1.01 * cut
+    inside, outside = base.copy(), base.copy()
+    inside[0, 0] = 1.0 - 0.5 * cut    # row sum -0.5 cut
+    outside[0, 0] = 1.0 - 2.0 * cut   # row sum -2 cut
+    return {
+        "off_diagonal_above_cut": (sp.csr_array(above), False),
+        "off_diagonal_below_cut": (sp.csr_array(below), True),
+        "positive_row_without_stored_diagonal": (sp.csr_array(positive_no_diag), False),
+        "negative_row_without_stored_diagonal": (sp.csr_array(negative_no_diag), False),
+        "empty_row_without_stored_diagonal": (
+            sp.csr_array(np.diag([2.0, 0.0, 2.0])), True),
+        "stored_zero_diagonal": (sp.csr_array(
+            (np.array([2.0, 0.0, 2.0]), np.arange(3), np.arange(4)), shape=(3, 3)), True),
+        "tiny_diagonal_beside_positive_coupling": (sp.csr_array(tiny_diagonal), False),
+        "tiny_diagonal_alone": (sp.csr_array(np.diag([2.0, 0.5 * cut, 2.0])), True),
+        "row_sum_inside_cut": (sp.csr_array(inside), True),
+        "row_sum_outside_cut": (sp.csr_array(outside), False),
+        "empty": (sp.csr_array((4, 4)), True),
+        "empty_0x0": (sp.csr_array((0, 0)), True),
+        "positive_diagonal_only": (sp.csr_array(np.diag([2.0, 1.0])), True),
+    }
+
+
+@pytest.mark.parametrize("case", list(m_matrix_edge_cases()))
+def test_is_m_matrix_matches_coo_oracle_on_edge_cases(case):
+    matrix, expected = m_matrix_edge_cases()[case]
+    assert coo_m_matrix_oracle(matrix) is expected
+    assert is_m_matrix(matrix) is expected
+
+
+@pytest.mark.parametrize("d, order, policy", [
+    (1, 1, HRZ_DIAGONAL), (1, 2, CONSISTENT), (2, 1, CONSISTENT), (2, 2, HRZ_DIAGONAL),
+])
+def test_is_m_matrix_matches_coo_oracle_on_assembled_matrices(d, order, policy):
+    mesh = uniform_interval(9) if d == 1 else random_perturbed(4, 4, 0.05, seed=2)
+    elem = build_reference_element(d, order)
+    D = identity(d) if d == 1 else DiffusionField.rotated_anisotropic(0.3, (1.0, 3.0))
+    system = assemble_system(mesh, elem, D, policy)
+    for matrix in (system.stiffness, system.mass, system.surrogate_mass):
+        assert is_m_matrix(matrix) is coo_m_matrix_oracle(matrix)
+    assert is_m_matrix(system.stiffness) is (order == 1 and d == 1)
+
+
+def test_is_m_matrix_reads_duplicates_by_their_sum():
+    # the diagonal of row 0 is stored twice, as 1.5 and 0.5
+    matrix = sp.csr_array(
+        (np.array([1.5, -1.0, 0.5, -1.0, 2.0]), np.array([0, 1, 0, 0, 1]), np.array([0, 3, 5])),
+        shape=(2, 2),
+    )
+    data = matrix.data.copy()
+    assert not matrix.has_canonical_format
+    canonical = matrix.copy()
+    canonical.sum_duplicates()
+    assert is_m_matrix(matrix) is is_m_matrix(canonical) is True
+    np.testing.assert_array_equal(matrix.data, data)
+
+
 def test_geometric_bound_1d_hand_values():
     mesh = uniform_interval(8)
     elem = build_reference_element(1, 1)
@@ -404,6 +485,82 @@ def test_geometric_bound_dominates_callable_peaking_at_stiffness_points():
     lam = lambda_max_dense(system.stiffness, system.surrogate_mass)
     report = compute_bound_report(mesh, elem, D, HRZ_DIAGONAL, system=system)
     assert report.upper_geometric >= lam
+
+
+def random_mesh(d, order, rng):
+    """A seeded perturbed and stretched mesh with at most 200 free DOFs.
+
+    2D: random_perturbed squeezed to aspect ratio up to 1e3.  1D: cells
+    graded geometrically up to a 1e3 size ratio, then jiggled."""
+    if d == 1:
+        n = int(rng.integers(3, 200 // order + 1))
+        mesh = uniform_interval(n)
+        widths = 10.0 ** (rng.uniform(0.0, 3.0) * np.arange(n) / (n - 1))
+        x = np.concatenate([[0.0], np.cumsum(widths)]) / widths.sum()
+        jiggle = rng.uniform(-0.3, 0.3, n - 1)
+        x[1:-1] += jiggle * np.minimum(np.diff(x)[:-1], np.diff(x)[1:])
+        return dataclasses.replace(mesh, vertices=x[:, None])
+    n_max = {1: 15, 2: 7, 3: 5}[order]  # (order * n - 1)^2 <= 200
+    n = int(rng.integers(2, n_max + 1))
+    # below h/4, where no triangle of the diagonal grid can invert
+    mesh = random_perturbed(n, n, rng.uniform(0.0, 0.24) / n, seed=int(rng.integers(1 << 30)))
+    ratio = 10.0 ** rng.uniform(0.0, 3.0)
+    return dataclasses.replace(mesh, vertices=mesh.vertices * [1.0, 1.0 / ratio])
+
+
+def random_field(d, kind, rng):
+    if kind == "constant":
+        root = rng.standard_normal((d, d))
+        return DiffusionField.constant(root @ root.T + 0.1 * np.eye(d))
+    if kind == "rotated_anisotropic":
+        return DiffusionField.rotated_anisotropic(
+            rng.uniform(0.0, np.pi), (1.0, 10.0 ** rng.uniform(0.0, 3.0)))
+    a, b, c = rng.uniform(0.0, 5.0, 3)
+    if d == 1:
+        return DiffusionField.from_callable(
+            lambda x: np.array([[1.0 + a * x[0] ** 2 + b * np.sin(c * x[0]) ** 2]]),
+            degree=int(rng.integers(0, 5)))
+    k2 = 10.0 ** rng.uniform(0.0, 3.0)
+
+    def field(x):
+        co, si = np.cos(a * x[0] + c * x[1]), np.sin(a * x[0] + c * x[1])
+        rot = np.array([[co, -si], [si, co]])
+        return (1.0 + b * x[0] * x[1]) * rot @ np.diag([1.0, k2]) @ rot.T
+
+    return DiffusionField.from_callable(field, degree=int(rng.integers(0, 5)))
+
+
+FIELD_KINDS = ("constant", "rotated_anisotropic", "callable")
+PROPERTY_CASES = [
+    (d, order, kind, seed)
+    for d, kinds in ((1, ("constant", "callable")), (2, FIELD_KINDS))
+    for order in (1, 2, 3)
+    for kind in kinds
+    for seed in range(3)
+]
+
+
+@pytest.mark.parametrize("d, order, kind, seed", PROPERTY_CASES)
+def test_certified_bounds_dominate_dense_lambda_max(d, order, kind, seed):
+    """upper_diag_ratio and upper_geometric bound lambda_max of the assembled
+    pencil for every policy the element allows and every diffusion kind."""
+    rng = np.random.default_rng([d, order, seed, FIELD_KINDS.index(kind)])
+    mesh = random_mesh(d, order, rng)
+    diffusion = random_field(d, kind, rng)
+    elem = build_reference_element(d, order)
+    checked = 0
+    for policy in (CONSISTENT, HRZ_DIAGONAL, NODE_QUADRATURE):
+        try:
+            system = assemble_system(mesh, elem, diffusion, policy)
+        except SurrogateAxiomError:
+            continue
+        assert system.n_dofs <= 200
+        lam = lambda_max_dense(system.stiffness, system.surrogate_mass)
+        report = compute_bound_report(mesh, elem, diffusion, policy, dof_cap=0, system=system)
+        assert lam <= report.upper_diag_ratio * (1 + 1e-9)
+        assert lam <= report.upper_geometric * (1 + 1e-9)
+        checked += 1
+    assert checked >= 2
 
 
 def aligned_family(a, n=8):
