@@ -339,15 +339,18 @@ def stretched(nx: int, ny: int, ratio: float) -> SimplicialMesh:
 def random_perturbed(nx: int, ny: int, amplitude: float, seed: int) -> SimplicialMesh:
     """Structured triangulation with interior vertices jiggled by +-amplitude.
 
-    The perturbation is uniform per coordinate and deterministic in the seed;
-    amplitude must stay below half the smallest cell edge so elements cannot
-    collapse or invert.
+    The perturbation is uniform per coordinate and deterministic in the seed.
+    amplitude must stay below hx hy / (2 (hx + hy)) = 1 / (2 (nx + ny)), a
+    quarter of the edge on square cells: the Jacobian determinant of a
+    triangle is multilinear in its vertex coordinates, and its minimum over
+    the perturbation box, taken at a corner, is zero at that amplitude.
+    Below it no element collapses or inverts.
     """
     base = structured_triangular(nx, ny, "diagonal")
-    h_min = min(1.0 / nx, 1.0 / ny)
-    if amplitude < 0 or amplitude >= 0.5 * h_min:
+    limit = 1.0 / (2.0 * (nx + ny))
+    if amplitude < 0 or amplitude >= limit:
         raise ValueError(
-            f"perturbation amplitude {amplitude} must lie in [0, {0.5 * h_min})"
+            f"perturbation amplitude {amplitude} must lie in [0, {limit})"
         )
     rng = np.random.default_rng(seed)
     vertices = base.vertices.copy()

@@ -217,6 +217,16 @@ class TestConfigErrors:
         assert out == ""
         assert json.loads(err)["error"] == "config"
 
+    def test_perturbation_above_limit_exits_2_for_every_seed(self, capsys, tmp_path):
+        # 0.3 h on a 5x5 grid, above the h/4 limit: only 2 of these 200 seeds
+        # used to invert an element (and exit 2); the rest ran.
+        for seed in range(200):
+            mesh = f"random_perturbed:nx=5,ny=5,amplitude=0.06,seed={seed}"
+            code, out, err = run_cli(capsys, "bounds", "--mesh", mesh,
+                                     "--out", str(tmp_path / "out"))
+            assert code == 2, (seed, err)
+            assert json.loads(err)["error"] == "config"
+
     def test_non_string_out_in_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"mesh": MESH_1D, "out": 5}))

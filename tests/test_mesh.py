@@ -127,7 +127,7 @@ def test_generator_validation_errors():
     with pytest.raises(ValueError):
         structured_triangular(0, 3)
     with pytest.raises(ValueError):
-        random_perturbed(4, 4, 0.125, seed=0)  # amplitude = h/2 exactly
+        random_perturbed(4, 4, 0.125, seed=0)  # amplitude = h/2, twice the limit
     with pytest.raises(ValueError):
         generate_mesh(MeshSpec(kind="hexes"))
 
@@ -171,15 +171,15 @@ def test_grid_triangulation_matches_loop_oracle(nx, ny, height, pattern):
 
 
 def test_random_perturbed_deterministic():
-    a = random_perturbed(6, 6, 0.05, seed=11)
-    b = random_perturbed(6, 6, 0.05, seed=11)
+    a = random_perturbed(6, 6, 0.04, seed=11)
+    b = random_perturbed(6, 6, 0.04, seed=11)
     np.testing.assert_array_equal(a.vertices, b.vertices)
-    c = random_perturbed(6, 6, 0.05, seed=12)
+    c = random_perturbed(6, 6, 0.04, seed=12)
     assert not np.array_equal(a.vertices, c.vertices)
 
 
 def test_random_perturbed_keeps_boundary():
-    mesh = random_perturbed(5, 5, 0.05, seed=2)
+    mesh = random_perturbed(5, 5, 0.04, seed=2)
     on_boundary = (
         np.isclose(mesh.vertices[:, 0], 0)
         | np.isclose(mesh.vertices[:, 0], 1)
@@ -188,6 +188,42 @@ def test_random_perturbed_keeps_boundary():
     )
     base = structured_triangular(5, 5)
     np.testing.assert_array_equal(mesh.vertices[on_boundary], base.vertices[on_boundary])
+
+
+def min_corner_determinant(hx, hy, amplitude):
+    """Smallest det F' of a diagonal-pattern cell's triangles, vertices moved
+    to the 64 corners of the +-amplitude box (det F' is multilinear in them)."""
+    cell = np.array([[0.0, 0.0], [hx, 0.0], [hx, hy], [0.0, hy]])
+    worst = np.inf
+    for tri in ([0, 1, 2], [0, 2, 3]):
+        for signs in itertools.product((-1.0, 1.0), repeat=6):
+            v = cell[tri] + amplitude * np.reshape(signs, (3, 2))
+            e1, e2 = v[1] - v[0], v[2] - v[0]
+            worst = min(worst, e1[0] * e2[1] - e1[1] * e2[0])
+    return worst
+
+
+@pytest.mark.parametrize("nx,ny", [(1, 1), (1, 2), (1, 4), (5, 5), (6, 3)])
+def test_random_perturbed_limit_is_where_a_corner_inverts(nx, ny):
+    hx, hy = 1.0 / nx, 1.0 / ny
+    limit = 1.0 / (2.0 * (nx + ny))
+    assert math.isclose(limit, hx * hy / (2.0 * (hx + hy)), rel_tol=1e-15)
+    assert abs(min_corner_determinant(hx, hy, limit)) <= 1e-14 * hx * hy
+    assert min_corner_determinant(hx, hy, 1.001 * limit) < 0
+    assert min_corner_determinant(hx, hy, 0.999 * limit) > 0
+    with pytest.raises(ValueError):
+        random_perturbed(nx, ny, limit, seed=0)
+    random_perturbed(nx, ny, np.nextafter(limit, 0.0), seed=0)
+
+
+@pytest.mark.parametrize("nx,ny", [(5, 5), (6, 3)])
+def test_random_perturbed_below_limit_never_inverts(nx, ny):
+    # At 0.3 h on a 5x5 grid, the old limit of h/2 let 2 of these seeds
+    # through with a negatively oriented element.
+    amplitude = np.nextafter(1.0 / (2.0 * (nx + ny)), 0.0)
+    for seed in range(200):
+        geometry = build_affine_maps(random_perturbed(nx, ny, amplitude, seed=seed))
+        assert np.all(geometry.volume > 0)
 
 
 @pytest.mark.parametrize("m,expected", [(1, 9), (2, 25), (3, 49)])
