@@ -46,7 +46,7 @@ __all__ = [
     "assemble_system",
     "element_alignment_factor",
     "l2_project",
-    "write_coo",
+    "POLICY_KINDS",
 ]
 
 
@@ -60,16 +60,13 @@ class NonSPDDiffusionError(ValueError):
 
 @dataclass(frozen=True)
 class DiffusionField:
-    """Diffusion tensor D(x): constant, rotated-anisotropic, or a callable.
+    """Diffusion tensor D(x): a constant matrix, or a callable of position.
 
     For callables, `degree` declares a polynomial-degree proxy used to pick
     the stiffness quadrature order.
     """
 
-    kind: str
     matrix: np.ndarray | None = None
-    angle: float = 0.0
-    eigenvalues: tuple[float, float] = (1.0, 1.0)
     func: Callable[[np.ndarray], np.ndarray] | None = None
     degree: int = 0
 
@@ -83,7 +80,7 @@ class DiffusionField:
             arr = float(arr) * np.eye(d)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"diffusion matrix must be square, got shape {arr.shape}")
-        return DiffusionField(kind="constant", matrix=arr)
+        return DiffusionField(matrix=arr)
 
     @staticmethod
     def rotated_anisotropic(angle: float, eigenvalues: tuple[float, float]) -> "DiffusionField":
@@ -94,21 +91,16 @@ class DiffusionField:
         c, s = np.cos(angle), np.sin(angle)
         rot = np.array([[c, -s], [s, c]])
         matrix = rot @ np.diag([k1, k2]) @ rot.T
-        return DiffusionField(
-            kind="rotated_anisotropic",
-            matrix=0.5 * (matrix + matrix.T),
-            angle=angle,
-            eigenvalues=(float(k1), float(k2)),
-        )
+        return DiffusionField(matrix=0.5 * (matrix + matrix.T))
 
     @staticmethod
     def from_callable(func, degree: int) -> "DiffusionField":
         """Position-dependent tensor with a declared polynomial-degree proxy."""
-        return DiffusionField(kind="callable", func=func, degree=int(degree))
+        return DiffusionField(func=func, degree=int(degree))
 
     @property
     def is_constant(self) -> bool:
-        return self.kind in ("constant", "rotated_anisotropic")
+        return self.func is None
 
     def sample(self, points: np.ndarray) -> np.ndarray:
         """Tensor values at physical points of shape (..., d); shape (..., d, d).
@@ -153,14 +145,17 @@ def _check_spd_samples(samples: np.ndarray) -> None:
         )
 
 
+POLICY_KINDS = ("consistent", "hrz_diagonal", "node_quadrature")
+
+
 @dataclass(frozen=True)
 class SurrogatePolicy:
     """How the surrogate mass matrix is built from the reference element."""
 
-    kind: str  # "consistent" | "hrz_diagonal" | "node_quadrature"
+    kind: str  # one of POLICY_KINDS
 
     def __post_init__(self):
-        if self.kind not in ("consistent", "hrz_diagonal", "node_quadrature"):
+        if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown surrogate policy {self.kind!r}")
 
 
@@ -485,12 +480,3 @@ def l2_project(
         numbering.element_dofs.ravel(), weights=local.ravel(), minlength=numbering.n_dofs
     )
     return surrogate_solver(mass)(load)
-
-
-def write_coo(matrix: sp.csr_array, path) -> None:
-    """Dump a sparse matrix as 'row col value' lines with 17-digit decimals."""
-    coo = matrix.tocoo()
-    order = np.lexsort((coo.coords[1], coo.coords[0]))
-    with open(path, "w") as fh:
-        for r, c, v in zip(coo.coords[0][order], coo.coords[1][order], coo.data[order]):
-            fh.write("%d %d %.17g\n" % (r, c, v))

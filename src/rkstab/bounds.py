@@ -15,6 +15,10 @@ bisection and inverse iteration.  The eigenvector is rebuilt by replaying the
 recurrence within the same max_ops cap on A products, and its largest entry
 is positive (see lambda_max_with_vector).  A dense solve cross-checks small
 systems.
+
+A BoundReport holds every expression for one configuration.  Its fields, in
+order, are the report's columns (BOUND_CSV_FIELDS), and csv_cell formats
+each cell of the CSV files.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -57,6 +61,7 @@ __all__ = [
     "verify_matrix_inequalities",
     "compute_bound_report",
     "BOUND_CSV_FIELDS",
+    "csv_cell",
 ]
 
 DEFAULT_SEED = 1729
@@ -438,37 +443,22 @@ class BoundReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def csv_row(self) -> list[str]:
-        row = []
-        for name in BOUND_CSV_FIELDS:
-            value = getattr(self, name)
-            if value is None:
-                row.append("")
-            elif isinstance(value, bool):
-                row.append(str(value).lower())
-            elif isinstance(value, float):
-                row.append("%.17g" % value)
-            else:
-                row.append(str(value))
-        return row
+        return [csv_cell(value) for value in self.to_dict().values()]
 
 
-BOUND_CSV_FIELDS = [
-    "n_dofs",
-    "order",
-    "node_count",
-    "policy",
-    "kappa_surrogate",
-    "c_h1",
-    "lambda_max_exact",
-    "lower_diag_ratio",
-    "upper_diag_ratio",
-    "upper_geometric",
-    "upper_zhudu",
-    "tightness_lower",
-    "tightness_upper",
-    "m_matrix_refinement_applied",
-    "upper_diag_ratio_refined",
-]
+# The report's columns, in order: every output file takes them from here.
+BOUND_CSV_FIELDS = [f.name for f in fields(BoundReport)]
+
+
+def csv_cell(value) -> str:
+    """One CSV cell: None is empty, booleans are true/false, floats %.17g."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "%.17g" % value
+    return str(value)
 
 
 def compute_bound_report(

@@ -32,6 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .assembly import (
+    POLICY_KINDS,
     AssembledSystem,
     DiffusionField,
     NonSPDDiffusionError,
@@ -45,6 +46,7 @@ from .bounds import (
     DEFAULT_SEED,
     BoundReport,
     compute_bound_report,
+    csv_cell,
 )
 from .mesh import (
     DegenerateElementError,
@@ -57,9 +59,10 @@ from .mesh import (
     validate_mesh,
     write_mesh,
 )
-from .reference import build_reference_element
+from .reference import ReferenceElement, build_reference_element
 from .timestepping import (
     BOUND_SOURCES,
+    NAMED_SCHEME_POLYS,
     BlowUpError,
     CertificateError,
     integrate,
@@ -97,17 +100,13 @@ MESH_SPEC_KEYS = {
 
 DIFFUSION_KINDS = ("identity", "scalar", "diag", "rotated_anisotropic", "aligned")
 
-POLICY_NAMES = ("consistent", "hrz_diagonal", "node_quadrature")
-
-SCHEME_NAMES = ("explicit_euler", "heun2", "kutta3", "classic_rk4", "generic")
+SCHEME_NAMES = (*NAMED_SCHEME_POLYS, "generic")
 
 INITIAL_KINDS = ("smooth", "top_mode", "random")
 
 SWEEP_AXES = ("n", "m", "ratio", "policy")
 
-BOUNDS_CSV_HEADER = ["dimension", "n_elements"] + BOUND_CSV_FIELDS + [
-    "sandwich_satisfied"
-]
+BOUNDS_CSV_HEADER = ["dimension", "n_elements", *BOUND_CSV_FIELDS, "sandwich_satisfied"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -250,15 +249,20 @@ def _build_scheme(config: RunConfig):
     return rk_scheme(config.scheme)
 
 
+def _is_number(value, types=(int, float)) -> bool:
+    """A config value of the given numeric types; JSON true and false are not numbers."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def validate_config(config: RunConfig, command: str) -> None:
     """Check every enumeration and range before any computation runs."""
     if not isinstance(config.mesh, str) or not config.mesh.strip():
         raise ConfigError("mesh spec or mesh file path is required")
-    if not isinstance(config.order, int) or config.order < 1:
+    if not _is_number(config.order, int) or config.order < 1:
         raise ConfigError(f"element order must be a positive integer, got {config.order!r}")
-    if config.policy not in POLICY_NAMES:
+    if config.policy not in POLICY_KINDS:
         raise ConfigError(
-            f"unknown policy {config.policy!r}; expected one of {', '.join(POLICY_NAMES)}"
+            f"unknown policy {config.policy!r}; expected one of {', '.join(POLICY_KINDS)}"
         )
     if config.scheme not in SCHEME_NAMES:
         raise ConfigError(
@@ -271,15 +275,15 @@ def validate_config(config: RunConfig, command: str) -> None:
             f"unknown bound source {config.bound_source!r}; "
             f"expected one of {', '.join(BOUND_SOURCES)}"
         )
-    if config.tau is not None and not (isinstance(config.tau, (int, float)) and config.tau > 0):
+    if config.tau is not None and not (_is_number(config.tau) and config.tau > 0):
         raise ConfigError(f"tau override must be a positive number, got {config.tau!r}")
-    if not isinstance(config.steps, int) or config.steps < 0:
+    if not _is_number(config.steps, int) or config.steps < 0:
         raise ConfigError(f"steps must be a nonnegative integer, got {config.steps!r}")
-    if not isinstance(config.seed, int):
+    if not _is_number(config.seed, int):
         raise ConfigError(f"seed must be an integer, got {config.seed!r}")
-    if not isinstance(config.dof_cap, int) or config.dof_cap < 1:
+    if not _is_number(config.dof_cap, int) or config.dof_cap < 1:
         raise ConfigError(f"dof cap must be a positive integer, got {config.dof_cap!r}")
-    if not isinstance(config.workers, int) or config.workers < 1:
+    if not _is_number(config.workers, int) or config.workers < 1:
         raise ConfigError(f"workers must be a positive integer, got {config.workers!r}")
     if config.initial not in INITIAL_KINDS:
         raise ConfigError(
@@ -307,16 +311,16 @@ def validate_config(config: RunConfig, command: str) -> None:
                 f"sweep requires a nonempty list of sweep values, got {config.sweep_values!r}"
             )
         if config.sweep_axis in ("n", "m"):
-            bad = [v for v in config.sweep_values if not isinstance(v, int) or v < 1]
+            bad = [v for v in config.sweep_values if not _is_number(v, int) or v < 1]
             if bad:
                 raise ConfigError(f"sweep values for axis {config.sweep_axis!r} "
                                   f"must be positive integers, got {bad}")
         if config.sweep_axis == "ratio":
-            bad = [v for v in config.sweep_values if not isinstance(v, (int, float))]
+            bad = [v for v in config.sweep_values if not _is_number(v)]
             if bad:
                 raise ConfigError(f"sweep values for axis 'ratio' must be numbers, got {bad}")
         if config.sweep_axis == "policy":
-            bad = [v for v in config.sweep_values if v not in POLICY_NAMES]
+            bad = [v for v in config.sweep_values if v not in POLICY_KINDS]
             if bad:
                 raise ConfigError(f"unknown policies in sweep values: {bad}")
         if config.sweep_axis in ("n", "m", "ratio") and _mesh_is_file(config.mesh):
@@ -342,33 +346,28 @@ def _sandwich_satisfied(report: BoundReport) -> bool | None:
     )
 
 
-def _csv_bool(value: bool | None) -> str:
-    if value is None:
-        return ""
-    return "true" if value else "false"
-
-
-def _bounds_record(config: RunConfig) -> tuple[dict, list[str]]:
-    """Compute the bound report plus its JSON dict and CSV row fields."""
+def _build_problem(
+    config: RunConfig,
+) -> tuple[SimplicialMesh, ReferenceElement, DiffusionField, SurrogatePolicy]:
+    """The mesh, reference element, diffusion field and surrogate policy of a run."""
     mesh = build_mesh(config)
     elem = build_reference_element(mesh.dimension, config.order)
-    diffusion = build_diffusion(config, mesh)
-    policy = SurrogatePolicy(config.policy)
+    return mesh, elem, build_diffusion(config, mesh), SurrogatePolicy(config.policy)
+
+
+def _bounds_record(config: RunConfig) -> dict:
+    """The bound report of one run as one record, keyed by BOUNDS_CSV_HEADER.
+
+    bounds.json holds the record; each bounds.csv and sweep.csv row is its
+    values, formatted by csv_cell.
+    """
+    mesh, elem, diffusion, policy = _build_problem(config)
     report = compute_bound_report(
         mesh, elem, diffusion, policy, dof_cap=config.dof_cap, seed=config.seed
     )
-    sandwich = _sandwich_satisfied(report)
-    record = dict(report.to_dict())
-    record["dimension"] = mesh.dimension
-    record["n_elements"] = mesh.n_elements
-    record["sandwich_satisfied"] = sandwich
-    row = (
-        [str(mesh.dimension), str(mesh.n_elements)]
-        + report.csv_row()
-        + [_csv_bool(sandwich)]
-    )
-    return record, row
-
+    values = (mesh.dimension, mesh.n_elements, *report.to_dict().values(),
+              _sandwich_satisfied(report))
+    return dict(zip(BOUNDS_CSV_HEADER, values, strict=True))
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as handle:
@@ -377,14 +376,14 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def cmd_bounds(config: RunConfig) -> dict:
-    record, row = _bounds_record(config)
+    record = _bounds_record(config)
     os.makedirs(config.out, exist_ok=True)
     json_path = os.path.join(config.out, "bounds.json")
     csv_path = os.path.join(config.out, "bounds.csv")
     _write_json(json_path, record)
     with open(csv_path, "w") as handle:
         handle.write(",".join(BOUNDS_CSV_HEADER) + "\n")
-        handle.write(",".join(row) + "\n")
+        handle.write(",".join(map(csv_cell, record.values())) + "\n")
     return {
         "command": "bounds",
         "bounds_json": json_path,
@@ -414,10 +413,7 @@ def _initial_vector(
 
 
 def cmd_integrate(config: RunConfig) -> dict:
-    mesh = build_mesh(config)
-    elem = build_reference_element(mesh.dimension, config.order)
-    diffusion = build_diffusion(config, mesh)
-    policy = SurrogatePolicy(config.policy)
+    mesh, elem, diffusion, policy = _build_problem(config)
     system = assemble_system(mesh, elem, diffusion, policy)
     scheme = _build_scheme(config)
 
@@ -510,8 +506,8 @@ def _sweep_point_config(config: RunConfig, value) -> RunConfig:
 def _run_point(config: RunConfig, index: int) -> str:
     """The sweep.csv line of sweep point number index."""
     value = config.sweep_values[index]
-    _, row = _bounds_record(_sweep_point_config(config, value))
-    return ",".join([config.sweep_axis, str(value)] + row) + "\n"
+    record = _bounds_record(_sweep_point_config(config, value))
+    return ",".join([config.sweep_axis, str(value), *map(csv_cell, record.values())]) + "\n"
 
 
 def cmd_sweep(config: RunConfig) -> dict:
@@ -531,7 +527,7 @@ def cmd_sweep(config: RunConfig) -> dict:
     os.makedirs(config.out, exist_ok=True)
     sweep_path = os.path.join(config.out, "sweep.csv")
     with open(sweep_path, "w") as handle:
-        handle.write(",".join(["axis", "value"] + BOUNDS_CSV_HEADER) + "\n")
+        handle.write(",".join(["axis", "value", *BOUNDS_CSV_HEADER]) + "\n")
         for line in lines:
             handle.write(line)
     return {
@@ -572,7 +568,7 @@ def _add_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mesh", help="mesh spec 'kind:key=value,...' or mesh file path")
     parser.add_argument("--order", type=int, help="element order m")
     parser.add_argument("--diffusion", help="diffusion spec, e.g. rotated_anisotropic:angle=0.5,k1=1,k2=100")
-    parser.add_argument("--policy", help="surrogate mass policy: " + ", ".join(POLICY_NAMES))
+    parser.add_argument("--policy", help="surrogate mass policy: " + ", ".join(POLICY_KINDS))
     parser.add_argument("--scheme", help="time scheme: " + ", ".join(SCHEME_NAMES))
     parser.add_argument("--tau", type=float, help="time step override")
     parser.add_argument("--steps", type=int, help="number of time steps")
@@ -591,6 +587,7 @@ def _add_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
+    known = [f.name for f in dataclasses.fields(RunConfig)]
     merged: dict = {}
     if args.config is not None:
         try:
@@ -602,16 +599,11 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = set(data) - known
+        unknown = set(data) - set(known)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged.update(data)
-    flag_keys = (
-        "mesh order diffusion policy scheme bound_source tau steps out seed "
-        "dof_cap workers initial sweep_axis sweep_values"
-    ).split()
-    for key in flag_keys:
+    for key in known:  # a field without a flag (tableau) reads as None
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value

@@ -144,15 +144,9 @@ def simplex_quadrature(d: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     u, wu = roots_jacobi(n, 1, 0)
     u = 0.5 * (u + 1.0)
     wu = 0.25 * wu
-    pts = np.empty((n * n, 2))
-    wts = np.empty(n * n)
-    k = 0
-    for i in range(n):
-        for j in range(n):
-            pts[k] = (u[i], x[j] * (1.0 - u[i]))
-            wts[k] = wu[i] * w[j]
-            k += 1
-    return pts, 2.0 * wts  # d! = 2 measure rescale
+    # point i * n + j is (u_i, x_j (1 - u_i)) with weight wu_i w_j
+    pts = np.column_stack([np.repeat(u, n), np.outer(1.0 - u, x).ravel()])
+    return pts, 2.0 * np.outer(wu, w).ravel()  # d! = 2 measure rescale
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .assembly import AssembledSystem, surrogate_solver
-from .bounds import BoundReport
+from .bounds import BoundReport, lambda_max_with_vector
 from .reference import ReferenceElement
 
 BLOW_UP_THRESHOLD = 1e100
@@ -346,8 +346,6 @@ def top_mode_initial_condition(
     relative to the eigenvector so the returned vector still points almost
     exactly along the most unstable direction.
     """
-    from .bounds import lambda_max_with_vector
-
     _, vec = lambda_max_with_vector(system.stiffness, system.surrogate_mass)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(vec.size)

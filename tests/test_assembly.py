@@ -18,7 +18,6 @@ from rkstab.assembly import (
     element_alignment_factor,
     l2_project,
     surrogate_reference_matrix,
-    write_coo,
 )
 from rkstab.mesh import (
     SimplicialMesh,
@@ -412,19 +411,6 @@ def test_l2_projection_linear_1d_nodal_values():
     elem = build_reference_element(1, 1)
     u = l2_project(mesh, elem, lambda x: 3.0 * x[0] - 1.0)
     np.testing.assert_allclose(u, 3.0 * mesh.vertices[:, 0] - 1.0, atol=1e-12)
-
-
-def test_write_coo_format(tmp_path):
-    mesh = uniform_interval(2)
-    elem = build_reference_element(1, 1)
-    mass, _ = assemble_mass(mesh, elem)
-    path = tmp_path / "mass.coo"
-    write_coo(mass, path)
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == mass.count_nonzero()
-    r, c, v = lines[0].split()
-    assert (int(r), int(c)) == (0, 0)
-    assert abs(float(v) - 1 / 6) < 1e-16
 
 
 def test_scalar_diffusion_requires_dimension():

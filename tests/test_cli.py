@@ -103,7 +103,41 @@ BAD_CONFIGS = {
     "sweep_values.json": {"mesh": MESH_1D, "sweep_axis": "n", "sweep_values": 5},
     "ratio_values.json": {"mesh": "stretched:nx=2,ny=2,ratio=1", "sweep_axis": "ratio",
                           "sweep_values": ["x"]},
+    # JSON true and false, which Python counts as the integers 1 and 0
+    "bool_tau.json": {"mesh": MESH_1D, "tau": True},
+    "bool_steps.json": {"mesh": MESH_1D, "steps": True},
+    "bool_order.json": {"mesh": MESH_1D, "order": True},
+    "bool_seed.json": {"mesh": MESH_1D, "seed": False},
+    "bool_dof_cap.json": {"mesh": MESH_1D, "dof_cap": True},
+    "bool_workers.json": {"mesh": MESH_1D, "workers": True, "sweep_axis": "n",
+                          "sweep_values": [3]},
+    "bool_n.json": {"mesh": MESH_1D, "sweep_axis": "n", "sweep_values": [True]},
+    "bool_m.json": {"mesh": MESH_1D, "sweep_axis": "m", "sweep_values": [True]},
+    "bool_ratio.json": {"mesh": "stretched:nx=2,ny=2,ratio=1", "sweep_axis": "ratio",
+                        "sweep_values": [True]},
 }
+
+
+# The report columns that perfbench and other readers look up by name.  A
+# schema change edits these strings on purpose.
+BOUNDS_HEADER = (
+    "dimension,n_elements,n_dofs,order,node_count,policy,kappa_surrogate,c_h1,"
+    "lambda_max_exact,lower_diag_ratio,upper_diag_ratio,upper_geometric,upper_zhudu,"
+    "tightness_lower,tightness_upper,m_matrix_refinement_applied,"
+    "upper_diag_ratio_refined,sandwich_satisfied"
+)
+
+
+def test_output_headers_and_json_keys_are_pinned(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "bounds", "--mesh", MESH_1D, "--out", str(tmp_path))
+    assert code == 0, err
+    code, _, err = run_cli(capsys, "sweep", "--mesh", MESH_1D, "--sweep-axis", "n",
+                           "--sweep-values", "3", "--out", str(tmp_path))
+    assert code == 0, err
+    assert (tmp_path / "bounds.csv").read_text().splitlines()[0] == BOUNDS_HEADER
+    assert (tmp_path / "sweep.csv").read_text().splitlines()[0] == "axis,value," + BOUNDS_HEADER
+    record = json.loads((tmp_path / "bounds.json").read_text())
+    assert sorted(record) == sorted(BOUNDS_HEADER.split(","))
 
 
 class TestConfigErrors:
@@ -195,6 +229,15 @@ class TestConfigErrors:
         ["integrate", "--config", "{tmp}/tableau_a.json"],
         ["sweep", "--config", "{tmp}/sweep_values.json"],
         ["sweep", "--config", "{tmp}/ratio_values.json"],
+        ["integrate", "--config", "{tmp}/bool_tau.json"],
+        ["integrate", "--config", "{tmp}/bool_steps.json"],
+        ["bounds", "--config", "{tmp}/bool_order.json"],
+        ["bounds", "--config", "{tmp}/bool_seed.json"],
+        ["bounds", "--config", "{tmp}/bool_dof_cap.json"],
+        ["sweep", "--config", "{tmp}/bool_workers.json"],
+        ["sweep", "--config", "{tmp}/bool_n.json"],
+        ["sweep", "--config", "{tmp}/bool_m.json"],
+        ["sweep", "--config", "{tmp}/bool_ratio.json"],
     ])
     def test_input_errors_exit_2(self, capsys, tmp_path, argv):
         for name, config in BAD_CONFIGS.items():
@@ -428,8 +471,7 @@ class TestSweepPool:
 
         def with_pid(config):
             time.sleep(0.2)  # holds one worker so that the other takes points too
-            record, row = bounds_record(config)
-            return record, row + [str(os.getpid())]
+            return dict(bounds_record(config), pid=os.getpid())
 
         monkeypatch.setattr(cli, "_bounds_record", with_pid)
         code, _, err = run_cli(capsys, *self.SWEEP_1D, "--sweep-values", "4,5,6,7",

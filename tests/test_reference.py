@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from rkstab.reference import (
     UnsupportedElementError,
@@ -235,6 +236,35 @@ def test_quadrature_polynomial_exactness():
                     px + py + 2
                 )
                 assert abs(approx - exact) < 1e-14
+
+
+def _triangle_rule_loop(degree):
+    """The collapsed Gauss-Jacobi x Gauss-Legendre rule, one point at a time."""
+    x, w = simplex_quadrature(1, degree)
+    x = x[:, 0]
+    n = x.size
+    u, wu = roots_jacobi(n, 1, 0)
+    u = 0.5 * (u + 1.0)
+    wu = 0.25 * wu
+    pts = np.empty((n * n, 2))
+    wts = np.empty(n * n)
+    k = 0
+    for i in range(n):
+        for j in range(n):
+            pts[k] = (u[i], x[j] * (1.0 - u[i]))
+            wts[k] = wu[i] * w[j]
+            k += 1
+    return pts, 2.0 * wts
+
+
+def test_triangle_quadrature_matches_loop_bytes():
+    """The array construction keeps every bit of the rule, and with it A, M and
+    M-tilde and their nonzero counts."""
+    for degree in range(31):
+        pts, wts = simplex_quadrature(2, degree)
+        want_pts, want_wts = _triangle_rule_loop(degree)
+        assert pts.tobytes() == want_pts.tobytes(), degree
+        assert wts.tobytes() == want_wts.tobytes(), degree
 
 
 def test_tabulate_gradients_shape(elements):
