@@ -240,8 +240,9 @@ class AssembledSystem:
 
 
 def _is_diagonal(matrix: sp.csr_array) -> bool:
-    coo = matrix.tocoo()
-    return bool(np.all(coo.coords[0] == coo.coords[1]))
+    """Whether every stored entry, an explicit zero too, sits on the diagonal."""
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    return bool(np.array_equal(matrix.indices, rows))
 
 
 def surrogate_solver(matrix: sp.csr_array) -> Callable[[np.ndarray], np.ndarray]:

@@ -2,8 +2,12 @@
 
 Subcommands: bounds, integrate, sweep, mesh-gen, validate.  Every run is
 driven by a RunConfig that can come from a JSON file (--config), from
-flags, or both; flags win over file values.  All enumerated settings are
-validated before any computation starts.
+flags, or both; flags win over file values.  Every enumerated setting,
+every mesh and diffusion spec string and every sweep value is checked
+before any point runs: a spec must name a kind of MESH_SPECS or
+DIFFUSION_SPECS and give only that kind's keys, each with a value of the
+type of its default, and each sweep value must make a config that passes
+the single-run checks.
 
 Exit codes: 0 on success (an unstable integration or an invalid mesh is
 a finding, not a failure), 1 on internal numerical failure, 2 on config
@@ -91,6 +95,8 @@ INPUT_ERRORS = (
 )
 
 
+# Each spec family's grammar maps kind -> {key: default}; a key's type is
+# its default's type.  The mesh keys take their defaults from MeshSpec.
 MESH_SPEC_KEYS = {
     "uniform_interval": {"n"},
     "structured_triangular": {"nx", "ny", "pattern"},
@@ -98,7 +104,18 @@ MESH_SPEC_KEYS = {
     "random_perturbed": {"nx", "ny", "amplitude", "seed"},
 }
 
-DIFFUSION_KINDS = ("identity", "scalar", "diag", "rotated_anisotropic", "aligned")
+MESH_SPECS = {
+    kind: {key: getattr(MeshSpec, key) for key in sorted(keys)}
+    for kind, keys in MESH_SPEC_KEYS.items()
+}
+
+DIFFUSION_SPECS = {
+    "identity": {},
+    "scalar": {"value": 1.0},
+    "diag": {"k1": 1.0, "k2": 1.0},
+    "rotated_anisotropic": {"angle": 0.0, "k1": 1.0, "k2": 1.0},
+    "aligned": {},
+}
 
 SCHEME_NAMES = (*NAMED_SCHEME_POLYS, "generic")
 
@@ -139,34 +156,46 @@ class RunConfig:
 
 def _parse_scalar(token: str):
     token = token.strip()
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        pass
+    for convert in (int, float):
+        try:
+            return convert(token)
+        except ValueError:
+            pass
     return token
 
 
-def parse_spec(text: str) -> tuple[str, dict]:
-    """Split "kind:key=value,key=value" into its kind and parameter dict."""
+_VALUE_TYPES = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+def parse_spec(text: str, grammar: dict, noun: str) -> tuple[str, dict]:
+    """Split "kind:key=value,key=value" into its kind and parameter dict.
+
+    The kind must be one of grammar's and each key one of that kind's,
+    given once.  A value must be of the type of the key's default: an int
+    key takes an int, a float key a finite int or float, and a str key a
+    str.  Anything else raises ConfigError.  The dict holds only the keys
+    the text gives.
+    """
     kind, _, rest = text.partition(":")
     kind = kind.strip()
+    if kind not in grammar:
+        raise ConfigError(f"unknown {noun} kind {kind!r}; expected one of {', '.join(grammar)}")
+    defaults = grammar[kind]
     params: dict = {}
-    if rest.strip():
-        for chunk in rest.split(","):
-            key, eq, value = chunk.partition("=")
-            if not eq or not key.strip():
-                raise ConfigError(f"malformed spec parameter {chunk!r} in {text!r}")
-            params[key.strip()] = _parse_scalar(value)
+    for chunk in rest.split(",") if rest.strip() else ():
+        key, eq, token = (part.strip() for part in chunk.partition("="))
+        if not eq or key not in defaults or key in params:
+            raise ConfigError(f"{noun} kind {kind!r} takes each of {sorted(defaults)} at most "
+                              f"once, as key=value; got {chunk!r} in {text!r}")
+        params[key] = value = _parse_scalar(token)
+        expected = type(defaults[key])
+        if not (_is_finite(value) if expected is float else _is_number(value, expected)):
+            raise ConfigError(f"{noun} key {key!r} takes {_VALUE_TYPES[expected]}, "
+                              f"got {token!r} in {text!r}")
     return kind, params
 
 
 def _format_spec(kind: str, params: dict) -> str:
-    if not params:
-        return kind
     body = ",".join(f"{key}={params[key]}" for key in sorted(params))
     return f"{kind}:{body}"
 
@@ -176,19 +205,8 @@ def _mesh_is_file(mesh: str) -> bool:
 
 
 def _mesh_spec(config: RunConfig) -> MeshSpec:
-    kind, params = parse_spec(config.mesh)
-    if kind not in MESH_SPEC_KEYS:
-        known = ", ".join(sorted(MESH_SPEC_KEYS))
-        raise ConfigError(f"unknown mesh kind {kind!r}; expected one of {known}")
-    extra = set(params) - MESH_SPEC_KEYS[kind]
-    if extra:
-        raise ConfigError(
-            f"mesh kind {kind!r} does not accept parameters {sorted(extra)}"
-        )
-    try:
-        return MeshSpec(kind=kind, **params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad mesh spec {config.mesh!r}: {exc}") from exc
+    kind, params = parse_spec(config.mesh, MESH_SPECS, "mesh")
+    return MeshSpec(kind=kind, **params)
 
 
 def build_mesh(config: RunConfig) -> SimplicialMesh:
@@ -205,34 +223,23 @@ def build_mesh(config: RunConfig) -> SimplicialMesh:
 
 
 def build_diffusion(config: RunConfig, mesh: SimplicialMesh) -> DiffusionField:
-    kind, params = parse_spec(config.diffusion)
+    kind, params = parse_spec(config.diffusion, DIFFUSION_SPECS, "diffusion")
     d = mesh.dimension
-    if kind == "identity":
-        return DiffusionField.constant(1.0, d=d)
+    if d == 1 and (kind == "rotated_anisotropic" or "k2" in params):
+        raise ConfigError(f"diffusion {config.diffusion!r} needs a 2D mesh")
+    values = {**DIFFUSION_SPECS[kind], **params}
     if kind == "scalar":
-        return DiffusionField.constant(float(params.get("value", 1.0)), d=d)
+        return DiffusionField.constant(values["value"], d=d)
     if kind == "diag":
-        entries = [float(params.get("k1", 1.0))]
-        if d == 2:
-            entries.append(float(params.get("k2", 1.0)))
-        return DiffusionField.constant(np.diag(entries))
+        return DiffusionField.constant(np.diag([values["k1"], values["k2"]][:d]))
     if kind == "rotated_anisotropic":
-        if d != 2:
-            raise ConfigError("rotated_anisotropic diffusion needs a 2D mesh")
-        angle = float(params.get("angle", 0.0))
-        k1 = float(params.get("k1", 1.0))
-        k2 = float(params.get("k2", 1.0))
-        return DiffusionField.rotated_anisotropic(angle, (k1, k2))
+        return DiffusionField.rotated_anisotropic(values["angle"], (values["k1"], values["k2"]))
     if kind == "aligned":
-        if _mesh_is_file(config.mesh):
+        spec = None if _mesh_is_file(config.mesh) else _mesh_spec(config)
+        if spec is None or spec.kind != "stretched":
             raise ConfigError("aligned diffusion requires a stretched mesh spec")
-        mesh_kind, mesh_params = parse_spec(config.mesh)
-        if mesh_kind != "stretched":
-            raise ConfigError("aligned diffusion requires a stretched mesh spec")
-        ratio = float(mesh_params.get("ratio", 1.0))
-        return DiffusionField.constant(np.diag([1.0, ratio**-2]))
-    known = ", ".join(DIFFUSION_KINDS)
-    raise ConfigError(f"unknown diffusion kind {kind!r}; expected one of {known}")
+        return DiffusionField.constant(np.diag([1.0, spec.ratio**-2]))
+    return DiffusionField.constant(1.0, d=d)
 
 
 def _build_scheme(config: RunConfig):
@@ -243,15 +250,23 @@ def _build_scheme(config: RunConfig):
                 'scheme "generic" requires a tableau config entry {"a": [[...]], "b": [...]}'
             )
         try:
-            return scheme_from_tableau(np.asarray(tableau["a"]), np.asarray(tableau["b"]))
+            a, b = (np.asarray(tableau[key], dtype=object) for key in "ab")
+            if not all(map(_is_finite, [*a.ravel(), *b.ravel()])):
+                raise ValueError("every entry of a and b must be a finite number")
+            return scheme_from_tableau(a, b)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad tableau: {exc}") from exc
     return rk_scheme(config.scheme)
 
 
 def _is_number(value, types=(int, float)) -> bool:
-    """A config value of the given numeric types; JSON true and false are not numbers."""
+    """A config value of the given types; JSON true and false are neither int nor float."""
     return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """An int, or a float that is neither infinite nor NaN."""
+    return _is_number(value) and math.isfinite(value)
 
 
 def validate_config(config: RunConfig, command: str) -> None:
@@ -275,8 +290,8 @@ def validate_config(config: RunConfig, command: str) -> None:
             f"unknown bound source {config.bound_source!r}; "
             f"expected one of {', '.join(BOUND_SOURCES)}"
         )
-    if config.tau is not None and not (_is_number(config.tau) and config.tau > 0):
-        raise ConfigError(f"tau override must be a positive number, got {config.tau!r}")
+    if config.tau is not None and not (_is_finite(config.tau) and config.tau > 0):
+        raise ConfigError(f"tau override must be a finite positive number, got {config.tau!r}")
     if not _is_number(config.steps, int) or config.steps < 0:
         raise ConfigError(f"steps must be a nonnegative integer, got {config.steps!r}")
     if not _is_number(config.seed, int):
@@ -295,11 +310,7 @@ def validate_config(config: RunConfig, command: str) -> None:
     for name in ("diffusion", "out"):
         if not isinstance(getattr(config, name), str):
             raise ConfigError(f"{name} must be a string, got {getattr(config, name)!r}")
-    kind, _ = parse_spec(config.diffusion)
-    if kind not in DIFFUSION_KINDS:
-        raise ConfigError(
-            f"unknown diffusion kind {kind!r}; expected one of {', '.join(DIFFUSION_KINDS)}"
-        )
+    parse_spec(config.diffusion, DIFFUSION_SPECS, "diffusion")
     if command == "sweep":
         if config.sweep_axis not in SWEEP_AXES:
             raise ConfigError(
@@ -310,27 +321,12 @@ def validate_config(config: RunConfig, command: str) -> None:
             raise ConfigError(
                 f"sweep requires a nonempty list of sweep values, got {config.sweep_values!r}"
             )
-        if config.sweep_axis in ("n", "m"):
-            bad = [v for v in config.sweep_values if not _is_number(v, int) or v < 1]
-            if bad:
-                raise ConfigError(f"sweep values for axis {config.sweep_axis!r} "
-                                  f"must be positive integers, got {bad}")
-        if config.sweep_axis == "ratio":
-            bad = [v for v in config.sweep_values if not _is_number(v)]
-            if bad:
-                raise ConfigError(f"sweep values for axis 'ratio' must be numbers, got {bad}")
-        if config.sweep_axis == "policy":
-            bad = [v for v in config.sweep_values if v not in POLICY_KINDS]
-            if bad:
-                raise ConfigError(f"unknown policies in sweep values: {bad}")
         if config.sweep_axis in ("n", "m", "ratio") and _mesh_is_file(config.mesh):
             raise ConfigError(
                 f"sweep axis {config.sweep_axis!r} requires a mesh spec, not a mesh file"
             )
-        if config.sweep_axis == "ratio":
-            mesh_kind, _ = parse_spec(config.mesh)
-            if mesh_kind != "stretched":
-                raise ConfigError("sweep axis 'ratio' requires a stretched mesh spec")
+        for value in config.sweep_values:
+            validate_config(_sweep_point_config(config, value), "bounds")
     if command == "mesh-gen" and _mesh_is_file(config.mesh):
         raise ConfigError("mesh-gen requires a mesh spec, not an existing mesh file")
 
@@ -488,18 +484,18 @@ def cmd_integrate(config: RunConfig) -> dict:
 def _sweep_point_config(config: RunConfig, value) -> RunConfig:
     axis = config.sweep_axis
     if axis == "m":
-        return dataclasses.replace(config, order=int(value))
+        return dataclasses.replace(config, order=value)
     if axis == "policy":
-        return dataclasses.replace(config, policy=str(value))
-    kind, params = parse_spec(config.mesh)
-    if axis == "n":
-        if kind == "uniform_interval":
-            params["n"] = int(value)
-        else:
-            params["nx"] = int(value)
-            params["ny"] = int(value)
-    elif axis == "ratio":
+        return dataclasses.replace(config, policy=value)
+    if _parse_scalar(str(value)) != value:  # a JSON "8" or [8] for axis n, say
+        raise ConfigError(f"sweep value {value!r} does not read back from a mesh spec")
+    kind, params = parse_spec(config.mesh, MESH_SPECS, "mesh")
+    if axis == "ratio":
         params["ratio"] = value
+    elif kind == "uniform_interval":
+        params["n"] = value
+    else:
+        params["nx"] = params["ny"] = value
     return dataclasses.replace(config, mesh=_format_spec(kind, params))
 
 

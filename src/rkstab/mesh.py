@@ -431,6 +431,13 @@ def read_mesh(path) -> SimplicialMesh:
         except ValueError:
             raise _parse_error(lineno, " ".join(words), f"bad {keyword} count") from None
         pos += 1
+        # One line per entry: a count the remaining lines cannot hold is
+        # rejected before its array is allocated.
+        if keyword != "DIMENSION" and not 0 <= count <= len(tokens) - pos:
+            raise _parse_error(
+                lineno, " ".join(words),
+                f"{keyword} count must lie in [0, {len(tokens) - pos}], the lines that follow",
+            )
         return count
 
     d = expect("DIMENSION")
@@ -440,8 +447,6 @@ def read_mesh(path) -> SimplicialMesh:
     n_vertices = expect("VERTICES")
     vertices = np.empty((n_vertices, d))
     for k in range(n_vertices):
-        if pos >= len(tokens):
-            raise MeshFormatError("unexpected end of file in VERTICES section")
         lineno, words = tokens[pos]
         if len(words) != d:
             raise _parse_error(lineno, " ".join(words), f"expected {d} coordinates")
@@ -449,13 +454,13 @@ def read_mesh(path) -> SimplicialMesh:
             vertices[k] = [float(w) for w in words]
         except ValueError:
             raise _parse_error(lineno, " ".join(words), "bad coordinate") from None
+        if not np.isfinite(vertices[k]).all():
+            raise _parse_error(lineno, " ".join(words), "non-finite coordinate")
         pos += 1
 
     n_elements = expect("ELEMENTS")
     elements = np.empty((n_elements, d + 1), dtype=np.int64)
     for k in range(n_elements):
-        if pos >= len(tokens):
-            raise MeshFormatError("unexpected end of file in ELEMENTS section")
         lineno, words = tokens[pos]
         if len(words) != d + 1:
             raise _parse_error(lineno, " ".join(words), f"expected {d + 1} vertex indices")
@@ -473,8 +478,6 @@ def read_mesh(path) -> SimplicialMesh:
     facets = np.empty((n_facets, d), dtype=np.int64)
     markers = []
     for k in range(n_facets):
-        if pos >= len(tokens):
-            raise MeshFormatError("unexpected end of file in BOUNDARY section")
         lineno, words = tokens[pos]
         if len(words) != d + 1 or words[-1] not in (DIRICHLET, NEUMANN):
             raise _parse_error(

@@ -12,6 +12,7 @@ from rkstab.assembly import (
     NonSPDDiffusionError,
     SurrogateAxiomError,
     SurrogatePolicy,
+    _is_diagonal,
     assemble_mass,
     assemble_stiffness,
     assemble_system,
@@ -221,6 +222,11 @@ def test_surrogate_is_diagonal_flag():
     elem = build_reference_element(1, 1)
     assert assemble_system(mesh, elem, identity(1), HRZ_DIAGONAL).surrogate_is_diagonal
     assert not assemble_system(mesh, elem, identity(1), CONSISTENT).surrogate_is_diagonal
+    # an explicitly stored zero off the diagonal counts as an off-diagonal entry
+    stored_zero = sp.csr_array(([2.0, 0.0, 3.0], [0, 1, 1], [0, 2, 3]), shape=(2, 2))
+    assert stored_zero.nnz == 3
+    assert not _is_diagonal(stored_zero)
+    assert _is_diagonal(sp.csr_array(([2.0, 3.0], [0, 1], [0, 1, 2]), shape=(2, 2)))
 
 
 def test_alignment_factor_1d():

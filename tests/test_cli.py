@@ -4,6 +4,8 @@ import dataclasses
 import json
 import os
 import pickle
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -115,7 +117,37 @@ BAD_CONFIGS = {
     "bool_m.json": {"mesh": MESH_1D, "sweep_axis": "m", "sweep_values": [True]},
     "bool_ratio.json": {"mesh": "stretched:nx=2,ny=2,ratio=1", "sweep_axis": "ratio",
                         "sweep_values": [True]},
+    "str_n.json": {"mesh": MESH_1D, "sweep_axis": "n", "sweep_values": ["8"]},
+    "bool_tableau.json": {"mesh": MESH_1D, "scheme": "generic",
+                          "tableau": {"a": [[False]], "b": [True]}},
 }
+
+
+# Mesh files that fail to read or to build, by file name.
+BAD_MESH_FILES = {
+    # DegenerateElementError: a zero-area triangle
+    "flat.txt": "DIMENSION 2\nVERTICES 3\n0 0\n1 0\n2 0\nELEMENTS 1\n0 1 2\n"
+                "BOUNDARY 3\n0 1 D\n1 2 D\n0 2 D\n",
+    # MeshStructureError: a Dirichlet facet that is no element edge (P2), and
+    # a boundary with no Dirichlet facet
+    "diagonal.txt": "DIMENSION 2\nVERTICES 4\n0 0\n1 0\n1 1\n0 1\nELEMENTS 2\n0 1 2\n"
+                    "0 2 3\nBOUNDARY 5\n0 1 D\n1 2 D\n2 3 D\n3 0 D\n1 3 D\n",
+    "neumann.txt": "DIMENSION 1\nVERTICES 3\n0\n0.5\n1\nELEMENTS 2\n0 1\n1 2\n"
+                   "BOUNDARY 2\n0 N\n2 N\n",
+    # MeshFormatError: a negative count, a count no file of this length holds,
+    # and a coordinate that is not finite
+    "negative_count.txt": "DIMENSION 1\nVERTICES -1\n0\n0.5\n1\nELEMENTS 2\n0 1\n1 2\n"
+                          "BOUNDARY 2\n0 D\n2 D\n",
+    "huge_count.txt": "DIMENSION 1\nVERTICES 100000000000\n0\n0.5\n1\nELEMENTS 2\n0 1\n"
+                      "1 2\nBOUNDARY 2\n0 D\n2 D\n",
+    "nan.txt": "DIMENSION 1\nVERTICES 3\n0\nnan\n1\nELEMENTS 2\n0 1\n1 2\n"
+               "BOUNDARY 2\n0 D\n2 D\n",
+}
+
+
+# A sweep with a bad diffusion spec, which a worker would meet only after the pool started.
+BAD_DIFFUSION_SWEEP = ["sweep", "--mesh", "structured_triangular:nx=2,ny=2", "--sweep-axis", "n",
+                       "--sweep-values", "2", "--diffusion", "scalar:value=x", "--workers", "2"]
 
 
 # The report columns that perfbench and other readers look up by name.  A
@@ -215,12 +247,34 @@ class TestConfigErrors:
         ["mesh-gen", "--mesh", "uniform_interval:n=0"],
         ["sweep", "--mesh", "stretched:nx=2,ny=2,ratio=1", "--diffusion", "aligned",
          "--sweep-axis", "ratio", "--sweep-values", "1,-2"],
-        # DegenerateElementError: a zero-area triangle
+        # bad mesh files
         ["bounds", "--mesh", "{tmp}/flat.txt"],
-        # MeshStructureError: a Dirichlet facet that is no element edge (P2),
-        # and a boundary with no Dirichlet facet
         ["bounds", "--mesh", "{tmp}/diagonal.txt", "--order", "2"],
         ["bounds", "--mesh", "{tmp}/neumann.txt"],
+        *([command, "--mesh", f"{{tmp}}/{name}"] for command in ("bounds", "validate")
+          for name in ("negative_count.txt", "huge_count.txt", "nan.txt")),
+        # mesh spec values of the wrong type
+        ["bounds", "--mesh", "uniform_interval:n=x"],
+        ["bounds", "--mesh", "structured_triangular:nx=2.5,ny=2"],
+        ["bounds", "--mesh", "stretched:nx=2,ny=2,ratio=abc"],
+        ["bounds", "--mesh", "random_perturbed:nx=4,ny=4,amplitude=0.01,seed=1.5"],
+        # a non-finite float value, and a repeated key
+        ["bounds", "--mesh", "random_perturbed:nx=4,ny=4,amplitude=nan"],
+        ["bounds", "--mesh", MESH_1D, "--diffusion", "scalar:value=inf"],
+        ["bounds", "--mesh", "structured_triangular:nx=2,ny=2,nx=3"],
+        # diffusion specs: an unknown key, a value of the wrong type, a key
+        # the mesh's dimension has no use for
+        ["bounds", "--mesh", "structured_triangular:nx=2,ny=2",
+         "--diffusion", "rotated_anisotropic:angle=0.5236,k1=1,K2=100"],
+        ["bounds", "--mesh", "structured_triangular:nx=2,ny=2",
+         "--diffusion", "rotated_anisotropic:k1=abc"],
+        ["bounds", "--mesh", MESH_1D, "--diffusion", "scalar:value=x"],
+        ["bounds", "--mesh", MESH_1D, "--diffusion", "diag:k3=5"],
+        ["bounds", "--mesh", MESH_1D, "--diffusion", "identity:foo=1"],
+        ["bounds", "--mesh", "uniform_interval:n=4", "--diffusion", "diag:k1=1,k2=100"],
+        BAD_DIFFUSION_SWEEP,
+        # an infinite step: summary.json cannot hold it, as Infinity is not JSON
+        ["integrate", "--mesh", MESH_1D, "--tau", "inf"],
         # wrongly typed config values: a TypeError, AttributeError or
         # ValueError before they were checked
         ["integrate", "--config", "{tmp}/tau.json"],
@@ -238,27 +292,42 @@ class TestConfigErrors:
         ["sweep", "--config", "{tmp}/bool_n.json"],
         ["sweep", "--config", "{tmp}/bool_m.json"],
         ["sweep", "--config", "{tmp}/bool_ratio.json"],
+        ["sweep", "--config", "{tmp}/str_n.json"],
+        ["integrate", "--config", "{tmp}/bool_tableau.json"],
     ])
     def test_input_errors_exit_2(self, capsys, tmp_path, argv):
         for name, config in BAD_CONFIGS.items():
             (tmp_path / name).write_text(json.dumps(config))
-        (tmp_path / "flat.txt").write_text(
-            "DIMENSION 2\nVERTICES 3\n0 0\n1 0\n2 0\nELEMENTS 1\n0 1 2\n"
-            "BOUNDARY 3\n0 1 D\n1 2 D\n0 2 D\n"
-        )
-        (tmp_path / "diagonal.txt").write_text(
-            "DIMENSION 2\nVERTICES 4\n0 0\n1 0\n1 1\n0 1\nELEMENTS 2\n0 1 2\n0 2 3\n"
-            "BOUNDARY 5\n0 1 D\n1 2 D\n2 3 D\n3 0 D\n1 3 D\n"
-        )
-        (tmp_path / "neumann.txt").write_text(
-            "DIMENSION 1\nVERTICES 3\n0\n0.5\n1\nELEMENTS 2\n0 1\n1 2\n"
-            "BOUNDARY 2\n0 N\n2 N\n"
-        )
+        for name, text in BAD_MESH_FILES.items():
+            (tmp_path / name).write_text(text)
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
         assert code == 2, err
         assert out == ""
         assert json.loads(err)["error"] == "config"
+
+    @pytest.mark.parametrize("argv", [
+        BAD_DIFFUSION_SWEEP,
+        ["sweep", "--mesh", "stretched:nx=2,ny=2,ratio=1", "--sweep-axis", "ratio",
+         "--sweep-values", "1,10,abc"],
+    ])
+    def test_sweep_values_are_checked_before_any_point(self, capsys, tmp_path, monkeypatch,
+                                                       argv):
+        calls = tmp_path / "calls"  # a file, so that a forked worker's call counts too
+        bounds_record = cli._bounds_record
+
+        def counted(config):
+            with open(calls, "a") as handle:
+                handle.write("call\n")
+            return bounds_record(config)
+
+        monkeypatch.setattr(cli, "_bounds_record", counted)
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert code == 2, err
+        assert out == ""
+        assert json.loads(err)["error"] == "config"
+        assert not calls.exists()
+        assert not (tmp_path / "out" / "sweep.csv").exists()
 
     def test_perturbation_above_limit_exits_2_for_every_seed(self, capsys, tmp_path):
         # 0.3 h on a 5x5 grid, above the h/4 limit: only 2 of these 200 seeds
@@ -624,3 +693,18 @@ def test_console_entry_point_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1])["command"] == "bounds"
+
+
+def _readme_commands() -> list[list[str]]:
+    """The rkstab commands of the sh blocks in the README's "Command line" section."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    script = "\n".join(re.findall(r"```sh\n(.*?)```", section, re.S)).replace("\\\n", " ")
+    return [shlex.split(line) for line in script.splitlines() if line.startswith("rkstab ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[1])
+def test_readme_commands_run(capsys, tmp_path, argv):
+    out = argv.index("--out") + 1
+    code, _, err = run_cli(capsys, *argv[1:out], str(tmp_path), *argv[out + 1:])
+    assert code == 0, err

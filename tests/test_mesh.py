@@ -363,6 +363,22 @@ def test_read_mesh_reports_line_numbers(tmp_path):
         read_mesh(path)
 
 
+@pytest.mark.parametrize("text, match", [
+    ("DIMENSION 1\nVERTICES -1\n0\n1\nELEMENTS 1\n0 1\nBOUNDARY 1\n0 D\n",
+     "line 2: VERTICES count"),
+    # a count above the lines left is rejected before any allocation
+    ("DIMENSION 1\nVERTICES 2\n0\n1\nELEMENTS 100000000000\n0 1\nBOUNDARY 1\n0 D\n",
+     "line 5: ELEMENTS count"),
+    ("DIMENSION 2\nVERTICES 3\n0 0\n1 nan\n0 1\nELEMENTS 1\n0 1 2\n"
+     "BOUNDARY 3\n0 1 D\n1 2 D\n0 2 D\n", "line 4: non-finite coordinate"),
+], ids=["negative-count", "count-above-lines-left", "nan-coordinate"])
+def test_read_mesh_rejects_bad_counts_and_coordinates(tmp_path, text, match):
+    path = tmp_path / "broken.txt"
+    path.write_text(text)
+    with pytest.raises(MeshFormatError, match=match):
+        read_mesh(path)
+
+
 def test_read_mesh_bad_vertex_index(tmp_path):
     path = tmp_path / "broken.txt"
     path.write_text("DIMENSION 1\nVERTICES 2\n0\n1\nELEMENTS 1\n0 5\nBOUNDARY 1\n0 D\n")
