@@ -298,12 +298,17 @@ def is_m_matrix(matrix: sp.csr_array, tol: float = 1e-12) -> bool:
     if not matrix.has_canonical_format:
         matrix = matrix.copy()
         matrix.sum_duplicates()
+    return _is_m_matrix(matrix, matrix.diagonal(), tol)
+
+
+def _is_m_matrix(matrix: sp.csr_array, diagonal: np.ndarray, tol: float = 1e-12) -> bool:
+    """is_m_matrix on a canonical CSR matrix whose diagonal is already read."""
     data = matrix.data
     scale = max(float(data.max()), -float(data.min())) if data.size else 1.0
     cut = tol * scale
     # Canonical CSR stores each diagonal entry at most once, so the positive
     # off-diagonal count is the positive entry count less the diagonal's.
-    if np.count_nonzero(data > cut) > np.count_nonzero(matrix.diagonal() > cut):
+    if np.count_nonzero(data > cut) > np.count_nonzero(diagonal > cut):
         return False
     return bool(np.all(matrix @ np.ones(matrix.shape[1]) >= -cut))
 
@@ -484,7 +489,7 @@ def compute_bound_report(
     lower, upper = diag_ratio_bounds(system, elem)
     geometric = geometric_bound(system, elem, diffusion)
     zhudu = zhudu_bound(system.geometry, diffusion)
-    m_matrix = is_m_matrix(system.stiffness)
+    m_matrix = _is_m_matrix(system.stiffness, system.diag_stiffness)
     refined = 2.0 * system.kappa_surrogate * lower if m_matrix else None
     lam = None
     if system.n_dofs <= dof_cap:

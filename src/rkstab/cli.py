@@ -6,8 +6,9 @@ flags, or both; flags win over file values.  Every enumerated setting,
 every mesh and diffusion spec string and every sweep value is checked
 before any point runs: a spec must name a kind of MESH_SPECS or
 DIFFUSION_SPECS and give only that kind's keys, each with a value of the
-type of its default, and each sweep value must make a config that passes
-the single-run checks.
+type of its default and, for a mesh, in the range mesh.check_mesh_spec
+allows; each sweep value must make a config that passes the single-run
+checks.
 
 Exit codes: 0 on success (an unstable integration or an invalid mesh is
 a finding, not a failure), 1 on internal numerical failure, 2 on config
@@ -58,6 +59,7 @@ from .mesh import (
     MeshSpec,
     MeshStructureError,
     SimplicialMesh,
+    check_mesh_spec,
     generate_mesh,
     read_mesh,
     validate_mesh,
@@ -205,8 +207,14 @@ def _mesh_is_file(mesh: str) -> bool:
 
 
 def _mesh_spec(config: RunConfig) -> MeshSpec:
+    """The mesh spec of the config, its types and ranges checked."""
     kind, params = parse_spec(config.mesh, MESH_SPECS, "mesh")
-    return MeshSpec(kind=kind, **params)
+    spec = MeshSpec(kind=kind, **params)
+    try:
+        check_mesh_spec(spec)
+    except ValueError as exc:
+        raise ConfigError(f"bad mesh spec {config.mesh!r}: {exc}") from exc
+    return spec
 
 
 def build_mesh(config: RunConfig) -> SimplicialMesh:
@@ -215,11 +223,7 @@ def build_mesh(config: RunConfig) -> SimplicialMesh:
             return read_mesh(config.mesh)
         except (MeshFormatError, MeshStructureError) as exc:
             raise ConfigError(f"bad mesh file {config.mesh!r}: {exc}") from exc
-    spec = _mesh_spec(config)
-    try:
-        return generate_mesh(spec)
-    except ValueError as exc:
-        raise ConfigError(f"bad mesh spec {config.mesh!r}: {exc}") from exc
+    return generate_mesh(_mesh_spec(config))
 
 
 def build_diffusion(config: RunConfig, mesh: SimplicialMesh) -> DiffusionField:

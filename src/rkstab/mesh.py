@@ -28,6 +28,7 @@ __all__ = [
     "build_patches",
     "number_dofs",
     "generate_mesh",
+    "check_mesh_spec",
     "uniform_interval",
     "structured_triangular",
     "stretched",
@@ -274,10 +275,41 @@ def build_patches(
 # generators
 
 
+_PATTERNS = ("diagonal", "alternating")
+
+
+def check_mesh_spec(spec: MeshSpec) -> None:
+    """Raise ValueError if the spec's generator would reject its values.
+
+    Every range check of the generators is here, and each generator runs
+    it, so a spec that passes builds: element counts of at least 1, a known
+    pattern, a positive aspect ratio, and a perturbation amplitude in
+    [0, 1 / (2 (nx + ny))) (see random_perturbed).  It builds nothing, so a
+    config can be checked before any mesh is made.
+    """
+    if spec.kind not in _GENERATORS:
+        raise ValueError(f"unknown mesh kind {spec.kind!r}")
+    if spec.kind == "uniform_interval":
+        if not spec.n >= 1:
+            raise ValueError(f"element count must be positive, got n={spec.n}")
+        return
+    if not (spec.nx >= 1 and spec.ny >= 1):
+        raise ValueError(f"cell counts must be positive, got nx={spec.nx}, ny={spec.ny}")
+    if spec.kind == "structured_triangular" and spec.pattern not in _PATTERNS:
+        raise ValueError(f"unknown triangulation pattern {spec.pattern!r}")
+    if spec.kind == "stretched" and not spec.ratio > 0:
+        raise ValueError(f"aspect ratio must be positive, got {spec.ratio}")
+    if spec.kind == "random_perturbed":
+        limit = 1.0 / (2.0 * (spec.nx + spec.ny))
+        if not 0 <= spec.amplitude < limit:
+            raise ValueError(
+                f"perturbation amplitude {spec.amplitude} must lie in [0, {limit})"
+            )
+
+
 def uniform_interval(n: int) -> SimplicialMesh:
     """n equal elements on [0, 1], Dirichlet at both ends."""
-    if n < 1:
-        raise ValueError(f"element count must be positive, got {n}")
+    check_mesh_spec(MeshSpec("uniform_interval", n=n))
     vertices = np.linspace(0.0, 1.0, n + 1)[:, None]
     elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])
     facets = np.array([[0], [n]], dtype=np.int64)
@@ -287,10 +319,6 @@ def uniform_interval(n: int) -> SimplicialMesh:
 def _grid_triangulation(
     nx: int, ny: int, width: float, height: float, pattern: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[str, ...]]:
-    if nx < 1 or ny < 1:
-        raise ValueError(f"cell counts must be positive, got nx={nx}, ny={ny}")
-    if pattern not in ("diagonal", "alternating"):
-        raise ValueError(f"unknown triangulation pattern {pattern!r}")
     xs = np.linspace(0.0, width, nx + 1)
     ys = np.linspace(0.0, height, ny + 1)
     gx, gy = np.meshgrid(xs, ys)
@@ -320,6 +348,7 @@ def _grid_triangulation(
 
 def structured_triangular(nx: int, ny: int, pattern: str = "diagonal") -> SimplicialMesh:
     """2*nx*ny triangles on the unit square, all boundary Dirichlet."""
+    check_mesh_spec(MeshSpec("structured_triangular", nx=nx, ny=ny, pattern=pattern))
     v, e, f, mk = _grid_triangulation(nx, ny, 1.0, 1.0, pattern)
     return SimplicialMesh(2, v, e, f, mk)
 
@@ -330,8 +359,7 @@ def stretched(nx: int, ny: int, ratio: float) -> SimplicialMesh:
     With nx == ny the cells measure hx = 1/nx by hy = hx/ratio, so every
     triangle has aspect ratio `ratio`.
     """
-    if ratio <= 0:
-        raise ValueError(f"aspect ratio must be positive, got {ratio}")
+    check_mesh_spec(MeshSpec("stretched", nx=nx, ny=ny, ratio=ratio))
     v, e, f, mk = _grid_triangulation(nx, ny, 1.0, 1.0 / ratio, "diagonal")
     return SimplicialMesh(2, v, e, f, mk)
 
@@ -346,12 +374,8 @@ def random_perturbed(nx: int, ny: int, amplitude: float, seed: int) -> Simplicia
     the perturbation box, taken at a corner, is zero at that amplitude.
     Below it no element collapses or inverts.
     """
+    check_mesh_spec(MeshSpec("random_perturbed", nx=nx, ny=ny, amplitude=amplitude, seed=seed))
     base = structured_triangular(nx, ny, "diagonal")
-    limit = 1.0 / (2.0 * (nx + ny))
-    if amplitude < 0 or amplitude >= limit:
-        raise ValueError(
-            f"perturbation amplitude {amplitude} must lie in [0, {limit})"
-        )
     rng = np.random.default_rng(seed)
     vertices = base.vertices.copy()
     interior = (
@@ -365,17 +389,18 @@ def random_perturbed(nx: int, ny: int, amplitude: float, seed: int) -> Simplicia
     return SimplicialMesh(2, vertices, base.elements, base.boundary_facets, base.boundary_markers)
 
 
+_GENERATORS = {
+    "uniform_interval": lambda spec: uniform_interval(spec.n),
+    "structured_triangular": lambda spec: structured_triangular(spec.nx, spec.ny, spec.pattern),
+    "stretched": lambda spec: stretched(spec.nx, spec.ny, spec.ratio),
+    "random_perturbed": lambda spec: random_perturbed(spec.nx, spec.ny, spec.amplitude, spec.seed),
+}
+
+
 def generate_mesh(spec: MeshSpec) -> SimplicialMesh:
-    """Build a mesh from a declarative spec (see MeshSpec)."""
-    if spec.kind == "uniform_interval":
-        return uniform_interval(spec.n)
-    if spec.kind == "structured_triangular":
-        return structured_triangular(spec.nx, spec.ny, spec.pattern)
-    if spec.kind == "stretched":
-        return stretched(spec.nx, spec.ny, spec.ratio)
-    if spec.kind == "random_perturbed":
-        return random_perturbed(spec.nx, spec.ny, spec.amplitude, spec.seed)
-    raise ValueError(f"unknown mesh kind {spec.kind!r}")
+    """Build a mesh from a declarative spec (see MeshSpec and check_mesh_spec)."""
+    check_mesh_spec(spec)
+    return _GENERATORS[spec.kind](spec)
 
 
 # ---------------------------------------------------------------------------

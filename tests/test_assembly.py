@@ -13,6 +13,8 @@ from rkstab.assembly import (
     SurrogateAxiomError,
     SurrogatePolicy,
     _is_diagonal,
+    _scatter,
+    _stiffness_quadrature,
     assemble_mass,
     assemble_stiffness,
     assemble_system,
@@ -353,6 +355,114 @@ def test_alignment_factor_matches_matmul_oracle(mesh, field, order):
     np.testing.assert_allclose(
         factor, matmul_alignment_oracle(geometry, diffusion, elem), rtol=1e-14, atol=0
     )
+
+
+def stiffness_oracle(mesh, elem, diffusion):
+    """Element stiffness matrices by loops over Python floats, in the order
+    assemble_stiffness documents: every sum starts from 0.0 and runs over its
+    index in increasing order, (a, b) lexicographically."""
+    geometry = build_affine_maps(mesh)
+    pts, wts, grads = _stiffness_quadrature(elem, diffusion)
+    n_q, eta, d = grads.shape
+    if diffusion.is_constant:
+        samples = [[diffusion.matrix.tolist()]] * len(geometry.volume)
+    else:
+        samples = diffusion.sample(geometry.map_points(pts)).tolist()
+    w, g = wts.tolist(), grads.tolist()
+    local = []
+    for inv, tensors, vol in zip(geometry.inv_jacobian.tolist(), samples,
+                                 geometry.volume.tolist()):
+        geos = []
+        for D in tensors:
+            geo = [[0.0] * d for _ in range(d)]
+            for a in range(d):
+                for c in range(d):
+                    for b in range(d):
+                        acc = 0.0
+                        for k in range(d):
+                            acc += (inv[a][b] * D[b][k]) * inv[c][k]
+                        geo[a][c] = acc + geo[a][c]
+            geos.append(geo)
+        K = [[0.0] * eta for _ in range(eta)]
+        for q in range(n_q):
+            geo = geos[min(q, len(geos) - 1)]
+            for i in range(eta):
+                for j in range(eta):
+                    acc = 0.0
+                    for a in range(d):
+                        for b in range(d):
+                            acc += ((w[q] * g[q][i][a]) * geo[a][b]) * g[q][j][b]
+                    K[i][j] = acc + K[i][j]
+        local.append([[0.5 * (K[i][j] * vol + K[j][i] * vol) for j in range(eta)]
+                      for i in range(eta)])
+    return np.array(local)
+
+
+def einsum_stiffness(mesh, elem, diffusion):
+    """Element stiffness matrices by numpy's einsum, the earlier assembly."""
+    geometry = build_affine_maps(mesh)
+    pts, wts, grads = _stiffness_quadrature(elem, diffusion)
+    inv = geometry.inv_jacobian
+    if diffusion.is_constant:
+        geo = np.einsum("eab,bc,edc->ead", inv, diffusion.matrix, inv)
+        local = np.einsum("q,qia,eab,qjb->eij", wts, grads, geo, grads)
+    else:
+        samples = diffusion.sample(geometry.map_points(pts))
+        geo = np.einsum("eab,eqbc,edc->eqad", inv, samples, inv)
+        local = np.einsum("q,qia,eqab,qjb->eij", wts, grads, geo, grads)
+    local *= geometry.volume[:, None, None]
+    return 0.5 * (local + local.transpose(0, 2, 1))
+
+
+STIFFNESS_MESHES = {
+    "1d_graded_1000": ORACLE_MESHES["1d_graded_1000"],
+    "2d_perturbed": lambda: random_perturbed(4, 4, 0.05, seed=1),
+    "2d_structured": lambda: structured_triangular(3, 3),
+    "2d_stretched_1000": ORACLE_MESHES["2d_stretched_1000"],
+}
+
+
+@pytest.mark.parametrize("mesh, field", [
+    (mesh, field) for mesh in STIFFNESS_MESHES
+    for field in ("constant", "rotated", "callable_deg0", "callable_deg4")
+    if field in ORACLE_FIELDS[int(mesh[0])]
+])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_stiffness_matches_loop_oracle_bytes(mesh, field, order):
+    """The blocked kernel gives the oracle's bits, and einsum's values.
+
+    Only the values are compared with einsum: how einsum iterates, and so its
+    last bits, may differ between numpy versions.
+    """
+    mesh = STIFFNESS_MESHES[mesh]()
+    diffusion = ORACLE_FIELDS[mesh.dimension][field]
+    elem = build_reference_element(mesh.dimension, order)
+    numbering = number_dofs(mesh, elem)
+    A = assemble_stiffness(mesh, elem, diffusion, numbering)
+    oracle = _scatter(stiffness_oracle(mesh, elem, diffusion), numbering.element_dofs,
+                      numbering.n_dofs)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(A, name), getattr(oracle, name)), name
+    dense = A.toarray()
+    einsum = _scatter(einsum_stiffness(mesh, elem, diffusion), numbering.element_dofs,
+                      numbering.n_dofs).toarray()
+    np.testing.assert_allclose(dense, einsum, rtol=1e-15, atol=1e-15 * np.abs(dense).max())
+
+
+@pytest.mark.parametrize("mesh, diffusion, order, nnz, structural", [
+    # roundoff: 2 of the 801 entries cancel to exactly 0 in this summation order
+    (STIFFNESS_MESHES["2d_perturbed"], ORACLE_FIELDS[2]["rotated"], 2, 799, 801),
+    # exact cancellation of the Laplacian's entries on the structured grid
+    (STIFFNESS_MESHES["2d_structured"], identity(2), 2, 453, 463),
+])
+def test_stiffness_nnz_where_sums_cancel(mesh, diffusion, order, nnz, structural):
+    mesh = mesh()
+    elem = build_reference_element(2, order)
+    numbering = number_dofs(mesh, elem)
+    A = assemble_stiffness(mesh, elem, diffusion, numbering)
+    ones = np.ones((len(mesh.elements), elem.node_count, elem.node_count))
+    assert A.nnz == nnz
+    assert _scatter(ones, numbering.element_dofs, numbering.n_dofs).nnz == structural
 
 
 def test_reduced_matrices_have_int32_indices():

@@ -310,6 +310,13 @@ class TestConfigErrors:
         BAD_DIFFUSION_SWEEP,
         ["sweep", "--mesh", "stretched:nx=2,ny=2,ratio=1", "--sweep-axis", "ratio",
          "--sweep-values", "1,10,abc"],
+        # values of the right type that a mesh generator rejects
+        ["sweep", "--mesh", "uniform_interval:n=8", "--sweep-axis", "n", "--sweep-values", "4,0"],
+        ["sweep", "--mesh", "stretched:nx=2,ny=2,ratio=1", "--sweep-axis", "ratio",
+         "--sweep-values", "1,-1", "--workers", "2"],
+        # amplitude 0.05 is below the perturbation limit 1/(2(nx + ny)) at n=2, not at n=8
+        ["sweep", "--mesh", "random_perturbed:nx=2,ny=2,amplitude=0.05,seed=1",
+         "--sweep-axis", "n", "--sweep-values", "2,8"],
     ])
     def test_sweep_values_are_checked_before_any_point(self, capsys, tmp_path, monkeypatch,
                                                        argv):
