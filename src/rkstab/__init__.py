@@ -5,152 +5,23 @@ Lagrange elements of arbitrary order on simplicial meshes, computes
 guaranteed two-sided bounds on the largest eigenvalue of the generalized
 pencil, and turns those bounds into provably stable explicit Runge-Kutta
 time steps with norm-growth certificates.
+
+The public names are those of each library module's __all__.
 """
 
-from .assembly import (
-    CONSISTENT,
-    HRZ_DIAGONAL,
-    NODE_QUADRATURE,
-    AssembledSystem,
-    DiffusionField,
-    NonSPDDiffusionError,
-    SurrogateAxiomError,
-    SurrogatePolicy,
-    assemble_mass,
-    assemble_stiffness,
-    assemble_system,
-    element_alignment_factor,
-    l2_project,
-    surrogate_reference_matrix,
-    surrogate_solver,
-)
-from .bounds import (
-    DEFAULT_SEED,
-    BoundReport,
-    ConvergenceError,
-    InequalityViolation,
-    compute_bound_report,
-    diag_ratio_bounds,
-    geometric_bound,
-    is_m_matrix,
-    lambda_max_dense,
-    lambda_max_generalized,
-    lambda_max_with_vector,
-    verify_matrix_inequalities,
-    zhudu_bound,
-)
-from .mesh import (
-    AffineGeometry,
-    DegenerateElementError,
-    DofNumbering,
-    MeshFormatError,
-    MeshSpec,
-    MeshStructureError,
-    SimplicialMesh,
-    build_affine_maps,
-    build_patches,
-    check_mesh_spec,
-    generate_mesh,
-    number_dofs,
-    random_perturbed,
-    read_mesh,
-    stretched,
-    structured_triangular,
-    uniform_interval,
-    validate_mesh,
-    write_mesh,
-)
-from .reference import (
-    ReferenceElement,
-    UnsupportedElementError,
-    build_reference_element,
-    eval_basis,
-    eval_basis_gradients,
-    simplex_multi_indices,
-    simplex_quadrature,
-    tabulate_basis,
-    tabulate_gradients,
-)
-from .timestepping import (
-    BlowUpError,
-    CertificateError,
-    IntegrationTrace,
-    RKScheme,
-    integrate,
-    l2_growth_certificate,
-    rk_scheme,
-    scheme_from_tableau,
-    stable_timestep,
-    top_mode_initial_condition,
-)
+from . import assembly, bounds, mesh, reference, timestepping
+from .assembly import *  # noqa: F403
+from .bounds import *  # noqa: F403
+from .mesh import *  # noqa: F403
+from .reference import *  # noqa: F403
+from .timestepping import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineGeometry",
-    "AssembledSystem",
-    "BlowUpError",
-    "BoundReport",
-    "CONSISTENT",
-    "CertificateError",
-    "ConvergenceError",
-    "DEFAULT_SEED",
-    "DegenerateElementError",
-    "DiffusionField",
-    "DofNumbering",
-    "HRZ_DIAGONAL",
-    "InequalityViolation",
-    "IntegrationTrace",
-    "MeshFormatError",
-    "MeshSpec",
-    "MeshStructureError",
-    "NODE_QUADRATURE",
-    "NonSPDDiffusionError",
-    "ReferenceElement",
-    "RKScheme",
-    "SimplicialMesh",
-    "SurrogateAxiomError",
-    "SurrogatePolicy",
-    "UnsupportedElementError",
-    "assemble_mass",
-    "assemble_stiffness",
-    "assemble_system",
-    "build_affine_maps",
-    "build_patches",
-    "build_reference_element",
-    "check_mesh_spec",
-    "compute_bound_report",
-    "diag_ratio_bounds",
-    "element_alignment_factor",
-    "eval_basis",
-    "eval_basis_gradients",
-    "generate_mesh",
-    "geometric_bound",
-    "integrate",
-    "is_m_matrix",
-    "l2_growth_certificate",
-    "l2_project",
-    "lambda_max_dense",
-    "lambda_max_generalized",
-    "lambda_max_with_vector",
-    "number_dofs",
-    "random_perturbed",
-    "read_mesh",
-    "rk_scheme",
-    "scheme_from_tableau",
-    "simplex_multi_indices",
-    "simplex_quadrature",
-    "stable_timestep",
-    "stretched",
-    "structured_triangular",
-    "surrogate_reference_matrix",
-    "surrogate_solver",
-    "tabulate_basis",
-    "tabulate_gradients",
-    "top_mode_initial_condition",
-    "uniform_interval",
-    "validate_mesh",
-    "verify_matrix_inequalities",
-    "write_mesh",
-    "zhudu_bound",
+    *reference.__all__,
+    *mesh.__all__,
+    *assembly.__all__,
+    *bounds.__all__,
+    *timestepping.__all__,
 ]

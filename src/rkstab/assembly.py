@@ -56,6 +56,9 @@ __all__ = [
     "element_alignment_factor",
     "l2_project",
     "POLICY_KINDS",
+    "CONSISTENT",
+    "HRZ_DIAGONAL",
+    "NODE_QUADRATURE",
 ]
 
 
@@ -96,7 +99,7 @@ class DiffusionField:
         """2D tensor with the given eigenvalues, principal axis at `angle`."""
         k1, k2 = eigenvalues
         if k1 <= 0 or k2 <= 0:
-            raise ValueError(f"diffusion eigenvalues must be positive, got {eigenvalues}")
+            raise NonSPDDiffusionError(f"diffusion eigenvalues must be positive, got {eigenvalues}")
         c, s = np.cos(angle), np.sin(angle)
         rot = np.array([[c, -s], [s, c]])
         matrix = rot @ np.diag([k1, k2]) @ rot.T

@@ -53,6 +53,7 @@ __all__ = [
     "InequalityViolation",
     "DEFAULT_SEED",
     "lambda_max_generalized",
+    "lambda_max_with_vector",
     "lambda_max_dense",
     "diag_ratio_bounds",
     "is_m_matrix",

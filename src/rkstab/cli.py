@@ -1,14 +1,18 @@
 """Command-line front end for bounds, integration runs, and sweeps.
 
-Subcommands: bounds, integrate, sweep, mesh-gen, validate.  Every run is
-driven by a RunConfig that can come from a JSON file (--config), from
-flags, or both; flags win over file values.  Every enumerated setting,
-every mesh and diffusion spec string and every sweep value is checked
-before any point runs: a spec must name a kind of MESH_SPECS or
-DIFFUSION_SPECS and give only that kind's keys, each with a value of the
-type of its default and, for a mesh, in the range mesh.check_mesh_spec
-allows; each sweep value must make a config that passes the single-run
-checks.
+Subcommands: bounds, integrate, sweep, mesh-gen, validate.  Settings can
+come from a JSON file (--config), from flags, or both; flags win over file
+values.  load_config resolves them once into a RunConfig: the mesh spec
+becomes a checked MeshSpec, or a mesh file is read once, and the diffusion
+spec becomes its kind and values.  Every check that needs no assembly runs
+there, before any computation: each setting's type, choices and range; a
+spec's kind, keys and value types (MESH_SPECS, DIFFUSION_SPECS) and the
+ranges mesh.check_mesh_spec allows; a diffusion the mesh's dimension or
+kind cannot take; each sweep value; and the admissibility of the surrogate
+policy at every order that will run.  Commands and sweep points then only
+read those values.  Checks that need the built mesh (a mesh file's facets,
+degenerate elements, a diffusion tensor that is not SPD at a quadrature
+point) run when a point builds it.
 
 Exit codes: 0 on success (an unstable integration or an invalid mesh is
 a finding, not a failure), 1 on internal numerical failure, 2 on config
@@ -45,6 +49,7 @@ from .assembly import (
     SurrogatePolicy,
     assemble_system,
     l2_project,
+    surrogate_reference_matrix,
 )
 from .bounds import (
     BOUND_CSV_FIELDS,
@@ -54,6 +59,7 @@ from .bounds import (
     csv_cell,
 )
 from .mesh import (
+    MESH_KINDS,
     DegenerateElementError,
     MeshFormatError,
     MeshSpec,
@@ -84,10 +90,9 @@ class ConfigError(ValueError):
     """Invalid run configuration (exit code 2)."""
 
 
-# Errors the library raises on bad input once computation has started: an
-# inadmissible surrogate, a non-SPD diffusion tensor, or a mesh whose
-# elements collapse or whose structure the DOF numbering rejects.  They exit
-# like a ConfigError.
+# Errors the library raises on bad input: an inadmissible surrogate, a
+# non-SPD diffusion tensor, or a mesh whose elements collapse or whose
+# structure the DOF numbering rejects.  They exit like a ConfigError.
 INPUT_ERRORS = (
     ConfigError,
     SurrogateAxiomError,
@@ -98,17 +103,11 @@ INPUT_ERRORS = (
 
 
 # Each spec family's grammar maps kind -> {key: default}; a key's type is
-# its default's type.  The mesh keys take their defaults from MeshSpec.
-MESH_SPEC_KEYS = {
-    "uniform_interval": {"n"},
-    "structured_triangular": {"nx", "ny", "pattern"},
-    "stretched": {"nx", "ny", "ratio"},
-    "random_perturbed": {"nx", "ny", "amplitude", "seed"},
-}
-
+# its default's type.  The mesh keys are the MeshSpec fields each kind's
+# generator reads, with MeshSpec's defaults.
 MESH_SPECS = {
-    kind: {key: getattr(MeshSpec, key) for key in sorted(keys)}
-    for kind, keys in MESH_SPEC_KEYS.items()
+    kind: {key: getattr(MeshSpec, key) for key in keys}
+    for kind, (_, _, keys) in MESH_KINDS.items()
 }
 
 DIFFUSION_SPECS = {
@@ -128,32 +127,70 @@ SWEEP_AXES = ("n", "m", "ratio", "policy")
 BOUNDS_CSV_HEADER = ["dimension", "n_elements", *BOUND_CSV_FIELDS, "sandwich_satisfied"]
 
 
+def _setting(default, help, type=str, choices=None, low=None):
+    """A RunConfig field that has a flag.
+
+    Its metadata holds the flag's help text and type, and the choices or
+    the lower bound a value must meet: an int at least low, a float above it.
+    """
+    return dataclasses.field(
+        default=default, metadata={"help": help, "type": type, "choices": choices, "low": low}
+    )
+
+
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved settings for one CLI invocation.
+    """Resolved settings for one CLI invocation (see load_config).
 
-    mesh is either a generator spec ("kind:key=value,...") or the path of
-    an existing mesh file.  tau, when set, overrides the stable-step
+    mesh is a checked MeshSpec, or the SimplicialMesh read from a mesh
+    file; diffusion is a DIFFUSION_SPECS kind and its values, defaults
+    filled in; their field defaults are the texts a flag would give, which
+    load_config parses.  tau, when set, overrides the stable-step
     derivation; bound_source picks the eigenvalue estimate backing the
     derived step.
     """
 
-    mesh: str
-    order: int = 1
-    diffusion: str = "identity"
-    policy: str = "consistent"
-    scheme: str = "explicit_euler"
-    bound_source: str = "diag_ratio"
-    tau: float | None = None
-    steps: int = 100
-    out: str = "."
-    seed: int = DEFAULT_SEED
-    dof_cap: int = 5000
-    workers: int = 1
-    initial: str = "smooth"
-    tableau: dict | None = None
-    sweep_axis: str | None = None
-    sweep_values: tuple | None = None
+    mesh: MeshSpec | SimplicialMesh = _setting(
+        dataclasses.MISSING, "mesh spec 'kind:key=value,...' or mesh file path")
+    order: int = _setting(1, "element order m", int, low=1)
+    diffusion: tuple[str, dict] = _setting(
+        "identity", "diffusion spec, e.g. rotated_anisotropic:angle=0.5,k1=1,k2=100")
+    policy: str = _setting("consistent", "surrogate mass policy", choices=POLICY_KINDS)
+    scheme: str = _setting("explicit_euler", "time scheme", choices=SCHEME_NAMES)
+    tau: float | None = _setting(None, "time step override", float, low=0)
+    steps: int = _setting(100, "number of time steps", int, low=0)
+    out: str = _setting(".", "output directory")
+    seed: int = _setting(DEFAULT_SEED, "rng seed", int)
+    dof_cap: int = _setting(5000, "skip exact eigenvalues above this DOF count", int, low=1)
+    workers: int = _setting(1, "sweep worker processes", int, low=1)
+    bound_source: str = _setting(
+        "diag_ratio", "eigenvalue estimate for the stable step", choices=BOUND_SOURCES)
+    initial: str = _setting("smooth", "initial condition", choices=INITIAL_KINDS)
+    tableau: dict | None = None  # no flag; read only by the generic scheme
+    sweep_axis: str | None = _setting(None, "sweep axis", choices=SWEEP_AXES)
+    sweep_values: tuple | None = _setting(None, "comma-separated sweep values", tuple)
+
+
+_SETTINGS = {f.name: f for f in dataclasses.fields(RunConfig) if f.metadata}
+
+
+def _check_setting(name: str, value) -> None:
+    """Raise ConfigError unless value meets the type, choices and bound of setting name."""
+    meta = _SETTINGS[name].metadata
+    kind, choices, low = meta["type"], meta["choices"], meta["low"]
+    if choices is not None:
+        ok, expected = value in choices, "one of " + ", ".join(choices)
+    elif kind is int:
+        ok = _is_number(value, int) and (low is None or value >= low)
+        expected = "an integer" + ("" if low is None else f" >= {low}")
+    elif kind is float:
+        ok, expected = _is_finite(value) and value > low, f"a finite number > {low}"
+    elif kind is tuple:
+        ok, expected = isinstance(value, tuple) and len(value) > 0, "a nonempty list"
+    else:
+        ok, expected = isinstance(value, str), "a string"
+    if not ok:
+        raise ConfigError(f"{name.replace('_', ' ')} must be {expected}, got {value!r}")
 
 
 def _parse_scalar(token: str):
@@ -169,14 +206,25 @@ def _parse_scalar(token: str):
 _VALUE_TYPES = {int: "an integer", float: "a finite number", str: "a string"}
 
 
+def _check_spec_value(noun: str, key: str, value, default, where: str) -> None:
+    """Raise ConfigError unless value has the type of the spec key's default.
+
+    An int key takes an int, a float key a finite int or float, and a str
+    key a str.
+    """
+    expected = type(default)
+    if not (_is_finite(value) if expected is float else _is_number(value, expected)):
+        raise ConfigError(f"{noun} key {key!r} takes {_VALUE_TYPES[expected]}, "
+                          f"got {value!r} in {where}")
+
+
 def parse_spec(text: str, grammar: dict, noun: str) -> tuple[str, dict]:
     """Split "kind:key=value,key=value" into its kind and parameter dict.
 
     The kind must be one of grammar's and each key one of that kind's,
-    given once.  A value must be of the type of the key's default: an int
-    key takes an int, a float key a finite int or float, and a str key a
-    str.  Anything else raises ConfigError.  The dict holds only the keys
-    the text gives.
+    given once, with a value of the type of the key's default (see
+    _check_spec_value).  Anything else raises ConfigError.  The dict holds
+    only the keys the text gives.
     """
     kind, _, rest = text.partition(":")
     kind = kind.strip()
@@ -189,49 +237,29 @@ def parse_spec(text: str, grammar: dict, noun: str) -> tuple[str, dict]:
         if not eq or key not in defaults or key in params:
             raise ConfigError(f"{noun} kind {kind!r} takes each of {sorted(defaults)} at most "
                               f"once, as key=value; got {chunk!r} in {text!r}")
-        params[key] = value = _parse_scalar(token)
-        expected = type(defaults[key])
-        if not (_is_finite(value) if expected is float else _is_number(value, expected)):
-            raise ConfigError(f"{noun} key {key!r} takes {_VALUE_TYPES[expected]}, "
-                              f"got {token!r} in {text!r}")
+        params[key] = _parse_scalar(token)
+        _check_spec_value(noun, key, params[key], defaults[key], repr(text))
     return kind, params
 
 
-def _format_spec(kind: str, params: dict) -> str:
-    body = ",".join(f"{key}={params[key]}" for key in sorted(params))
-    return f"{kind}:{body}"
-
-
-def _mesh_is_file(mesh: str) -> bool:
-    return os.path.isfile(mesh)
-
-
-def _mesh_spec(config: RunConfig) -> MeshSpec:
-    """The mesh spec of the config, its types and ranges checked."""
-    kind, params = parse_spec(config.mesh, MESH_SPECS, "mesh")
-    spec = MeshSpec(kind=kind, **params)
+def _checked_mesh_spec(spec: MeshSpec) -> MeshSpec:
+    """The spec, if the mesh generators accept its ranges; ConfigError otherwise."""
     try:
         check_mesh_spec(spec)
     except ValueError as exc:
-        raise ConfigError(f"bad mesh spec {config.mesh!r}: {exc}") from exc
+        raise ConfigError(f"bad {spec.kind} mesh spec: {exc}") from exc
     return spec
 
 
 def build_mesh(config: RunConfig) -> SimplicialMesh:
-    if _mesh_is_file(config.mesh):
-        try:
-            return read_mesh(config.mesh)
-        except (MeshFormatError, MeshStructureError) as exc:
-            raise ConfigError(f"bad mesh file {config.mesh!r}: {exc}") from exc
-    return generate_mesh(_mesh_spec(config))
+    """The run's mesh: the one read from its file, or generated from its spec."""
+    mesh = config.mesh
+    return mesh if isinstance(mesh, SimplicialMesh) else generate_mesh(mesh)
 
 
 def build_diffusion(config: RunConfig, mesh: SimplicialMesh) -> DiffusionField:
-    kind, params = parse_spec(config.diffusion, DIFFUSION_SPECS, "diffusion")
+    kind, values = config.diffusion
     d = mesh.dimension
-    if d == 1 and (kind == "rotated_anisotropic" or "k2" in params):
-        raise ConfigError(f"diffusion {config.diffusion!r} needs a 2D mesh")
-    values = {**DIFFUSION_SPECS[kind], **params}
     if kind == "scalar":
         return DiffusionField.constant(values["value"], d=d)
     if kind == "diag":
@@ -239,10 +267,7 @@ def build_diffusion(config: RunConfig, mesh: SimplicialMesh) -> DiffusionField:
     if kind == "rotated_anisotropic":
         return DiffusionField.rotated_anisotropic(values["angle"], (values["k1"], values["k2"]))
     if kind == "aligned":
-        spec = None if _mesh_is_file(config.mesh) else _mesh_spec(config)
-        if spec is None or spec.kind != "stretched":
-            raise ConfigError("aligned diffusion requires a stretched mesh spec")
-        return DiffusionField.constant(np.diag([1.0, spec.ratio**-2]))
+        return DiffusionField.constant(np.diag([1.0, config.mesh.ratio**-2]))
     return DiffusionField.constant(1.0, d=d)
 
 
@@ -271,68 +296,6 @@ def _is_number(value, types=(int, float)) -> bool:
 def _is_finite(value) -> bool:
     """An int, or a float that is neither infinite nor NaN."""
     return _is_number(value) and math.isfinite(value)
-
-
-def validate_config(config: RunConfig, command: str) -> None:
-    """Check every enumeration and range before any computation runs."""
-    if not isinstance(config.mesh, str) or not config.mesh.strip():
-        raise ConfigError("mesh spec or mesh file path is required")
-    if not _is_number(config.order, int) or config.order < 1:
-        raise ConfigError(f"element order must be a positive integer, got {config.order!r}")
-    if config.policy not in POLICY_KINDS:
-        raise ConfigError(
-            f"unknown policy {config.policy!r}; expected one of {', '.join(POLICY_KINDS)}"
-        )
-    if config.scheme not in SCHEME_NAMES:
-        raise ConfigError(
-            f"unknown scheme {config.scheme!r}; expected one of {', '.join(SCHEME_NAMES)}"
-        )
-    if config.scheme == "generic":
-        _build_scheme(config)
-    if config.bound_source not in BOUND_SOURCES:
-        raise ConfigError(
-            f"unknown bound source {config.bound_source!r}; "
-            f"expected one of {', '.join(BOUND_SOURCES)}"
-        )
-    if config.tau is not None and not (_is_finite(config.tau) and config.tau > 0):
-        raise ConfigError(f"tau override must be a finite positive number, got {config.tau!r}")
-    if not _is_number(config.steps, int) or config.steps < 0:
-        raise ConfigError(f"steps must be a nonnegative integer, got {config.steps!r}")
-    if not _is_number(config.seed, int):
-        raise ConfigError(f"seed must be an integer, got {config.seed!r}")
-    if not _is_number(config.dof_cap, int) or config.dof_cap < 1:
-        raise ConfigError(f"dof cap must be a positive integer, got {config.dof_cap!r}")
-    if not _is_number(config.workers, int) or config.workers < 1:
-        raise ConfigError(f"workers must be a positive integer, got {config.workers!r}")
-    if config.initial not in INITIAL_KINDS:
-        raise ConfigError(
-            f"unknown initial condition {config.initial!r}; "
-            f"expected one of {', '.join(INITIAL_KINDS)}"
-        )
-    if not _mesh_is_file(config.mesh):
-        _mesh_spec(config)
-    for name in ("diffusion", "out"):
-        if not isinstance(getattr(config, name), str):
-            raise ConfigError(f"{name} must be a string, got {getattr(config, name)!r}")
-    parse_spec(config.diffusion, DIFFUSION_SPECS, "diffusion")
-    if command == "sweep":
-        if config.sweep_axis not in SWEEP_AXES:
-            raise ConfigError(
-                f"sweep axis must be one of {', '.join(SWEEP_AXES)}, "
-                f"got {config.sweep_axis!r}"
-            )
-        if not isinstance(config.sweep_values, (tuple, list)) or not config.sweep_values:
-            raise ConfigError(
-                f"sweep requires a nonempty list of sweep values, got {config.sweep_values!r}"
-            )
-        if config.sweep_axis in ("n", "m", "ratio") and _mesh_is_file(config.mesh):
-            raise ConfigError(
-                f"sweep axis {config.sweep_axis!r} requires a mesh spec, not a mesh file"
-            )
-        for value in config.sweep_values:
-            validate_config(_sweep_point_config(config, value), "bounds")
-    if command == "mesh-gen" and _mesh_is_file(config.mesh):
-        raise ConfigError("mesh-gen requires a mesh spec, not an existing mesh file")
 
 
 def _sandwich_satisfied(report: BoundReport) -> bool | None:
@@ -486,21 +449,27 @@ def cmd_integrate(config: RunConfig) -> dict:
 
 
 def _sweep_point_config(config: RunConfig, value) -> RunConfig:
+    """The config of one sweep point.
+
+    value replaces the order (axis m), the policy, the element counts
+    (axis n) or the ratio of the mesh spec, and is checked like the setting
+    or spec key it replaces.
+    """
     axis = config.sweep_axis
-    if axis == "m":
-        return dataclasses.replace(config, order=value)
-    if axis == "policy":
-        return dataclasses.replace(config, policy=value)
-    if _parse_scalar(str(value)) != value:  # a JSON "8" or [8] for axis n, say
-        raise ConfigError(f"sweep value {value!r} does not read back from a mesh spec")
-    kind, params = parse_spec(config.mesh, MESH_SPECS, "mesh")
-    if axis == "ratio":
-        params["ratio"] = value
-    elif kind == "uniform_interval":
-        params["n"] = value
-    else:
-        params["nx"] = params["ny"] = value
-    return dataclasses.replace(config, mesh=_format_spec(kind, params))
+    if axis in ("m", "policy"):
+        name = "order" if axis == "m" else axis
+        _check_setting(name, value)
+        return dataclasses.replace(config, **{name: value})
+    spec = config.mesh
+    if not isinstance(spec, MeshSpec):
+        raise ConfigError(f"sweep axis {axis!r} requires a mesh spec, not a mesh file")
+    grammar = MESH_SPECS[spec.kind]
+    keys = [key for key in (("ratio",) if axis == "ratio" else ("n", "nx", "ny")) if key in grammar]
+    if not keys:
+        raise ConfigError(f"sweep axis {axis!r} does not apply to a {spec.kind} mesh")
+    _check_spec_value("mesh", keys[0], value, grammar[keys[0]], "the sweep values")
+    point = dataclasses.replace(spec, **dict.fromkeys(keys, value))
+    return dataclasses.replace(config, mesh=_checked_mesh_spec(point))
 
 
 def _run_point(config: RunConfig, index: int) -> str:
@@ -565,30 +534,25 @@ def cmd_validate(config: RunConfig) -> dict:
 
 def _add_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its keys")
-    parser.add_argument("--mesh", help="mesh spec 'kind:key=value,...' or mesh file path")
-    parser.add_argument("--order", type=int, help="element order m")
-    parser.add_argument("--diffusion", help="diffusion spec, e.g. rotated_anisotropic:angle=0.5,k1=1,k2=100")
-    parser.add_argument("--policy", help="surrogate mass policy: " + ", ".join(POLICY_KINDS))
-    parser.add_argument("--scheme", help="time scheme: " + ", ".join(SCHEME_NAMES))
-    parser.add_argument("--tau", type=float, help="time step override")
-    parser.add_argument("--steps", type=int, help="number of time steps")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seed", type=int, help="rng seed")
-    parser.add_argument("--dof-cap", type=int, dest="dof_cap",
-                        help="skip exact eigenvalues above this DOF count")
-    parser.add_argument("--workers", type=int, help="sweep worker processes")
-    parser.add_argument("--bound-source", dest="bound_source",
-                        help="eigenvalue estimate for the stable step: " + ", ".join(BOUND_SOURCES))
-    parser.add_argument("--initial", help="initial condition: " + ", ".join(INITIAL_KINDS))
-    parser.add_argument("--sweep-axis", dest="sweep_axis",
-                        help="sweep axis: " + ", ".join(SWEEP_AXES))
-    parser.add_argument("--sweep-values", dest="sweep_values",
-                        help="comma-separated sweep values")
+    for name, field in _SETTINGS.items():
+        meta = field.metadata
+        choices = meta["choices"]
+        parser.add_argument(
+            "--" + name.replace("_", "-"),
+            type=meta["type"] if meta["type"] in (int, float) else None,
+            help=meta["help"] + (": " + ", ".join(choices) if choices else ""),
+        )
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
-    known = [f.name for f in dataclasses.fields(RunConfig)]
-    merged: dict = {}
+    """Resolve the config file and the flags of one run into a RunConfig.
+
+    Every check that needs no assembly runs here, once, before any
+    computation (see the module docstring); the first that fails raises
+    ConfigError, or SurrogateAxiomError for an inadmissible policy.
+    """
+    command = args.command
+    settings = {f.name: f.default for f in dataclasses.fields(RunConfig)}
     if args.config is not None:
         try:
             with open(args.config) as handle:
@@ -599,26 +563,58 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(data) - set(known)
+        unknown = set(data) - set(settings)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(data)
-    for key in known:  # a field without a flag (tableau) reads as None
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    if isinstance(merged.get("sweep_values"), str):
-        merged["sweep_values"] = tuple(
-            _parse_scalar(tok) for tok in merged["sweep_values"].split(",") if tok.strip()
-        )
-    elif isinstance(merged.get("sweep_values"), list):
-        merged["sweep_values"] = tuple(merged["sweep_values"])
-    if "mesh" not in merged:
+        settings.update(data)
+    for name in _SETTINGS:
+        if getattr(args, name) is not None:
+            settings[name] = getattr(args, name)
+    if settings["mesh"] is dataclasses.MISSING:
         raise ConfigError("mesh spec or mesh file path is required")
-    try:
-        return RunConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(f"bad config: {exc}") from exc
+    values = settings["sweep_values"]
+    if isinstance(values, str):
+        values = [_parse_scalar(tok) for tok in values.split(",") if tok.strip()]
+    if isinstance(values, list):
+        settings["sweep_values"] = tuple(values)
+    for name in _SETTINGS:
+        if name.startswith("sweep_") and command != "sweep":
+            continue  # only a sweep reads them
+        if name != "tau" or settings[name] is not None:  # no tau: derive the step
+            _check_setting(name, settings[name])
+
+    text = settings["mesh"]
+    if os.path.isfile(text):
+        if command == "mesh-gen":
+            raise ConfigError("mesh-gen requires a mesh spec, not an existing mesh file")
+        try:
+            mesh = read_mesh(text)
+        except (MeshFormatError, MeshStructureError) as exc:
+            raise ConfigError(f"bad mesh file {text!r}: {exc}") from exc
+        dimension = mesh.dimension
+    else:
+        kind, params = parse_spec(text, MESH_SPECS, "mesh")
+        mesh = _checked_mesh_spec(MeshSpec(kind, **params))
+        dimension = MESH_KINDS[kind][0]
+    kind, params = parse_spec(settings["diffusion"], DIFFUSION_SPECS, "diffusion")
+    diffusion = (kind, {**DIFFUSION_SPECS[kind], **params})
+    config = RunConfig(**dict(settings, mesh=mesh, diffusion=diffusion))
+    if config.scheme == "generic":
+        _build_scheme(config)  # checks the tableau
+    if command in ("mesh-gen", "validate"):  # they read only the mesh
+        return config
+
+    if dimension == 1 and (kind == "rotated_anisotropic" or "k2" in params):
+        raise ConfigError(f"diffusion {settings['diffusion']!r} needs a 2D mesh")
+    if kind == "aligned" and not (isinstance(mesh, MeshSpec) and mesh.kind == "stretched"):
+        raise ConfigError("aligned diffusion requires a stretched mesh spec")
+    points = [config]
+    if command == "sweep":
+        points = [_sweep_point_config(config, value) for value in config.sweep_values]
+    for order, policy in dict.fromkeys((point.order, point.policy) for point in points):
+        surrogate_reference_matrix(build_reference_element(dimension, order),
+                                   SurrogatePolicy(policy))
+    return config
 
 
 COMMANDS = {
@@ -641,14 +637,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = load_config(args)
-        validate_config(config, args.command)
-    except ConfigError as exc:
-        print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
-        return 2
-
-    try:
-        result = COMMANDS[args.command](config)
+        result = COMMANDS[args.command](load_config(args))
     except INPUT_ERRORS as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return 2

@@ -29,6 +29,7 @@ __all__ = [
     "number_dofs",
     "generate_mesh",
     "check_mesh_spec",
+    "MESH_KINDS",
     "uniform_interval",
     "structured_triangular",
     "stretched",
@@ -287,7 +288,7 @@ def check_mesh_spec(spec: MeshSpec) -> None:
     [0, 1 / (2 (nx + ny))) (see random_perturbed).  It builds nothing, so a
     config can be checked before any mesh is made.
     """
-    if spec.kind not in _GENERATORS:
+    if spec.kind not in MESH_KINDS:
         raise ValueError(f"unknown mesh kind {spec.kind!r}")
     if spec.kind == "uniform_interval":
         if not spec.n >= 1:
@@ -389,18 +390,21 @@ def random_perturbed(nx: int, ny: int, amplitude: float, seed: int) -> Simplicia
     return SimplicialMesh(2, vertices, base.elements, base.boundary_facets, base.boundary_markers)
 
 
-_GENERATORS = {
-    "uniform_interval": lambda spec: uniform_interval(spec.n),
-    "structured_triangular": lambda spec: structured_triangular(spec.nx, spec.ny, spec.pattern),
-    "stretched": lambda spec: stretched(spec.nx, spec.ny, spec.ratio),
-    "random_perturbed": lambda spec: random_perturbed(spec.nx, spec.ny, spec.amplitude, spec.seed),
+# Each mesh kind: the dimension of its meshes, its generator, and the
+# MeshSpec fields the generator takes, in argument order.
+MESH_KINDS = {
+    "uniform_interval": (1, uniform_interval, ("n",)),
+    "structured_triangular": (2, structured_triangular, ("nx", "ny", "pattern")),
+    "stretched": (2, stretched, ("nx", "ny", "ratio")),
+    "random_perturbed": (2, random_perturbed, ("nx", "ny", "amplitude", "seed")),
 }
 
 
 def generate_mesh(spec: MeshSpec) -> SimplicialMesh:
     """Build a mesh from a declarative spec (see MeshSpec and check_mesh_spec)."""
     check_mesh_spec(spec)
-    return _GENERATORS[spec.kind](spec)
+    _, generator, keys = MESH_KINDS[spec.kind]
+    return generator(*(getattr(spec, key) for key in keys))
 
 
 # ---------------------------------------------------------------------------

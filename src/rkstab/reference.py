@@ -24,6 +24,8 @@ __all__ = [
     "eval_basis_gradients",
     "simplex_multi_indices",
     "simplex_quadrature",
+    "tabulate_basis",
+    "tabulate_gradients",
 ]
 
 SUPPORTED_DIMENSIONS = (1, 2)

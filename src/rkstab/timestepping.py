@@ -34,6 +34,19 @@ from .assembly import AssembledSystem, surrogate_solver
 from .bounds import BoundReport, lambda_max_with_vector
 from .reference import ReferenceElement
 
+__all__ = [
+    "RKScheme",
+    "IntegrationTrace",
+    "BlowUpError",
+    "CertificateError",
+    "rk_scheme",
+    "scheme_from_tableau",
+    "stable_timestep",
+    "integrate",
+    "top_mode_initial_condition",
+    "l2_growth_certificate",
+]
+
 BLOW_UP_THRESHOLD = 1e100
 
 BOUND_SOURCES = ("exact", "diag_ratio", "geometric")

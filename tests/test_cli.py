@@ -239,6 +239,10 @@ class TestConfigErrors:
          "--workers", "2"],
         # NonSPDDiffusionError
         ["bounds", "--mesh", MESH_1D, "--diffusion", "scalar:value=-1"],
+        ["bounds", "--mesh", "structured_triangular:nx=2,ny=2",
+         "--diffusion", "rotated_anisotropic:k1=-1"],
+        ["bounds", "--mesh", "structured_triangular:nx=2,ny=2",
+         "--diffusion", "rotated_anisotropic:k2=0"],
         # ValueError from the mesh generators
         ["bounds", "--mesh", "random_perturbed:nx=4,ny=4,amplitude=1"],
         ["bounds", "--mesh", "structured_triangular:nx=0,ny=3"],
@@ -317,6 +321,16 @@ class TestConfigErrors:
         # amplitude 0.05 is below the perturbation limit 1/(2(nx + ny)) at n=2, not at n=8
         ["sweep", "--mesh", "random_perturbed:nx=2,ny=2,amplitude=0.05,seed=1",
          "--sweep-axis", "n", "--sweep-values", "2,8"],
+        # quadratic triangles have nonpositive nodal weights, at the second point
+        ["sweep", "--mesh", "structured_triangular:nx=3,ny=3", "--order", "2",
+         "--sweep-axis", "policy", "--sweep-values", "consistent,node_quadrature"],
+        ["sweep", "--mesh", "structured_triangular:nx=2,ny=2", "--policy", "node_quadrature",
+         "--sweep-axis", "m", "--sweep-values", "1,2", "--workers", "2"],
+        # a diffusion the mesh's dimension or kind cannot take
+        ["sweep", "--mesh", "uniform_interval:n=8", "--diffusion", "diag:k1=1,k2=3",
+         "--sweep-axis", "n", "--sweep-values", "4,8"],
+        ["sweep", "--mesh", "structured_triangular:nx=2,ny=2", "--diffusion", "aligned",
+         "--sweep-axis", "n", "--sweep-values", "2,3"],
     ])
     def test_sweep_values_are_checked_before_any_point(self, capsys, tmp_path, monkeypatch,
                                                        argv):
@@ -335,6 +349,29 @@ class TestConfigErrors:
         assert json.loads(err)["error"] == "config"
         assert not calls.exists()
         assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("n_points", [2, 5])
+    def test_specs_are_parsed_once_per_run(self, capsys, tmp_path, monkeypatch, n_points):
+        calls = []
+        parse_spec, isfile = cli.parse_spec, os.path.isfile
+
+        def counted_parse(*args):
+            calls.append("parse_spec")
+            return parse_spec(*args)
+
+        def counted_isfile(path):
+            calls.append("isfile")
+            return isfile(path)
+
+        monkeypatch.setattr(cli, "parse_spec", counted_parse)
+        monkeypatch.setattr(os.path, "isfile", counted_isfile)
+        values = ",".join(str(3 ** k) for k in range(n_points))
+        code, _, err = run_cli(capsys, "sweep", "--mesh", "stretched:nx=2,ny=2,ratio=1",
+                               "--order", "2", "--diffusion", "aligned", "--policy",
+                               "hrz_diagonal", "--sweep-axis", "ratio", "--sweep-values", values,
+                               "--out", str(tmp_path))
+        assert code == 0, err
+        assert sorted(calls) == ["isfile", "parse_spec", "parse_spec"]
 
     def test_perturbation_above_limit_exits_2_for_every_seed(self, capsys, tmp_path):
         # 0.3 h on a 5x5 grid, above the h/4 limit: only 2 of these 200 seeds
@@ -641,6 +678,23 @@ def test_library_errors_survive_pickling(error):
 
 
 class TestMeshCommands:
+    def test_mesh_file_runs_like_its_spec(self, capsys, tmp_path):
+        spec = "random_perturbed:nx=3,ny=3,amplitude=0.02,seed=5"
+        code, out, err = run_cli(capsys, "mesh-gen", "--mesh", spec, "--out", str(tmp_path))
+        assert code == 0, err
+        path = json.loads(out)["mesh_file"]
+        for name, mesh in (("spec", spec), ("file", path)):
+            common = ["--mesh", mesh, "--policy", "hrz_diagonal", "--out", str(tmp_path / name)]
+            code, _, err = run_cli(capsys, "bounds", *common)
+            assert code == 0, err
+            code, _, err = run_cli(capsys, "sweep", *common, "--sweep-axis", "m",
+                                   "--sweep-values", "1,2,3")
+            assert code == 0, err
+        for name in ("bounds.json", "bounds.csv", "sweep.csv"):
+            assert (tmp_path / "file" / name).read_bytes() == (
+                tmp_path / "spec" / name
+            ).read_bytes()
+
     def test_mesh_gen_then_validate(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys,
@@ -679,6 +733,25 @@ class TestMeshCommands:
         path.write_text("DIMENSION 1\nVERTICES 0\nELEMENTS 0\nBOUNDARY 0\n")
         code, _, err = run_cli(capsys, "mesh-gen", "--mesh", str(path))
         assert code == 2
+
+
+def test_flags_are_the_run_settings():
+    parser = cli.argparse.ArgumentParser()
+    cli._add_flags(parser)
+    flags = {action.dest for action in parser._actions} - {"help", "config"}
+    settings = {field.name for field in dataclasses.fields(cli.RunConfig)} - {"tableau"}
+    assert flags == settings
+
+
+def test_package_exports_are_the_module_lists():
+    modules = (rkstab.reference, rkstab.mesh, rkstab.assembly, rkstab.bounds,
+               rkstab.timestepping)
+    union = [name for module in modules for name in module.__all__]
+    assert len(set(union)) == len(union)
+    assert set(rkstab.__all__) == set(union)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(rkstab, name) is getattr(module, name)
 
 
 def test_console_entry_point_runs(tmp_path):
