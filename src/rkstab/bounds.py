@@ -16,15 +16,15 @@ recurrence within the same max_ops cap on A products, and its largest entry
 is positive (see lambda_max_with_vector).  A dense solve cross-checks small
 systems.
 
-A BoundReport holds every expression for one configuration.  Its fields, in
-order, are the report's columns (BOUND_CSV_FIELDS), and csv_cell formats
-each cell of the CSV files.
+A BoundReport holds every expression for one configuration, with the mesh's
+dimension and element count first and the diagonal-ratio sandwich check
+last.  Its fields, in order, are the columns of every report file
+(BOUND_CSV_FIELDS), and csv_cell formats each cell of every CSV file.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -288,10 +288,10 @@ def diag_ratio_bounds(system: AssembledSystem, elem: ReferenceElement) -> tuple[
     return lower, upper
 
 
-def is_m_matrix(matrix: sp.csr_array, tol: float = 1e-12) -> bool:
-    """Sign-structure test: off-diagonals <= 0 and row sums >= 0 (within tol).
+def is_m_matrix(matrix: sp.csr_array) -> bool:
+    """Sign-structure test: off-diagonals <= 0 and row sums >= 0.
 
-    Both tests allow cut = tol * max |entry|.  Cost: one pass over the stored
+    Both tests allow cut = 1e-12 * max |entry|.  Cost: one pass over the stored
     entries, the diagonal, and one product with a vector of ones; no COO
     copy.  A matrix not in canonical CSR form (sorted, no duplicates) is
     summed into it first, so each entry is tested by its value.
@@ -299,14 +299,14 @@ def is_m_matrix(matrix: sp.csr_array, tol: float = 1e-12) -> bool:
     if not matrix.has_canonical_format:
         matrix = matrix.copy()
         matrix.sum_duplicates()
-    return _is_m_matrix(matrix, matrix.diagonal(), tol)
+    return _is_m_matrix(matrix, matrix.diagonal())
 
 
-def _is_m_matrix(matrix: sp.csr_array, diagonal: np.ndarray, tol: float = 1e-12) -> bool:
+def _is_m_matrix(matrix: sp.csr_array, diagonal: np.ndarray) -> bool:
     """is_m_matrix on a canonical CSR matrix whose diagonal is already read."""
     data = matrix.data
     scale = max(float(data.max()), -float(data.min())) if data.size else 1.0
-    cut = tol * scale
+    cut = 1e-12 * scale
     # Canonical CSR stores each diagonal entry at most once, so the positive
     # off-diagonal count is the positive entry count less the diagonal's.
     if np.count_nonzero(data > cut) > np.count_nonzero(diagonal > cut):
@@ -424,8 +424,15 @@ def verify_matrix_inequalities(
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All bound expressions for one assembled configuration."""
+    """All bound expressions for one assembled configuration.
 
+    sandwich_satisfied says whether lambda_max_exact lies between the
+    diagonal-ratio bounds, each widened by a relative 1e-9 for roundoff;
+    it is None when the eigensolve was skipped.
+    """
+
+    dimension: int
+    n_elements: int
     n_dofs: int
     order: int
     node_count: int
@@ -441,18 +448,16 @@ class BoundReport:
     tightness_upper: float | None
     m_matrix_refinement_applied: bool
     upper_diag_ratio_refined: float | None
+    sandwich_satisfied: bool | None
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in BOUND_CSV_FIELDS}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def csv_row(self) -> list[str]:
         return [csv_cell(value) for value in self.to_dict().values()]
 
 
-# The report's columns, in order: every output file takes them from here.
+# The report's columns, in order: every report file takes them from here.
 BOUND_CSV_FIELDS = [f.name for f in fields(BoundReport)]
 
 
@@ -472,7 +477,6 @@ def compute_bound_report(
     elem: ReferenceElement,
     diffusion: DiffusionField,
     policy: SurrogatePolicy,
-    tol: float = 1e-10,
     dof_cap: int = 5000,
     seed: int = DEFAULT_SEED,
     system: AssembledSystem | None = None,
@@ -482,8 +486,9 @@ def compute_bound_report(
     The geometric and comparison bounds read the system's element geometry,
     patch incidence and surrogate spectrum; nothing is rebuilt.
 
-    The exact eigenvalue is skipped (reported as None) when the reduced
-    system exceeds dof_cap degrees of freedom.
+    The exact eigenvalue, and with it the sandwich check, is skipped
+    (reported as None) when the reduced system exceeds dof_cap degrees of
+    freedom.
     """
     if system is None:
         system = assemble_system(mesh, elem, diffusion, policy)
@@ -492,12 +497,14 @@ def compute_bound_report(
     zhudu = zhudu_bound(system.geometry, diffusion)
     m_matrix = _is_m_matrix(system.stiffness, system.diag_stiffness)
     refined = 2.0 * system.kappa_surrogate * lower if m_matrix else None
-    lam = None
+    lam = sandwich = None
     if system.n_dofs <= dof_cap:
-        lam = lambda_max_generalized(
-            system.stiffness, system.surrogate_mass, tol=tol, seed=seed
-        )
+        lam = lambda_max_generalized(system.stiffness, system.surrogate_mass, seed=seed)
+        slack = 1.0 + 1e-9  # roundoff allowance of the sandwich check
+        sandwich = lower <= lam * slack and lam <= upper * slack
     return BoundReport(
+        dimension=mesh.dimension,
+        n_elements=mesh.n_elements,
         n_dofs=system.n_dofs,
         order=elem.order,
         node_count=elem.node_count,
@@ -513,4 +520,5 @@ def compute_bound_report(
         tightness_upper=None if lam is None else upper / lam,
         m_matrix_refinement_applied=m_matrix,
         upper_diag_ratio_refined=refined,
+        sandwich_satisfied=sandwich,
     )

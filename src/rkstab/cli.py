@@ -5,26 +5,28 @@ come from a JSON file (--config), from flags, or both; flags win over file
 values.  load_config resolves them once into a RunConfig: the mesh spec
 becomes a checked MeshSpec, or a mesh file is read once, and the diffusion
 spec becomes its kind and values.  Every check that needs no assembly runs
-there, before any computation: each setting's type, choices and range; a
-spec's kind, keys and value types (MESH_SPECS, DIFFUSION_SPECS) and the
-ranges mesh.check_mesh_spec allows; a diffusion the mesh's dimension or
-kind cannot take; each sweep value; and the admissibility of the surrogate
-policy at every order that will run.  Commands and sweep points then only
-read those values.  Checks that need the built mesh (a mesh file's facets,
-degenerate elements, a diffusion tensor that is not SPD at a quadrature
-point) run when a point builds it.
+there, before any computation, and for every command alike: each given
+setting's type, choices and range; a spec's kind, keys and value types
+(MESH_SPECS, DIFFUSION_SPECS) and the ranges mesh.check_mesh_spec allows;
+a diffusion the mesh's dimension or kind cannot take, or that is not SPD;
+each sweep value; and the admissibility of the surrogate policy at every
+order that will run.  Commands and sweep points then only read those
+values.  Checks that need the built mesh (a mesh file's facets, degenerate
+elements) run when a point builds it.
 
 Exit codes: 0 on success (an unstable integration or an invalid mesh is
 a finding, not a failure), 1 on internal numerical failure, 2 on config
 errors, bad mesh input, and inadmissible diffusion or surrogate choices.
 Failures emit a one-line JSON error record on stderr.
 
-Outputs are plain JSON and CSV, written with fixed key order and 17
-significant digits so that identical configurations with identical seeds
-produce byte-identical files regardless of worker count.  With --workers
-above 1, sweep computes its points in that many forked worker processes on
-Linux (never more processes than points) and serially elsewhere; the rows
-are merged in point order, so sweep.csv has the same bytes either way.
+Outputs are plain JSON and CSV.  A report's keys and columns are the
+fields of bounds.BoundReport, and bounds.csv_cell formats every CSV cell.
+Keys come in a fixed order and floats with 17 significant digits, so that
+identical configurations with identical seeds produce byte-identical files
+regardless of worker count.  With --workers above 1, sweep computes its
+points in that many forked worker processes on Linux (never more
+processes than points) and serially elsewhere; the rows are merged in
+point order, so sweep.csv has the same bytes either way.
 """
 
 from __future__ import annotations
@@ -47,17 +49,12 @@ from .assembly import (
     NonSPDDiffusionError,
     SurrogateAxiomError,
     SurrogatePolicy,
+    _check_spd_samples,
     assemble_system,
     l2_project,
     surrogate_reference_matrix,
 )
-from .bounds import (
-    BOUND_CSV_FIELDS,
-    DEFAULT_SEED,
-    BoundReport,
-    compute_bound_report,
-    csv_cell,
-)
+from .bounds import BOUND_CSV_FIELDS, DEFAULT_SEED, compute_bound_report, csv_cell
 from .mesh import (
     MESH_KINDS,
     DegenerateElementError,
@@ -123,8 +120,6 @@ SCHEME_NAMES = (*NAMED_SCHEME_POLYS, "generic")
 INITIAL_KINDS = ("smooth", "top_mode", "random")
 
 SWEEP_AXES = ("n", "m", "ratio", "policy")
-
-BOUNDS_CSV_HEADER = ["dimension", "n_elements", *BOUND_CSV_FIELDS, "sandwich_satisfied"]
 
 
 def _setting(default, help, type=str, choices=None, low=None):
@@ -257,9 +252,9 @@ def build_mesh(config: RunConfig) -> SimplicialMesh:
     return mesh if isinstance(mesh, SimplicialMesh) else generate_mesh(mesh)
 
 
-def build_diffusion(config: RunConfig, mesh: SimplicialMesh) -> DiffusionField:
+def build_diffusion(config: RunConfig, d: int) -> DiffusionField:
+    """The run's constant diffusion tensor on a mesh of dimension d."""
     kind, values = config.diffusion
-    d = mesh.dimension
     if kind == "scalar":
         return DiffusionField.constant(values["value"], d=d)
     if kind == "diag":
@@ -298,39 +293,26 @@ def _is_finite(value) -> bool:
     return _is_number(value) and math.isfinite(value)
 
 
-def _sandwich_satisfied(report: BoundReport) -> bool | None:
-    lam = report.lambda_max_exact
-    if lam is None:
-        return None
-    slack = 1e-9
-    return (
-        report.lower_diag_ratio <= lam * (1.0 + slack)
-        and lam <= report.upper_diag_ratio * (1.0 + slack)
-    )
-
-
 def _build_problem(
     config: RunConfig,
 ) -> tuple[SimplicialMesh, ReferenceElement, DiffusionField, SurrogatePolicy]:
     """The mesh, reference element, diffusion field and surrogate policy of a run."""
     mesh = build_mesh(config)
     elem = build_reference_element(mesh.dimension, config.order)
-    return mesh, elem, build_diffusion(config, mesh), SurrogatePolicy(config.policy)
+    return mesh, elem, build_diffusion(config, mesh.dimension), SurrogatePolicy(config.policy)
 
 
 def _bounds_record(config: RunConfig) -> dict:
-    """The bound report of one run as one record, keyed by BOUNDS_CSV_HEADER.
+    """The bound report of one run as one record, keyed by BOUND_CSV_FIELDS.
 
     bounds.json holds the record; each bounds.csv and sweep.csv row is its
     values, formatted by csv_cell.
     """
     mesh, elem, diffusion, policy = _build_problem(config)
-    report = compute_bound_report(
+    return compute_bound_report(
         mesh, elem, diffusion, policy, dof_cap=config.dof_cap, seed=config.seed
-    )
-    values = (mesh.dimension, mesh.n_elements, *report.to_dict().values(),
-              _sandwich_satisfied(report))
-    return dict(zip(BOUNDS_CSV_HEADER, values, strict=True))
+    ).to_dict()
+
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as handle:
@@ -345,7 +327,7 @@ def cmd_bounds(config: RunConfig) -> dict:
     csv_path = os.path.join(config.out, "bounds.csv")
     _write_json(json_path, record)
     with open(csv_path, "w") as handle:
-        handle.write(",".join(BOUNDS_CSV_HEADER) + "\n")
+        handle.write(",".join(BOUND_CSV_FIELDS) + "\n")
         handle.write(",".join(map(csv_cell, record.values())) + "\n")
     return {
         "command": "bounds",
@@ -496,7 +478,7 @@ def cmd_sweep(config: RunConfig) -> dict:
     os.makedirs(config.out, exist_ok=True)
     sweep_path = os.path.join(config.out, "sweep.csv")
     with open(sweep_path, "w") as handle:
-        handle.write(",".join(["axis", "value", *BOUNDS_CSV_HEADER]) + "\n")
+        handle.write(",".join(["axis", "value", *BOUND_CSV_FIELDS]) + "\n")
         for line in lines:
             handle.write(line)
     return {
@@ -578,9 +560,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     if isinstance(values, list):
         settings["sweep_values"] = tuple(values)
     for name in _SETTINGS:
-        if name.startswith("sweep_") and command != "sweep":
-            continue  # only a sweep reads them
-        if name != "tau" or settings[name] is not None:  # no tau: derive the step
+        # no tau: derive the step; no sweep setting: run no sweep, unless asked to
+        optional = name == "tau" or (name.startswith("sweep_") and command != "sweep")
+        if settings[name] is not None or not optional:
             _check_setting(name, settings[name])
 
     text = settings["mesh"]
@@ -601,9 +583,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     config = RunConfig(**dict(settings, mesh=mesh, diffusion=diffusion))
     if config.scheme == "generic":
         _build_scheme(config)  # checks the tableau
-    if command in ("mesh-gen", "validate"):  # they read only the mesh
-        return config
-
     if dimension == 1 and (kind == "rotated_anisotropic" or "k2" in params):
         raise ConfigError(f"diffusion {settings['diffusion']!r} needs a 2D mesh")
     if kind == "aligned" and not (isinstance(mesh, MeshSpec) and mesh.kind == "stretched"):
@@ -614,6 +593,11 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     for order, policy in dict.fromkeys((point.order, point.policy) for point in points):
         surrogate_reference_matrix(build_reference_element(dimension, order),
                                    SurrogatePolicy(policy))
+    # The diffusion is constant, so the SPD test of assemble_stiffness can run
+    # here: once, or once per ratio for an aligned tensor.
+    by_ratio = {point.mesh.ratio if kind == "aligned" else None: point for point in points}
+    for point in by_ratio.values():
+        _check_spd_samples(build_diffusion(point, dimension).matrix[None, None])
     return config
 
 

@@ -427,8 +427,8 @@ def write_mesh(mesh: SimplicialMesh, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_error(lineno: int, text: str, reason: str) -> MeshFormatError:
-    return MeshFormatError(f"line {lineno}: {reason}: {text.strip()!r}")
+def _parse_error(lineno: int, words: list[str], reason: str) -> MeshFormatError:
+    return MeshFormatError(f"line {lineno}: {reason}: {' '.join(words)!r}")
 
 
 def read_mesh(path) -> SimplicialMesh:
@@ -440,92 +440,79 @@ def read_mesh(path) -> SimplicialMesh:
     their line number.
     """
     with open(path) as fh:
-        raw = fh.readlines()
-    tokens = [
-        (lineno, line.split())
-        for lineno, line in enumerate(raw, start=1)
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
+        tokens = [
+            (lineno, line.split())
+            for lineno, line in enumerate(fh, start=1)
+            if line.strip() and not line.lstrip().startswith("#")
+        ]
     pos = 0
 
-    def expect(keyword: str) -> int:
+    def header(keyword: str) -> int:
+        """Read the 'keyword <count>' line at pos and return its count."""
         nonlocal pos
         if pos >= len(tokens):
             raise MeshFormatError(f"unexpected end of file, expected {keyword}")
         lineno, words = tokens[pos]
         if len(words) != 2 or words[0] != keyword:
-            raise _parse_error(lineno, " ".join(words), f"expected '{keyword} <count>'")
+            raise _parse_error(lineno, words, f"expected '{keyword} <count>'")
         try:
             count = int(words[1])
         except ValueError:
-            raise _parse_error(lineno, " ".join(words), f"bad {keyword} count") from None
+            raise _parse_error(lineno, words, f"bad {keyword} count") from None
         pos += 1
         # One line per entry: a count the remaining lines cannot hold is
         # rejected before its array is allocated.
         if keyword != "DIMENSION" and not 0 <= count <= len(tokens) - pos:
             raise _parse_error(
-                lineno, " ".join(words),
+                lineno, words,
                 f"{keyword} count must lie in [0, {len(tokens) - pos}], the lines that follow",
             )
         return count
 
-    d = expect("DIMENSION")
+    def section(keyword: str, width: int, entry: str, expected: str, owner: str = "",
+                n_vertices: int = 0) -> tuple[np.ndarray, tuple[str, ...]]:
+        """Read a section; return its (count, width) entries and D|N markers.
+
+        Each line holds width entries, then a marker in BOUNDARY, or fails
+        with reason expected.  Entries are finite coordinates or, when the
+        section names an owner, indices of the n_vertices vertices.  Each
+        line is checked in full before the next.
+        """
+        nonlocal pos
+        count = header(keyword)
+        lines = tokens[pos:pos + count]
+        marked = keyword == "BOUNDARY"
+        parse = int if owner else float
+        values = np.empty((count, width), dtype=np.int64 if owner else np.float64)
+        for k, (lineno, words) in enumerate(lines):
+            if len(words) != width + marked or (marked and words[-1] not in (DIRICHLET, NEUMANN)):
+                raise _parse_error(lineno, words, expected)
+            try:
+                values[k] = [parse(w) for w in words[:width]]
+            except ValueError:
+                raise _parse_error(lineno, words, f"bad {entry}") from None
+            if not np.isfinite(values[k]).all():
+                raise _parse_error(lineno, words, f"non-finite {entry}")
+            if owner and (np.any(values[k] < 0) or np.any(values[k] >= n_vertices)):
+                raise MeshStructureError(
+                    f"{owner} {k} references vertex outside [0, {n_vertices})"
+                )
+        pos += count
+        return values, tuple(words[-1] for _, words in lines) if marked else ()
+
+    d = header("DIMENSION")
     if d not in (1, 2):
         raise MeshFormatError(f"unsupported mesh dimension {d}")
-
-    n_vertices = expect("VERTICES")
-    vertices = np.empty((n_vertices, d))
-    for k in range(n_vertices):
-        lineno, words = tokens[pos]
-        if len(words) != d:
-            raise _parse_error(lineno, " ".join(words), f"expected {d} coordinates")
-        try:
-            vertices[k] = [float(w) for w in words]
-        except ValueError:
-            raise _parse_error(lineno, " ".join(words), "bad coordinate") from None
-        if not np.isfinite(vertices[k]).all():
-            raise _parse_error(lineno, " ".join(words), "non-finite coordinate")
-        pos += 1
-
-    n_elements = expect("ELEMENTS")
-    elements = np.empty((n_elements, d + 1), dtype=np.int64)
-    for k in range(n_elements):
-        lineno, words = tokens[pos]
-        if len(words) != d + 1:
-            raise _parse_error(lineno, " ".join(words), f"expected {d + 1} vertex indices")
-        try:
-            elements[k] = [int(w) for w in words]
-        except ValueError:
-            raise _parse_error(lineno, " ".join(words), "bad vertex index") from None
-        if np.any(elements[k] < 0) or np.any(elements[k] >= n_vertices):
-            raise MeshStructureError(
-                f"element {k} references vertex outside [0, {n_vertices})"
-            )
-        pos += 1
-
-    n_facets = expect("BOUNDARY")
-    facets = np.empty((n_facets, d), dtype=np.int64)
-    markers = []
-    for k in range(n_facets):
-        lineno, words = tokens[pos]
-        if len(words) != d + 1 or words[-1] not in (DIRICHLET, NEUMANN):
-            raise _parse_error(
-                lineno, " ".join(words), f"expected {d} indices and a D|N marker"
-            )
-        try:
-            facets[k] = [int(w) for w in words[:-1]]
-        except ValueError:
-            raise _parse_error(lineno, " ".join(words), "bad facet index") from None
-        if np.any(facets[k] < 0) or np.any(facets[k] >= n_vertices):
-            raise MeshStructureError(
-                f"boundary facet {k} references vertex outside [0, {n_vertices})"
-            )
-        markers.append(words[-1])
-        pos += 1
+    vertices, _ = section("VERTICES", d, "coordinate", f"expected {d} coordinates")
+    n = len(vertices)
+    elements, _ = section("ELEMENTS", d + 1, "vertex index", f"expected {d + 1} vertex indices",
+                          "element", n)
+    facets, markers = section("BOUNDARY", d, "facet index",
+                              f"expected {d} indices and a D|N marker", "boundary facet", n)
 
     if pos != len(tokens):
         lineno, words = tokens[pos]
-        raise _parse_error(lineno, " ".join(words), "trailing content")
+        raise _parse_error(lineno, words, "trailing content")
 
     # repair negatively oriented elements
     flipped = _jacobians(vertices, elements)[1] < 0
@@ -536,7 +523,7 @@ def read_mesh(path) -> SimplicialMesh:
             f"repaired {repaired} negatively oriented element(s) by vertex swap",
             stacklevel=2,
         )
-    return SimplicialMesh(d, vertices, elements, facets, tuple(markers))
+    return SimplicialMesh(d, vertices, elements, facets, markers)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .assembly import AssembledSystem, surrogate_solver
-from .bounds import BoundReport, lambda_max_with_vector
+from .bounds import BoundReport, csv_cell, lambda_max_with_vector
 from .reference import ReferenceElement
 
 __all__ = [
@@ -112,12 +112,13 @@ NAMED_SCHEME_POLYS: dict[str, tuple[float, ...]] = {
 }
 
 
-def _boundary_from_poly(coeffs: tuple[float, ...], tol: float = 1e-12) -> float:
-    """Largest s such that |R(-x)| <= 1 on [0, s], bisected to absolute tol.
+def _boundary_from_poly(coeffs: tuple[float, ...]) -> float:
+    """Largest s such that |R(-x)| <= 1 on [0, s], bisected to absolute 1e-12.
 
     A coarse scan brackets the first point where the amplification exceeds
     one; the scan range doubles until such a point exists (guaranteed for
-    polynomials of degree >= 1).
+    polynomials of degree >= 1).  The bracket's lower end is returned: the
+    point where |R(-x)| <= 1 was evaluated, so a step of s is stable.
     """
     desc = np.asarray(coeffs[::-1], dtype=float)
 
@@ -135,13 +136,13 @@ def _boundary_from_poly(coeffs: tuple[float, ...], tol: float = 1e-12) -> float:
     if first == 0:
         return 0.0
     lo, up = float(grid[first - 1]), float(grid[first])
-    while up - lo > tol:
+    while up - lo > 1e-12:
         mid = 0.5 * (lo + up)
         if excess(mid) > 0:
             up = mid
         else:
             lo = mid
-    return 0.5 * (lo + up)
+    return lo
 
 
 def rk_scheme(name: str) -> RKScheme:
@@ -230,13 +231,13 @@ class IntegrationTrace:
         return max(len(self.times) - 1, 0)
 
     def write_csv(self, path) -> None:
+        """One row per step, each cell formatted by csv_cell."""
+        rows = zip(range(len(self.times)), self.times.tolist(), self.l2_norms.tolist(),
+                   self.energy_norms.tolist())
         with open(path, "w") as handle:
             handle.write("step,t,l2_norm,energy_norm\n")
-            for n in range(len(self.times)):
-                handle.write(
-                    "%d,%.17g,%.17g,%.17g\n"
-                    % (n, self.times[n], self.l2_norms[n], self.energy_norms[n])
-                )
+            for row in rows:
+                handle.write(",".join(map(csv_cell, row)) + "\n")
 
 
 def _stage_maps(
@@ -349,34 +350,29 @@ def integrate(
     return IntegrationTrace(times, l2_norms, energy_norms, tau, scheme.name, u)
 
 
-def top_mode_initial_condition(
-    system: AssembledSystem, relative_noise: float = 1e-3, seed: int = 0
-) -> np.ndarray:
+def top_mode_initial_condition(system: AssembledSystem, seed: int = 0) -> np.ndarray:
     """Dominant eigenvector of the pencil plus a small smooth perturbation.
 
     The perturbation guarantees a nonzero component on the top mode even
-    after floating-point roundoff in downstream arithmetic; it is scaled
-    relative to the eigenvector so the returned vector still points almost
+    after floating-point roundoff in downstream arithmetic; its norm is 1e-3
+    times the eigenvector's, so the returned vector still points almost
     exactly along the most unstable direction.
     """
     _, vec = lambda_max_with_vector(system.stiffness, system.surrogate_mass)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(vec.size)
-    noise *= relative_noise * np.linalg.norm(vec) / np.linalg.norm(noise)
+    noise *= 1e-3 * np.linalg.norm(vec) / np.linalg.norm(noise)
     return vec + noise
 
 
 def l2_growth_certificate(
-    trace: IntegrationTrace,
-    system: AssembledSystem,
-    elem: ReferenceElement,
-    tol: float = 1e-9,
+    trace: IntegrationTrace, system: AssembledSystem, elem: ReferenceElement
 ) -> float:
     """Check observed L2 growth against sqrt(kappa(M-hat) kappa(M-tilde_ref)).
 
     Returns the observed max_n ||u_n|| / ||u_0||.  Raises CertificateError
     (naming the offending step) if the observed growth exceeds the bound
-    by more than tol.  A run started from the zero vector certifies
+    by more than 1e-9.  A run started from the zero vector certifies
     trivially with ratio 0.
     """
     bound = math.sqrt(elem.condition_number * system.kappa_surrogate)
@@ -396,7 +392,7 @@ def l2_growth_certificate(
     ratios = trace.l2_norms / initial
     worst = int(np.argmax(ratios))
     observed = float(ratios[worst])
-    if observed > bound + tol:
+    if observed > bound + 1e-9:
         raise CertificateError(
             f"L2 growth {observed:.17g} exceeds certified bound {bound:.17g} "
             f"at step {worst}",

@@ -172,6 +172,25 @@ def test_output_headers_and_json_keys_are_pinned(capsys, tmp_path):
     assert sorted(record) == sorted(BOUNDS_HEADER.split(","))
 
 
+def test_report_fields_are_the_pinned_header():
+    assert rkstab.BOUND_CSV_FIELDS == BOUNDS_HEADER.split(",")
+
+
+@pytest.mark.parametrize("dof_cap", [None, 4])
+def test_library_report_is_the_bounds_file(capsys, tmp_path, dof_cap):
+    cap = [] if dof_cap is None else ["--dof-cap", str(dof_cap)]
+    code, _, err = run_cli(capsys, "bounds", "--mesh", MESH_1D, "--order", "2",
+                           "--policy", "hrz_diagonal", *cap, "--out", str(tmp_path))
+    assert code == 0, err
+    elem = rkstab.build_reference_element(1, 2)
+    report = rkstab.compute_bound_report(
+        rkstab.uniform_interval(8), elem, rkstab.DiffusionField.constant(1.0, d=1),
+        rkstab.HRZ_DIAGONAL, **({} if dof_cap is None else {"dof_cap": dof_cap}))
+    record = json.loads((tmp_path / "bounds.json").read_text())
+    assert report.to_dict() == record
+    assert (record["sandwich_satisfied"] is None) is (dof_cap is not None)
+
+
 class TestConfigErrors:
     def test_unknown_scheme_exits_2_with_record(self, capsys, tmp_path):
         code, out, err = run_cli(
@@ -249,6 +268,9 @@ class TestConfigErrors:
         ["bounds", "--mesh", "uniform_interval:n=0"],
         ["bounds", "--mesh", "structured_triangular:nx=2,ny=2,pattern=zigzag"],
         ["mesh-gen", "--mesh", "uniform_interval:n=0"],
+        # a setting a command does not read is checked all the same
+        ["bounds", "--mesh", MESH_1D, "--sweep-axis", "h"],
+        ["mesh-gen", "--mesh", "uniform_interval:n=4", "--diffusion", "aligned"],
         ["sweep", "--mesh", "stretched:nx=2,ny=2,ratio=1", "--diffusion", "aligned",
          "--sweep-axis", "ratio", "--sweep-values", "1,-2"],
         # bad mesh files
@@ -331,6 +353,13 @@ class TestConfigErrors:
          "--sweep-axis", "n", "--sweep-values", "4,8"],
         ["sweep", "--mesh", "structured_triangular:nx=2,ny=2", "--diffusion", "aligned",
          "--sweep-axis", "n", "--sweep-values", "2,3"],
+        # a constant diffusion tensor that is not SPD
+        ["sweep", "--mesh", "structured_triangular:nx=2,ny=2", "--diffusion", "scalar:value=-1",
+         "--sweep-axis", "n", "--sweep-values", "2,3"],
+        ["sweep", "--mesh", "structured_triangular:nx=2,ny=2", "--diffusion", "diag:k1=-1,k2=2",
+         "--sweep-axis", "n", "--sweep-values", "2,3"],
+        ["sweep", "--mesh", "structured_triangular:nx=2,ny=2",
+         "--diffusion", "rotated_anisotropic:k1=-1", "--sweep-axis", "n", "--sweep-values", "2,3"],
     ])
     def test_sweep_values_are_checked_before_any_point(self, capsys, tmp_path, monkeypatch,
                                                        argv):

@@ -409,6 +409,42 @@ def test_read_mesh_comments_and_missing_marker(tmp_path):
         read_mesh(path)
 
 
+# A valid 1D file, split so that each bad file below changes one part of it.
+_HEAD_1D = "DIMENSION 1\nVERTICES 3\n0\n0.5\n1\n"
+_ELEMENTS_1D = "ELEMENTS 2\n0 1\n1 2\n"
+_BOUNDARY_1D = "BOUNDARY 2\n0 D\n2 D\n"
+
+
+@pytest.mark.parametrize("text, error, message", [
+    (_HEAD_1D.replace("0.5", "0.5 0.25") + _ELEMENTS_1D + _BOUNDARY_1D,
+     MeshFormatError, "line 4: expected 1 coordinates: '0.5 0.25'"),
+    (_HEAD_1D + "ELEMENTS 2\n0 1\n1 2 0\n" + _BOUNDARY_1D,
+     MeshFormatError, "line 8: expected 2 vertex indices: '1 2 0'"),
+    (_HEAD_1D + _ELEMENTS_1D + "BOUNDARY 2\n0 D\n2\n",
+     MeshFormatError, "line 11: expected 1 indices and a D|N marker: '2'"),
+    (_HEAD_1D + "ELEMENTS 2\n0 1\n1 two\n" + _BOUNDARY_1D,
+     MeshFormatError, "line 8: bad vertex index: '1 two'"),
+    (_HEAD_1D + _ELEMENTS_1D + "BOUNDARY 2\n0 D\n2.0 D\n",
+     MeshFormatError, "line 11: bad facet index: '2.0 D'"),
+    (_HEAD_1D + _ELEMENTS_1D + "BOUNDARY 2\n3 D\n2 D\n",
+     MeshStructureError, "boundary facet 0 references vertex outside [0, 3)"),
+    (_HEAD_1D + _ELEMENTS_1D + _BOUNDARY_1D + "0 N\n",
+     MeshFormatError, "line 12: trailing content: '0 N'"),
+    (_HEAD_1D + _ELEMENTS_1D, MeshFormatError, "unexpected end of file, expected BOUNDARY"),
+    ("DIMENSION 3\n", MeshFormatError, "unsupported mesh dimension 3"),
+    ("DIMENSION 1\nVERTICES three\n", MeshFormatError, "line 2: bad VERTICES count: 'VERTICES three'"),
+    ("DIMENSION 1 2\n", MeshFormatError, "line 1: expected 'DIMENSION <count>': 'DIMENSION 1 2'"),
+], ids=["vertex-words", "element-words", "facet-words", "vertex-index", "facet-index",
+        "facet-range", "trailing", "no-boundary", "dimension-3", "count-word", "header-words"])
+def test_read_mesh_errors_name_their_line(tmp_path, text, error, message):
+    path = tmp_path / "broken.txt"
+    path.write_text(text)
+    with pytest.raises(error) as info:
+        read_mesh(path)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 def test_validate_clean_meshes():
     assert validate_mesh(uniform_interval(5)) == []
     assert validate_mesh(structured_triangular(3, 3)) == []

@@ -77,6 +77,13 @@ class TestSchemes:
         amps = np.abs(scheme.amplification(-xs))
         assert np.all(amps <= 1.0 + 1e-12)
 
+    @pytest.mark.parametrize("name", sorted(BOUNDARY_ORACLE))
+    def test_boundary_is_inside_the_stability_interval(self, name):
+        scheme = rk_scheme(name)
+        s = scheme.real_stability_boundary
+        assert abs(scheme.amplification(-s)) <= 1.0
+        assert s <= BOUNDARY_ORACLE[name]
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown scheme"):
             rk_scheme("leapfrog")
