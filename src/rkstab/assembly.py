@@ -263,9 +263,8 @@ def _is_diagonal(matrix: sp.csr_array) -> bool:
 def surrogate_solver(matrix: sp.csr_array) -> Callable[[np.ndarray], np.ndarray]:
     """Apply-inverse for an SPD surrogate mass; exact division when diagonal.
 
-    Otherwise one sparse LU in SuperLU's symmetric mode: a minimum-degree
-    ordering of the symmetric pattern and diagonal pivots, which are stable
-    for an SPD matrix.
+    Otherwise the solve of one symmetric_lu, whose diagonal pivots are
+    stable for an SPD matrix.
     """
     if _is_diagonal(matrix):
         diag = matrix.diagonal()
@@ -273,9 +272,13 @@ def surrogate_solver(matrix: sp.csr_array) -> Callable[[np.ndarray], np.ndarray]
             raise ValueError("surrogate mass diagonal must be positive")
         inv = 1.0 / diag
         return lambda b: inv * b
-    lu = spla.splu(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A",
-                   diag_pivot_thresh=0, options={"SymmetricMode": True})
-    return lu.solve
+    return symmetric_lu(matrix).solve
+
+
+def symmetric_lu(matrix: sp.csr_array) -> spla.SuperLU:
+    """SuperLU, symmetric mode: minimum-degree order, each nonzero diagonal pivot taken."""
+    return spla.splu(sp.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0, options={"SymmetricMode": True})
 
 
 def _scatter(
@@ -465,6 +468,8 @@ def apply_dirichlet(system: AssembledSystem) -> AssembledSystem:
             "empty Dirichlet set: the Dirichlet boundary must have positive measure"
         )
     free = system.numbering.free_dofs
+    if free.size == 0:
+        raise MeshStructureError("no free DOF: every DOF lies on the Dirichlet boundary")
 
     def cut(matrix: sp.csr_array) -> sp.csr_array:
         out = matrix[free][:, free]

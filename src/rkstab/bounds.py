@@ -9,12 +9,11 @@ Jacobian norm) is reported alongside for anisotropy studies.
 The exact eigenvalue comes from one three-term Lanczos recurrence for
 Mt^-1 A in the Mt inner product, for every surrogate: one A @ q and one
 surrogate solve per step, no restarts, no reorthogonalization, and a Ritz
-residual test at steps 10, 20, ..., 100 and then every k // 10 steps, so a
-k-step solve makes about 10 + 24 log10(k / 100) tests, each one LAPACK
-bisection and inverse iteration.  The eigenvector is rebuilt by replaying the
-recurrence within the same max_ops cap on A products, and its largest entry
-is positive (see lambda_max_with_vector).  A dense solve cross-checks small
-systems.
+residual test on a growing schedule; a replay rebuilds the eigenvector (see
+lambda_max_with_vector).  A dense solve cross-checks small systems.  Each
+matrix inequality behind the bounds is decided by the inertia of one sparse
+symmetric LU, no eigensolve: a pass holds up to a backward error far below
+its tolerance, and a failure carries a witness vector.
 
 A BoundReport holds every expression for one configuration, with the mesh's
 dimension and element count first and the diagonal-ratio sandwich check
@@ -43,6 +42,7 @@ from .assembly import (
     assemble_system,
     element_alignment_factor,
     surrogate_solver,
+    symmetric_lu,
 )
 from .mesh import AffineGeometry, SimplicialMesh
 from .reference import ReferenceElement
@@ -350,76 +350,65 @@ def zhudu_bound(geometry: AffineGeometry, diffusion: DiffusionField) -> float:
     return float(np.max(lam_d * jacobian_part, initial=0.0))
 
 
-def _psd_margin(diff: sp.csr_array, scale: float, dense_limit: int) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue of diff over scale, and its eigenvector as witness.
+def _negative_direction(matrix: sp.csr_array) -> np.ndarray | None:
+    """x with x^T B x < 0 for the symmetric B = matrix, or None if B is PD.
 
-    Dense eigh up to dense_limit rows; above that ARPACK's Lanczos for the
-    smallest algebraic eigenvalue, converged to machine precision from a
-    seeded start vector.
+    With diagonal pivots symmetric_lu gives P B P^T = L D L^T, and B has as
+    many negative eigenvalues as D has negative entries (Sylvester's law of
+    inertia).  For the first, d_k, x = P^T L^-T e_k gives x^T B x = d_k.  A
+    pivot off the diagonal (perm_r != perm_c) leaves the inertia unread.
     """
-    if diff.shape[0] <= dense_limit:
-        values, vectors = np.linalg.eigh(diff.toarray())
-    else:
-        v0 = np.random.default_rng(DEFAULT_SEED).standard_normal(diff.shape[0])
-        values, vectors = spla.eigsh(diff, k=1, which="SA", v0=v0)
-    return float(values[0] / scale), vectors[:, 0]
-
-
-def _inf_norm(matrix: sp.csr_array) -> float:
-    if matrix.nnz == 0:
-        return 0.0
-    return float(np.max(np.abs(matrix).sum(axis=1)))
+    lu = symmetric_lu(matrix)
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise np.linalg.LinAlgError("off-diagonal pivot: the inertia cannot be read")
+    negative = lu.U.diagonal() < 0
+    if not negative.any():
+        return None
+    e_k = np.eye(1, matrix.shape[0], int(np.argmax(negative)))[0]  # the first negative pivot
+    return spla.spsolve_triangular(lu.L.T, e_k, lower=False, unit_diagonal=True)[lu.perm_r]
 
 
 def verify_matrix_inequalities(
     system: AssembledSystem,
     elem: ReferenceElement,
-    dense_limit: int = 200,
     tol: float = 1e-10,
-) -> dict[str, float]:
-    """Check the structural matrix inequalities underlying the bounds.
-
-    Verifies, as positive-semidefiniteness of difference matrices:
-      * diagonal domination: eta * diag(A) - A,
+) -> list[str]:
+    """Check the structural matrix inequalities lhs >= rhs behind the bounds:
+      * diagonal domination: eta * diag(A) >= A,
       * patch-volume sandwich: surrogate_lambda_min * W <= Mt <=
         surrogate_lambda_max * W with W = diag(patch volumes),
       * diagonal sandwich: kappa^-1 * diag(Mt) <= Mt <= kappa * diag(Mt).
 
-    Margins are the smallest eigenvalue of lhs - rhs, computed densely up to
-    dense_limit DOFs and by sparse Lanczos (eigsh, which="SA") above, and
-    normalized by the larger operand norm, so a tight inequality reads as ~0
-    rather than as amplified roundoff.  Raises InequalityViolation with the
-    offending eigenvector as witness when a margin falls below -tol.
+    A check passes when B = lhs - rhs + tol*scale*I, scale the larger
+    operand's infinity norm, has no negative pivot in one symmetric_lu.  That
+    is a Cholesky in disguise, exact for B + E with |E_ij| <= gamma_(c+1)
+    (B_ii B_jj)^(1/2), c the largest column count of L (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, Thm 10.3).  So a pass shows
+    lambda_min(lhs - rhs) >= -(tol + c^2 u) scale, u the unit roundoff; c^2 u
+    is 1e-11 at 64x64 P2.  A failure raises InequalityViolation with the
+    witness x of the first negative pivot and the margin x^T (lhs - rhs) x /
+    (scale x^T x), in [lambda_min / scale, -tol).  Returns the check names.
     """
-    eta = elem.node_count
     A = system.stiffness
     surrogate = system.surrogate_mass
-    W = sp.diags_array([system.patch_volumes], offsets=[0], format="csr")
-    diag_a = sp.diags_array([A.diagonal()], offsets=[0], format="csr")
-    diag_m = sp.diags_array([surrogate.diagonal()], offsets=[0], format="csr")
+    W = sp.diags_array(system.patch_volumes, format="csr")
+    diag_m = sp.diags_array(surrogate.diagonal(), format="csr")
     kappa = system.kappa_surrogate
     checks = {
-        "diagonal_domination": (eta * diag_a, A),
+        "diagonal_domination": (elem.node_count * sp.diags_array(A.diagonal(), format="csr"), A),
         "patch_volume_lower": (surrogate, system.surrogate_lambda_min * W),
         "patch_volume_upper": (system.surrogate_lambda_max * W, surrogate),
         "diagonal_sandwich_lower": (surrogate, (1.0 / kappa) * diag_m),
         "diagonal_sandwich_upper": (kappa * diag_m, surrogate),
     }
-    margins: dict[str, float] = {}
     for name, (lhs, rhs) in checks.items():
-        lhs = sp.csr_array(lhs)
-        rhs = sp.csr_array(rhs)
-        scale = max(_inf_norm(lhs), _inf_norm(rhs))
-        diff = sp.csr_array(lhs - rhs)
-        if diff.nnz == 0:
-            # equal operands; ARPACK cannot start on the zero operator
-            margins[name] = 0.0
-            continue
-        margin, witness = _psd_margin(diff, scale, dense_limit)
-        margins[name] = margin
-        if margin < -tol:
+        scale = max(spla.norm(lhs, np.inf), spla.norm(rhs, np.inf))
+        diff = lhs - rhs
+        witness = _negative_direction(diff + tol * scale * sp.eye_array(system.n_dofs))
+        if witness is not None:
+            margin = float(witness @ (diff @ witness)) / (scale * float(witness @ witness))
             raise InequalityViolation(name, margin, witness)
-    return margins
+    return list(checks)
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,12 @@ a diffusion the mesh's dimension or kind cannot take, or that is not SPD;
 each sweep value; and the admissibility of the surrogate policy at every
 order that will run.  Commands and sweep points then only read those
 values.  Checks that need the built mesh (a mesh file's facets, degenerate
-elements) run when a point builds it.
+elements, no free DOF) run when a point builds it.
 
 Exit codes: 0 on success (an unstable integration or an invalid mesh is
 a finding, not a failure), 1 on internal numerical failure, 2 on config
 errors, bad mesh input, and inadmissible diffusion or surrogate choices.
-Failures emit a one-line JSON error record on stderr.
+Failures emit a one-line JSON error record on stderr, and warnings one each.
 
 Outputs are plain JSON and CSV.  A report's keys and columns are the
 fields of bounds.BoundReport, and bounds.csv_cell formats every CSV cell.
@@ -38,6 +38,7 @@ import math
 import multiprocessing
 import os
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -570,9 +571,13 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         if command == "mesh-gen":
             raise ConfigError("mesh-gen requires a mesh spec, not an existing mesh file")
         try:
-            mesh = read_mesh(text)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", UserWarning)
+                mesh = read_mesh(text)
         except (MeshFormatError, MeshStructureError) as exc:
             raise ConfigError(f"bad mesh file {text!r}: {exc}") from exc
+        for warning in caught:  # one JSON line each, like the error record
+            print(json.dumps({"warning": str(warning.message)}), file=sys.stderr)
         dimension = mesh.dimension
     else:
         kind, params = parse_spec(text, MESH_SPECS, "mesh")
@@ -581,8 +586,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     kind, params = parse_spec(settings["diffusion"], DIFFUSION_SPECS, "diffusion")
     diffusion = (kind, {**DIFFUSION_SPECS[kind], **params})
     config = RunConfig(**dict(settings, mesh=mesh, diffusion=diffusion))
-    if config.scheme == "generic":
-        _build_scheme(config)  # checks the tableau
+    _build_scheme(config)  # checks a generic tableau
     if dimension == 1 and (kind == "rotated_anisotropic" or "k2" in params):
         raise ConfigError(f"diffusion {settings['diffusion']!r} needs a 2D mesh")
     if kind == "aligned" and not (isinstance(mesh, MeshSpec) and mesh.kind == "stretched"):

@@ -489,7 +489,7 @@ def read_mesh(path) -> SimplicialMesh:
                 raise _parse_error(lineno, words, expected)
             try:
                 values[k] = [parse(w) for w in words[:width]]
-            except ValueError:
+            except (ValueError, OverflowError):  # OverflowError: an index beyond int64
                 raise _parse_error(lineno, words, f"bad {entry}") from None
             if not np.isfinite(values[k]).all():
                 raise _parse_error(lineno, words, f"non-finite {entry}")

@@ -24,6 +24,7 @@ growth against the a priori bound sqrt(kappa(M-hat) * kappa(M-tilde_ref)).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -145,8 +146,9 @@ def _boundary_from_poly(coeffs: tuple[float, ...]) -> float:
     return lo
 
 
+@functools.cache
 def rk_scheme(name: str) -> RKScheme:
-    """Build one of the named explicit schemes.
+    """Build one of the named explicit schemes, once per name.
 
     Supported names: explicit_euler, heun2, kutta3, classic_rk4.
     """

@@ -716,37 +716,35 @@ def test_rotation_invariance():
     assert abs(z0 - z1) < 1e-10 * z0
 
 
-@pytest.mark.parametrize("d,m,make,policy", [
-    (1, 1, lambda: uniform_interval(10), HRZ_DIAGONAL),
-    (1, 2, lambda: uniform_interval(10), CONSISTENT),
-    (2, 1, lambda: structured_triangular(3, 3), CONSISTENT),
-    (2, 2, lambda: random_perturbed(3, 3, 0.05, seed=3), HRZ_DIAGONAL),
-])
-def test_matrix_inequalities_dense_path(d, m, make, policy):
-    mesh = make()
+MATRIX_INEQUALITY_CHECKS = [
+    "diagonal_domination", "patch_volume_lower", "patch_volume_upper",
+    "diagonal_sandwich_lower", "diagonal_sandwich_upper",
+]
+
+
+@pytest.mark.parametrize("d,m,make,policy,diffusion", [
+    (1, 1, lambda: uniform_interval(10), HRZ_DIAGONAL, identity(1)),
+    (1, 2, lambda: uniform_interval(10), CONSISTENT, identity(1)),
+    (2, 1, lambda: structured_triangular(3, 3), CONSISTENT, identity(2)),
+    (2, 2, lambda: random_perturbed(3, 3, 0.05, seed=3), HRZ_DIAGONAL, identity(2)),
+    (2, 1, lambda: structured_triangular(16, 16), HRZ_DIAGONAL, identity(2)),
+    (1, 3, lambda: uniform_interval(1000), CONSISTENT, identity(1)),
+    (2, 2, lambda: random_perturbed(64, 64, 0.003, seed=3), HRZ_DIAGONAL,
+     DiffusionField.rotated_anisotropic(np.pi / 6, (1.0, 50.0))),
+], ids=["1d-p1-hrz", "1d-p2-consistent", "2d-p1-consistent", "2d-p2-hrz", "2d-p1-16x16-hrz",
+        "1d-p3-n1000-consistent", "2d-p2-64x64-hrz-rotated"])
+def test_matrix_inequalities_hold(d, m, make, policy, diffusion):
     elem = build_reference_element(d, m)
-    system = assemble_system(mesh, elem, identity(d), policy)
-    assert system.n_dofs <= 200
-    margins = verify_matrix_inequalities(system, elem)
-    for name, margin in margins.items():
-        assert margin >= -1e-10, name
-
-
-def test_matrix_inequalities_sparse_path():
-    mesh = structured_triangular(16, 16)
-    elem = build_reference_element(2, 1)
-    system = assemble_system(mesh, elem, identity(2), HRZ_DIAGONAL)
-    assert system.n_dofs > 200
-    margins = verify_matrix_inequalities(system, elem)
-    for name, margin in margins.items():
-        assert margin >= -1e-10, name
+    system = assemble_system(make(), elem, diffusion, policy)
+    assert verify_matrix_inequalities(system, elem) == MATRIX_INEQUALITY_CHECKS
 
 
 def test_sparse_path_finds_violation_random_forms_miss():
     """One stiffness diagonal entry scaled by 0.05 breaks eta diag(A) >= A.
 
     1000 random quadratic forms read a margin of +0.633 here; the smallest
-    eigenvalue is -0.011, which the sparse path must find like the dense one.
+    eigenvalue over scale is -0.011.  The inertia count finds the violation,
+    and one product with its witness shows it.
     """
     mesh = structured_triangular(24, 24)
     elem = build_reference_element(2, 1)
@@ -756,16 +754,26 @@ def test_sparse_path_finds_violation_random_forms_miss():
     stiffness[mid, mid] *= 0.05
     tampered = dataclasses.replace(system, stiffness=sp.csr_array(stiffness))
     assert tampered.n_dofs == 529
-    violations = []
-    for dense_limit in (200, tampered.n_dofs):
-        with pytest.raises(InequalityViolation) as info:
-            verify_matrix_inequalities(tampered, elem, dense_limit=dense_limit)
-        violations.append(info.value)
-    sparse, dense = violations
-    assert sparse.name == dense.name == "diagonal_domination"
-    assert dense.margin == pytest.approx(-0.011, abs=1e-3)
-    assert sparse.margin == pytest.approx(dense.margin, abs=1e-12)
-    assert sparse.witness.shape == (tampered.n_dofs,)
+    with pytest.raises(InequalityViolation) as info:
+        verify_matrix_inequalities(tampered, elem)
+    violation, tol = info.value, 1e-10
+    assert violation.name == "diagonal_domination"
+    x = violation.witness
+    assert x.shape == (tampered.n_dofs,)
+    stiffness = tampered.stiffness.toarray()
+    lhs = elem.node_count * np.diag(np.diag(stiffness))
+    diff = lhs - stiffness
+    scale = max(np.linalg.norm(lhs, np.inf), np.linalg.norm(stiffness, np.inf))
+    assert x @ diff @ x < -tol * scale * (x @ x)
+    lambda_min = np.linalg.eigvalsh(diff)[0] / scale
+    assert lambda_min == pytest.approx(-0.011, abs=1e-3)
+    assert -tol > violation.margin >= lambda_min
+
+
+def test_inertia_count_refuses_an_off_diagonal_pivot():
+    """A zero diagonal forces an off-diagonal pivot, which leaves the inertia unread."""
+    with pytest.raises(np.linalg.LinAlgError, match="off-diagonal pivot"):
+        rkstab.bounds._negative_direction(sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]])))
 
 
 def test_matrix_inequality_violation_reported():

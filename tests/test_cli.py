@@ -134,14 +134,19 @@ BAD_MESH_FILES = {
                     "0 2 3\nBOUNDARY 5\n0 1 D\n1 2 D\n2 3 D\n3 0 D\n1 3 D\n",
     "neumann.txt": "DIMENSION 1\nVERTICES 3\n0\n0.5\n1\nELEMENTS 2\n0 1\n1 2\n"
                    "BOUNDARY 2\n0 N\n2 N\n",
+    # ... and a P1 triangle whose three edges are Dirichlet, so no DOF is free
+    "all_dirichlet.txt": "DIMENSION 2\nVERTICES 3\n0 0\n1 0\n0 1\nELEMENTS 1\n0 1 2\n"
+                         "BOUNDARY 3\n0 1 D\n1 2 D\n0 2 D\n",
     # MeshFormatError: a negative count, a count no file of this length holds,
-    # and a coordinate that is not finite
+    # a coordinate that is not finite, and a vertex index beyond int64
     "negative_count.txt": "DIMENSION 1\nVERTICES -1\n0\n0.5\n1\nELEMENTS 2\n0 1\n1 2\n"
                           "BOUNDARY 2\n0 D\n2 D\n",
     "huge_count.txt": "DIMENSION 1\nVERTICES 100000000000\n0\n0.5\n1\nELEMENTS 2\n0 1\n"
                       "1 2\nBOUNDARY 2\n0 D\n2 D\n",
     "nan.txt": "DIMENSION 1\nVERTICES 3\n0\nnan\n1\nELEMENTS 2\n0 1\n1 2\n"
                "BOUNDARY 2\n0 D\n2 D\n",
+    "huge_index.txt": "DIMENSION 1\nVERTICES 3\n0\n0.5\n1\nELEMENTS 2\n"
+                      "0 99999999999999999999\n1 2\nBOUNDARY 2\n0 D\n2 D\n",
 }
 
 
@@ -277,8 +282,10 @@ class TestConfigErrors:
         ["bounds", "--mesh", "{tmp}/flat.txt"],
         ["bounds", "--mesh", "{tmp}/diagonal.txt", "--order", "2"],
         ["bounds", "--mesh", "{tmp}/neumann.txt"],
+        ["bounds", "--mesh", "{tmp}/all_dirichlet.txt"],
         *([command, "--mesh", f"{{tmp}}/{name}"] for command in ("bounds", "validate")
           for name in ("negative_count.txt", "huge_count.txt", "nan.txt")),
+        ["validate", "--mesh", "{tmp}/huge_index.txt"],
         # mesh spec values of the wrong type
         ["bounds", "--mesh", "uniform_interval:n=x"],
         ["bounds", "--mesh", "structured_triangular:nx=2.5,ny=2"],
@@ -756,6 +763,22 @@ class TestMeshCommands:
         result = json.loads(out)
         assert result["status"] == "invalid"
         assert result["n_problems"] >= 1
+
+    def test_mesh_warning_is_one_json_line(self, tmp_path):
+        """The orientation repair reaches stderr as one JSON record: no path, no source line."""
+        path = tmp_path / "flipped.txt"
+        path.write_text("DIMENSION 2\nVERTICES 3\n0 0\n1 0\n0 1\nELEMENTS 1\n0 2 1\n"
+                        "BOUNDARY 3\n0 1 D\n1 2 D\n0 2 D\n")
+        package_root = str(Path(rkstab.__file__).resolve().parent.parent)
+        inherited = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=package_root + (os.pathsep + inherited if inherited else ""))
+        proc = subprocess.run([sys.executable, "-m", "rkstab.cli", "validate", "--mesh", str(path)],
+                              capture_output=True, cwd=tmp_path, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == (
+            b'{"warning": "repaired 1 negatively oriented element(s) by vertex swap"}\n'
+        )
 
     def test_mesh_gen_rejects_existing_file(self, capsys, tmp_path):
         path = tmp_path / "m.txt"

@@ -424,6 +424,8 @@ _BOUNDARY_1D = "BOUNDARY 2\n0 D\n2 D\n"
      MeshFormatError, "line 11: expected 1 indices and a D|N marker: '2'"),
     (_HEAD_1D + "ELEMENTS 2\n0 1\n1 two\n" + _BOUNDARY_1D,
      MeshFormatError, "line 8: bad vertex index: '1 two'"),
+    (_HEAD_1D + "ELEMENTS 2\n0 99999999999999999999\n1 2\n" + _BOUNDARY_1D,
+     MeshFormatError, "line 7: bad vertex index: '0 99999999999999999999'"),
     (_HEAD_1D + _ELEMENTS_1D + "BOUNDARY 2\n0 D\n2.0 D\n",
      MeshFormatError, "line 11: bad facet index: '2.0 D'"),
     (_HEAD_1D + _ELEMENTS_1D + "BOUNDARY 2\n3 D\n2 D\n",
@@ -434,8 +436,9 @@ _BOUNDARY_1D = "BOUNDARY 2\n0 D\n2 D\n"
     ("DIMENSION 3\n", MeshFormatError, "unsupported mesh dimension 3"),
     ("DIMENSION 1\nVERTICES three\n", MeshFormatError, "line 2: bad VERTICES count: 'VERTICES three'"),
     ("DIMENSION 1 2\n", MeshFormatError, "line 1: expected 'DIMENSION <count>': 'DIMENSION 1 2'"),
-], ids=["vertex-words", "element-words", "facet-words", "vertex-index", "facet-index",
-        "facet-range", "trailing", "no-boundary", "dimension-3", "count-word", "header-words"])
+], ids=["vertex-words", "element-words", "facet-words", "vertex-index", "index-beyond-int64",
+        "facet-index", "facet-range", "trailing", "no-boundary", "dimension-3", "count-word",
+        "header-words"])
 def test_read_mesh_errors_name_their_line(tmp_path, text, error, message):
     path = tmp_path / "broken.txt"
     path.write_text(text)

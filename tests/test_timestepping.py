@@ -84,6 +84,10 @@ class TestSchemes:
         assert abs(scheme.amplification(-s)) <= 1.0
         assert s <= BOUNDARY_ORACLE[name]
 
+    @pytest.mark.parametrize("name", sorted(BOUNDARY_ORACLE))
+    def test_named_scheme_is_built_once(self, name):
+        assert rk_scheme(name) is rk_scheme(name)
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown scheme"):
             rk_scheme("leapfrog")
