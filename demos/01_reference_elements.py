@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from rkstab import build_reference_element, eval_basis, simplex_quadrature
+from rkstab import build_reference_element, simplex_quadrature, tabulate_basis
 
 for dim, order in [(1, 1), (1, 2), (2, 1), (2, 2)]:
     elem = build_reference_element(dim, order)
@@ -22,7 +22,7 @@ for dim, order in [(1, 1), (1, 2), (2, 1), (2, 2)]:
 
 # The basis is nodal: each function is 1 at its own node, 0 at the others.
 elem = build_reference_element(2, 2)
-values = np.array([eval_basis(elem, node) for node in elem.nodes])
+values = tabulate_basis(elem, elem.nodes)
 print("P2 triangle nodal property, max |basis(nodes) - I|:",
       f"{np.max(np.abs(values - np.eye(elem.node_count))):.2e}")
 

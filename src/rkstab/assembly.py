@@ -74,13 +74,21 @@ class NonSPDDiffusionError(ValueError):
 class DiffusionField:
     """Diffusion tensor D(x): a constant matrix, or a callable of position.
 
-    For callables, `degree` declares a polynomial-degree proxy used to pick
-    the stiffness quadrature order.
+    A constant matrix is checked to be SPD once, here; a callable's values
+    are checked where the stiffness assembly samples them.  For callables,
+    `degree` declares a polynomial-degree proxy used to pick the stiffness
+    quadrature order.
     """
 
     matrix: np.ndarray | None = None
     func: Callable[[np.ndarray], np.ndarray] | None = None
     degree: int = 0
+
+    def __post_init__(self):
+        if self.matrix is not None:
+            kinds = [kind for kind, bad in _spd_defects(self.matrix).items() if bad]
+            if kinds:
+                raise NonSPDDiffusionError(f"diffusion tensor not {kinds[0]}: {self.matrix.tolist()}")
 
     @staticmethod
     def constant(matrix, d: int | None = None) -> "DiffusionField":
@@ -131,26 +139,34 @@ class DiffusionField:
         return values.reshape(*points.shape[:-1], *values.shape[1:])
 
 
+def _spd_defects(samples: np.ndarray) -> dict[str, np.ndarray]:
+    """Masks of the tensors in samples, shape (..., d, d), that are not finite,
+    not symmetric, or not positive definite, in that order of precedence."""
+    with np.errstate(invalid="ignore"):  # inf - inf in a tensor already not finite
+        sym_err = np.abs(samples - samples.swapaxes(-1, -2)).max(axis=(-2, -1))
+        scale = np.abs(samples).max(axis=(-2, -1))
+        asymmetric = sym_err > 1e-13 * np.maximum(scale, 1.0)
+        if samples.shape[-1] == 1:
+            indefinite = samples[..., 0, 0] <= 0
+        else:
+            trace = samples[..., 0, 0] + samples[..., 1, 1]
+            det = samples[..., 0, 0] * samples[..., 1, 1] - samples[..., 0, 1] * samples[..., 1, 0]
+            indefinite = (trace <= 0) | (det <= 0)
+    finite = np.isfinite(samples).all(axis=(-2, -1))
+    return {"finite": ~finite, "symmetric": asymmetric, "positive definite": indefinite}
+
+
 def _check_spd_samples(samples: np.ndarray) -> None:
-    """Validate symmetry and positive definiteness of sampled tensors.
+    """Validate finiteness, symmetry and positive definiteness of sampled tensors.
 
     samples is (n_elements, n_points, d, d); the error names the first
     element with a bad sample, and its first bad point.
     """
-    sym_err = np.abs(samples - samples.swapaxes(-1, -2)).max(axis=(-2, -1))
-    scale = np.abs(samples).max(axis=(-2, -1))
-    asymmetric = sym_err > 1e-13 * np.maximum(scale, 1.0)
-    if samples.shape[-1] == 1:
-        indefinite = samples[..., 0, 0] <= 0
-    else:
-        trace = samples[..., 0, 0] + samples[..., 1, 1]
-        det = samples[..., 0, 0] * samples[..., 1, 1] - samples[..., 0, 1] * samples[..., 1, 0]
-        indefinite = (trace <= 0) | (det <= 0)
-    bad_elements = np.nonzero(np.any(asymmetric | indefinite, axis=1))[0]
+    defects = _spd_defects(samples)
+    bad_elements = np.nonzero(np.any(np.logical_or.reduce(list(defects.values())), axis=1))[0]
     if bad_elements.size:
         e = bad_elements[0]
-        kind, bad = ("symmetric", asymmetric[e]) if asymmetric[e].any() else (
-            "positive definite", indefinite[e])
+        kind, bad = next((kind, mask[e]) for kind, mask in defects.items() if mask[e].any())
         raise NonSPDDiffusionError(
             f"diffusion tensor not {kind} at element {e}, "
             f"quadrature point {np.argmax(bad)}"
@@ -416,8 +432,7 @@ def assemble_stiffness(
     geometry = geometry or build_affine_maps(mesh)
     pts, wts, grads = _stiffness_quadrature(elem, diffusion)
 
-    if diffusion.is_constant:
-        _check_spd_samples(diffusion.matrix[None, None, :, :])
+    if diffusion.is_constant:  # checked when the field was built
         tensors = diffusion.matrix[None, :, :, None]
     else:
         samples = diffusion.sample(geometry.map_points(pts))

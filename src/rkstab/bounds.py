@@ -10,10 +10,10 @@ The exact eigenvalue comes from one three-term Lanczos recurrence for
 Mt^-1 A in the Mt inner product, for every surrogate: one A @ q and one
 surrogate solve per step, no restarts, no reorthogonalization, and a Ritz
 residual test on a growing schedule; a replay rebuilds the eigenvector (see
-lambda_max_with_vector).  A dense solve cross-checks small systems.  Each
-matrix inequality behind the bounds is decided by the inertia of one sparse
-symmetric LU, no eigensolve: a pass holds up to a backward error far below
-its tolerance, and a failure carries a witness vector.
+lambda_max_with_vector).  Each matrix inequality behind the bounds is
+decided by the inertia of one sparse symmetric LU, no eigensolve: a pass
+holds up to a backward error far below its tolerance, and a failure
+carries a witness vector.
 
 A BoundReport holds every expression for one configuration, with the mesh's
 dimension and element count first and the diagonal-ratio sandwich check
@@ -29,7 +29,6 @@ from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import daxpy
@@ -54,7 +53,6 @@ __all__ = [
     "DEFAULT_SEED",
     "lambda_max_generalized",
     "lambda_max_with_vector",
-    "lambda_max_dense",
     "diag_ratio_bounds",
     "is_m_matrix",
     "geometric_bound",
@@ -264,14 +262,6 @@ def lambda_max_generalized(
     Runs the same recurrence without the replay, so up to max_ops - 1 steps.
     """
     return _top_ritz_pair(A, surrogate, tol, max_ops, seed, replay=False)[0]
-
-
-def lambda_max_dense(A: sp.csr_array, surrogate: sp.csr_array) -> float:
-    """Dense generalized eigensolve oracle (small systems only)."""
-    values = sla.eigh(
-        A.toarray(), surrogate.toarray(), eigvals_only=True
-    )
-    return float(values[-1])
 
 
 def diag_ratio_bounds(system: AssembledSystem, elem: ReferenceElement) -> tuple[float, float]:

@@ -50,12 +50,11 @@ from .assembly import (
     NonSPDDiffusionError,
     SurrogateAxiomError,
     SurrogatePolicy,
-    _check_spd_samples,
     assemble_system,
     l2_project,
     surrogate_reference_matrix,
 )
-from .bounds import BOUND_CSV_FIELDS, DEFAULT_SEED, compute_bound_report, csv_cell
+from .bounds import BOUND_CSV_FIELDS, DEFAULT_SEED, BoundReport, compute_bound_report
 from .mesh import (
     MESH_KINDS,
     DegenerateElementError,
@@ -65,6 +64,7 @@ from .mesh import (
     SimplicialMesh,
     check_mesh_spec,
     generate_mesh,
+    number_dofs,
     read_mesh,
     validate_mesh,
     write_mesh,
@@ -159,8 +159,8 @@ class RunConfig:
     seed: int = _setting(DEFAULT_SEED, "rng seed", int)
     dof_cap: int = _setting(5000, "skip exact eigenvalues above this DOF count", int, low=1)
     workers: int = _setting(1, "sweep worker processes", int, low=1)
-    bound_source: str = _setting(
-        "diag_ratio", "eigenvalue estimate for the stable step", choices=BOUND_SOURCES)
+    bound_source: str = _setting(  # a tuple, which a JSON list is not in, where a dict raises
+        "diag_ratio", "eigenvalue estimate for the stable step", choices=tuple(BOUND_SOURCES))
     initial: str = _setting("smooth", "initial condition", choices=INITIAL_KINDS)
     tableau: dict | None = None  # no flag; read only by the generic scheme
     sweep_axis: str | None = _setting(None, "sweep axis", choices=SWEEP_AXES)
@@ -303,16 +303,16 @@ def _build_problem(
     return mesh, elem, build_diffusion(config, mesh.dimension), SurrogatePolicy(config.policy)
 
 
-def _bounds_record(config: RunConfig) -> dict:
-    """The bound report of one run as one record, keyed by BOUND_CSV_FIELDS.
+def _bounds_record(config: RunConfig) -> BoundReport:
+    """The bound report of one run.
 
-    bounds.json holds the record; each bounds.csv and sweep.csv row is its
-    values, formatted by csv_cell.
+    bounds.json holds its to_dict(); each bounds.csv and sweep.csv row is
+    its csv_row().
     """
     mesh, elem, diffusion, policy = _build_problem(config)
     return compute_bound_report(
         mesh, elem, diffusion, policy, dof_cap=config.dof_cap, seed=config.seed
-    ).to_dict()
+    )
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -322,20 +322,20 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def cmd_bounds(config: RunConfig) -> dict:
-    record = _bounds_record(config)
+    report = _bounds_record(config)
     os.makedirs(config.out, exist_ok=True)
     json_path = os.path.join(config.out, "bounds.json")
     csv_path = os.path.join(config.out, "bounds.csv")
-    _write_json(json_path, record)
+    _write_json(json_path, report.to_dict())
     with open(csv_path, "w") as handle:
         handle.write(",".join(BOUND_CSV_FIELDS) + "\n")
-        handle.write(",".join(map(csv_cell, record.values())) + "\n")
+        handle.write(",".join(report.csv_row()) + "\n")
     return {
         "command": "bounds",
         "bounds_json": json_path,
         "bounds_csv": csv_path,
-        "n_dofs": record["n_dofs"],
-        "sandwich_satisfied": record["sandwich_satisfied"],
+        "n_dofs": report.n_dofs,
+        "sandwich_satisfied": report.sandwich_satisfied,
     }
 
 
@@ -458,8 +458,8 @@ def _sweep_point_config(config: RunConfig, value) -> RunConfig:
 def _run_point(config: RunConfig, index: int) -> str:
     """The sweep.csv line of sweep point number index."""
     value = config.sweep_values[index]
-    record = _bounds_record(_sweep_point_config(config, value))
-    return ",".join([config.sweep_axis, str(value), *map(csv_cell, record.values())]) + "\n"
+    report = _bounds_record(_sweep_point_config(config, value))
+    return ",".join([config.sweep_axis, str(value), *report.csv_row()]) + "\n"
 
 
 def cmd_sweep(config: RunConfig) -> dict:
@@ -507,6 +507,11 @@ def cmd_mesh_gen(config: RunConfig) -> dict:
 def cmd_validate(config: RunConfig) -> dict:
     mesh = build_mesh(config)
     problems = validate_mesh(mesh)
+    if not problems:  # a sound mesh can still leave no DOF free at the run's order
+        numbering = number_dofs(mesh, build_reference_element(mesh.dimension, config.order))
+        if numbering.free_dofs.size == 0:
+            problems.append(f"no free DOF at order {config.order}: "
+                            "every DOF lies on the Dirichlet boundary")
     return {
         "command": "validate",
         "status": "ok" if not problems else "invalid",
@@ -597,11 +602,11 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     for order, policy in dict.fromkeys((point.order, point.policy) for point in points):
         surrogate_reference_matrix(build_reference_element(dimension, order),
                                    SurrogatePolicy(policy))
-    # The diffusion is constant, so the SPD test of assemble_stiffness can run
-    # here: once, or once per ratio for an aligned tensor.
+    # The diffusion is constant and SPD-checked as it is built: build it once,
+    # or once per ratio for an aligned tensor.
     by_ratio = {point.mesh.ratio if kind == "aligned" else None: point for point in points}
     for point in by_ratio.values():
-        _check_spd_samples(build_diffusion(point, dimension).matrix[None, None])
+        build_diffusion(point, dimension)
     return config
 
 

@@ -20,8 +20,6 @@ __all__ = [
     "ReferenceElement",
     "UnsupportedElementError",
     "build_reference_element",
-    "eval_basis",
-    "eval_basis_gradients",
     "simplex_multi_indices",
     "simplex_quadrature",
     "tabulate_basis",
@@ -59,14 +57,6 @@ def _barycentric(d: int, points: np.ndarray) -> np.ndarray:
     lam[:, 0] = 1.0 - points.sum(axis=1)
     lam[:, 1:] = points
     return lam
-
-
-def _check_inside(lam: np.ndarray, tol: float = 1e-12) -> None:
-    if np.min(lam) < -tol:
-        raise ValueError(
-            f"point outside the reference simplex "
-            f"(barycentric coordinate {np.min(lam):.3e} < -{tol:.0e})"
-        )
 
 
 def _tabulate(multi_indices: np.ndarray, m: int, points: np.ndarray) -> np.ndarray:
@@ -173,10 +163,8 @@ class ReferenceElement:
         Extreme eigenvalues of ref_mass_matrix.
     c_h1 : float
         Largest squared H1 seminorm of a basis function.
-    c_h1_diag, c_l2_diag : ndarray, shape (node_count,)
-        Per-basis squared H1 seminorms and squared L2 norms.
-    quad_basis : ndarray, shape (nq, node_count)
-        Basis values tabulated at the quadrature points.
+    c_h1_diag : ndarray, shape (node_count,)
+        Per-basis squared H1 seminorms.
     quad_grads : ndarray, shape (nq, node_count, dimension)
         Reference gradients tabulated at the quadrature points.
     """
@@ -193,8 +181,6 @@ class ReferenceElement:
     lambda_hat_max: float
     c_h1: float
     c_h1_diag: np.ndarray
-    c_l2_diag: np.ndarray
-    quad_basis: np.ndarray
     quad_grads: np.ndarray
 
     @property
@@ -228,12 +214,11 @@ def build_reference_element(d: int, m: int) -> ReferenceElement:
     eta = multi_indices.shape[0]
     nodes = multi_indices[:, 1:].astype(float) / m
     quad_points, quad_weights = simplex_quadrature(d, 2 * m)
-    quad_basis = _tabulate(multi_indices, m, quad_points)
+    basis = _tabulate(multi_indices, m, quad_points)
     quad_grads = _tabulate_gradients(multi_indices, m, quad_points)
 
-    mass = np.einsum("q,qi,qj->ij", quad_weights, quad_basis, quad_basis)
+    mass = np.einsum("q,qi,qj->ij", quad_weights, basis, basis)
     mass = 0.5 * (mass + mass.T)
-    c_l2_diag = np.diag(mass).copy()
     c_h1_diag = np.einsum("q,qid,qid->i", quad_weights, quad_grads, quad_grads)
     eigenvalues = np.linalg.eigvalsh(mass)
 
@@ -250,31 +235,8 @@ def build_reference_element(d: int, m: int) -> ReferenceElement:
         lambda_hat_max=float(eigenvalues[-1]),
         c_h1=float(np.max(c_h1_diag)),
         c_h1_diag=c_h1_diag,
-        c_l2_diag=c_l2_diag,
-        quad_basis=quad_basis,
         quad_grads=quad_grads,
     )
-
-
-def eval_basis(elem: ReferenceElement, xi) -> np.ndarray:
-    """All basis function values at one reference point.
-
-    The point must lie inside the closed reference simplex (barycentric
-    coordinates >= -1e-12); values sum to one by partition of unity.
-    """
-    xi = np.asarray(xi, dtype=float).reshape(1, elem.dimension)
-    _check_inside(_barycentric(elem.dimension, xi))
-    return _tabulate(elem.multi_indices, elem.order, xi)[0]
-
-
-def eval_basis_gradients(elem: ReferenceElement, xi) -> np.ndarray:
-    """Reference gradients of all basis functions at one point, shape (eta, d).
-
-    Rows sum to the zero vector (the basis is a partition of unity).
-    """
-    xi = np.asarray(xi, dtype=float).reshape(1, elem.dimension)
-    _check_inside(_barycentric(elem.dimension, xi))
-    return _tabulate_gradients(elem.multi_indices, elem.order, xi)[0]
 
 
 def tabulate_basis(elem: ReferenceElement, points: np.ndarray) -> np.ndarray:

@@ -50,7 +50,12 @@ __all__ = [
 
 BLOW_UP_THRESHOLD = 1e100
 
-BOUND_SOURCES = ("exact", "diag_ratio", "geometric")
+# Each bound source, and the BoundReport field that holds its estimate of lambda_max.
+BOUND_SOURCES = {
+    "exact": "lambda_max_exact",
+    "diag_ratio": "upper_diag_ratio",
+    "geometric": "upper_geometric",
+}
 
 
 class BlowUpError(RuntimeError):
@@ -132,8 +137,11 @@ def _boundary_from_poly(coeffs: tuple[float, ...]) -> float:
         if hi > 2**60:
             raise ValueError("no stability boundary found; polynomial never exceeds 1")
     grid = np.linspace(0.0, hi, 100001)
-    above = np.nonzero(excess(grid) > 1e-15)[0]
-    first = int(above[0])
+    for start in range(0, grid.size, 4096):  # chunks keep the temporaries small
+        above = np.nonzero(excess(grid[start:start + 4096]) > 1e-15)[0]
+        if above.size:
+            first = start + int(above[0])
+            break
     if first == 0:
         return 0.0
     lo, up = float(grid[first - 1]), float(grid[first])
@@ -192,15 +200,10 @@ def stable_timestep(scheme: RKScheme, bound_source: str, report: BoundReport) ->
     "exact" (computed eigenvalue), "diag_ratio" (diagonal-ratio upper
     bound), or "geometric" (patch-geometry upper bound).
     """
-    if bound_source == "exact":
-        lam = report.lambda_max_exact
-    elif bound_source == "diag_ratio":
-        lam = report.upper_diag_ratio
-    elif bound_source == "geometric":
-        lam = report.upper_geometric
-    else:
+    if bound_source not in BOUND_SOURCES:
         known = ", ".join(BOUND_SOURCES)
         raise ValueError(f"unknown bound source {bound_source!r}; expected one of {known}")
+    lam = getattr(report, BOUND_SOURCES[bound_source])
     if lam is None:
         raise ValueError(
             f"bound source {bound_source!r} is unavailable in this report "

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import record_acceptance_line
+from conftest import lambda_max_dense, record_acceptance_line
 
 from rkstab.assembly import (
     CONSISTENT,
@@ -26,7 +26,6 @@ from rkstab.assembly import (
 from rkstab.bounds import (
     compute_bound_report,
     geometric_bound,
-    lambda_max_dense,
     lambda_max_generalized,
     verify_matrix_inequalities,
     zhudu_bound,

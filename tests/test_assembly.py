@@ -481,16 +481,35 @@ def test_rotated_anisotropic_construction():
     np.testing.assert_allclose(D.matrix, D.matrix.T, atol=1e-15)
     with pytest.raises(ValueError):
         DiffusionField.rotated_anisotropic(0.1, (1.0, -2.0))
+    # diag(0, 1) rotated by 0.3 rounds to a determinant of +1.4e-17, which the
+    # SPD test of the built matrix passes, so the eigenvalues are checked
+    with pytest.raises(NonSPDDiffusionError, match="must be positive"):
+        DiffusionField.rotated_anisotropic(0.3, (0.0, 1.0))
 
 
-def test_non_spd_diffusion_detected():
+@pytest.mark.parametrize("bad,kind", [(-1.0, "positive definite"), (np.nan, "finite")],
+                         ids=["indefinite", "nan"])
+def test_non_spd_diffusion_detected(bad, kind):
     mesh = structured_triangular(2, 2)
     elem = build_reference_element(2, 1)
     field = DiffusionField.from_callable(
-        lambda x: np.array([[1.0, 0.0], [0.0, -1.0]]), degree=0
+        lambda x: np.array([[1.0, 0.0], [0.0, bad]]), degree=0
     )
-    with pytest.raises(NonSPDDiffusionError, match="element 0, quadrature point 0"):
+    with pytest.raises(NonSPDDiffusionError, match=f"not {kind} at element 0, quadrature point 0"):
         assemble_stiffness(mesh, elem, field)
+
+
+@pytest.mark.parametrize("matrix,kind", [
+    # NaN passed every comparison of the SPD test, and assembled a NaN stiffness
+    ([[np.nan, 0.0], [0.0, 1.0]], "finite"),
+    ([[np.inf, 0.0], [0.0, 1.0]], "finite"),
+    ([[-np.inf]], "finite"),
+    ([[1.0, 0.0], [0.0, -1.0]], "positive definite"),
+    ([[1.0, 0.5], [0.0, 1.0]], "symmetric"),
+])
+def test_constant_diffusion_checked_when_built(matrix, kind):
+    with pytest.raises(NonSPDDiffusionError, match=f"diffusion tensor not {kind}: "):
+        DiffusionField.constant(matrix)
 
 
 def test_lemma3_diagonal_bound():

@@ -12,6 +12,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
+from conftest import lambda_max_dense
+
 import rkstab
 import rkstab.bounds
 from rkstab.assembly import (
@@ -32,7 +34,6 @@ from rkstab.bounds import (
     diag_ratio_bounds,
     geometric_bound,
     is_m_matrix,
-    lambda_max_dense,
     lambda_max_generalized,
     lambda_max_with_vector,
     verify_matrix_inequalities,

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -120,6 +121,8 @@ BAD_CONFIGS = {
     "str_n.json": {"mesh": MESH_1D, "sweep_axis": "n", "sweep_values": ["8"]},
     "bool_tableau.json": {"mesh": MESH_1D, "scheme": "generic",
                           "tableau": {"a": [[False]], "b": [True]}},
+    # a list, which a dict of choices could not look up
+    "list_bound_source.json": {"mesh": MESH_1D, "bound_source": ["exact"]},
 }
 
 
@@ -327,6 +330,7 @@ class TestConfigErrors:
         ["sweep", "--config", "{tmp}/bool_ratio.json"],
         ["sweep", "--config", "{tmp}/str_n.json"],
         ["integrate", "--config", "{tmp}/bool_tableau.json"],
+        ["integrate", "--config", "{tmp}/list_bound_source.json"],
     ])
     def test_input_errors_exit_2(self, capsys, tmp_path, argv):
         for name, config in BAD_CONFIGS.items():
@@ -620,7 +624,8 @@ class TestSweepPool:
 
         def with_pid(config):
             time.sleep(0.2)  # holds one worker so that the other takes points too
-            return dict(bounds_record(config), pid=os.getpid())
+            report = bounds_record(config)
+            return SimpleNamespace(csv_row=lambda: [*report.csv_row(), str(os.getpid())])
 
         monkeypatch.setattr(cli, "_bounds_record", with_pid)
         code, _, err = run_cli(capsys, *self.SWEEP_1D, "--sweep-values", "4,5,6,7",
@@ -763,6 +768,19 @@ class TestMeshCommands:
         result = json.loads(out)
         assert result["status"] == "invalid"
         assert result["n_problems"] >= 1
+
+    @pytest.mark.parametrize("order,status", [(1, "invalid"), (2, "invalid"), (3, "ok")])
+    def test_validate_finds_no_free_dof(self, capsys, tmp_path, order, status):
+        """One triangle with three Dirichlet facets frees its interior DOF only from P3 on."""
+        path = tmp_path / "all_dirichlet.txt"
+        path.write_text(BAD_MESH_FILES["all_dirichlet.txt"])
+        code, out, err = run_cli(capsys, "validate", "--mesh", str(path), "--order", str(order))
+        assert code == 0, err
+        result = json.loads(out)
+        assert result["status"] == status
+        if status == "invalid":
+            assert result["problems"] == [
+                f"no free DOF at order {order}: every DOF lies on the Dirichlet boundary"]
 
     def test_mesh_warning_is_one_json_line(self, tmp_path):
         """The orientation repair reaches stderr as one JSON record: no path, no source line."""

@@ -7,16 +7,19 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import lambda_max_dense
+
 from rkstab.assembly import (
     CONSISTENT,
     HRZ_DIAGONAL,
     DiffusionField,
     assemble_system,
 )
-from rkstab.bounds import compute_bound_report, lambda_max_dense
+from rkstab.bounds import BOUND_CSV_FIELDS, compute_bound_report
 from rkstab.mesh import structured_triangular, uniform_interval
 from rkstab.reference import build_reference_element
 from rkstab.timestepping import (
+    BOUND_SOURCES,
     BlowUpError,
     CertificateError,
     IntegrationTrace,
@@ -83,6 +86,16 @@ class TestSchemes:
         s = scheme.real_stability_boundary
         assert abs(scheme.amplification(-s)) <= 1.0
         assert s <= BOUNDARY_ORACLE[name]
+
+    @pytest.mark.parametrize("name,bits", [
+        ("explicit_euler", "0x1.0000000000000p+1"),
+        ("heun2", "0x1.0000000000000p+1"),
+        ("kutta3", "0x1.41a1a38c801f6p+1"),
+        ("classic_rk4", "0x1.64847fde4ae00p+1"),
+    ])
+    def test_boundary_bits_are_pinned(self, name, bits):
+        """The scan goes in chunks; every boundary, and so every derived step, keeps its bits."""
+        assert rk_scheme(name).real_stability_boundary.hex() == bits
 
     @pytest.mark.parametrize("name", sorted(BOUNDARY_ORACLE))
     def test_named_scheme_is_built_once(self, name):
@@ -184,6 +197,9 @@ class TestStableTimestep:
         with pytest.raises(ValueError, match="unavailable"):
             stable_timestep(rk_scheme("explicit_euler"), "exact", report)
         assert stable_timestep(rk_scheme("explicit_euler"), "diag_ratio", report) > 0
+
+    def test_each_source_is_a_report_field(self):
+        assert set(BOUND_SOURCES.values()) <= set(BOUND_CSV_FIELDS)
 
     def test_unknown_source_errors(self):
         mesh = uniform_interval(4)
