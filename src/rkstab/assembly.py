@@ -4,8 +4,14 @@ Element mass matrices are exactly |K| times one shared reference matrix (the
 consistent reference mass or a lumped surrogate of it), so every surrogate
 satisfies the two structural axioms this library is built on: the reference
 matrix is symmetric positive definite, and the element matrix is its |K|
-multiple.  Stiffness integrals are evaluated by quadrature after pulling the
-diffusion tensor back to the reference cell.
+multiple.  A diagonal reference matrix (HRZ lumping, node quadrature)
+assembles to a diagonal, summed per DOF by one bincount.  Stiffness integrals
+are evaluated by quadrature after pulling the diffusion tensor back to the
+reference cell.
+
+assemble_system builds A, the surrogate M-tilde and the patch arrays.  The
+consistent mass M enters only the L2 norm that integrate monitors, so the
+system builds it on first read; under the consistent policy it is M-tilde.
 
 The element stiffness matrices come from one blocked kernel that runs every
 sum in one fixed order: the order numpy 2.4's four-operand einsum takes for
@@ -86,6 +92,8 @@ class DiffusionField:
 
     def __post_init__(self):
         if self.matrix is not None:
+            if self.matrix.shape not in ((1, 1), (2, 2)):
+                raise ValueError(f"diffusion matrix must be 1x1 or 2x2, got shape {self.matrix.shape}")
             kinds = [kind for kind, bad in _spd_defects(self.matrix).items() if bad]
             if kinds:
                 raise NonSPDDiffusionError(f"diffusion tensor not {kinds[0]}: {self.matrix.tolist()}")
@@ -121,6 +129,15 @@ class DiffusionField:
     @property
     def is_constant(self) -> bool:
         return self.func is None
+
+    def constant_matrix(self, d: int) -> np.ndarray:
+        """The constant tensor, checked to be d x d for a mesh of dimension d."""
+        if self.matrix.shape[0] != d:
+            raise ValueError(
+                f"diffusion matrix is {self.matrix.shape[0]}x{self.matrix.shape[0]} "
+                f"on a mesh of dimension {d}"
+            )
+        return self.matrix
 
     def sample(self, points: np.ndarray) -> np.ndarray:
         """Tensor values at physical points of shape (..., d); shape (..., d, d).
@@ -232,11 +249,14 @@ class AssembledSystem:
     of the reduced rows.  surrogate_lambda_min/max are the extreme
     eigenvalues of the surrogate reference matrix.  patch_incidence is the
     free-DOF-by-element patch incidence P, and patch_volumes is P @ |K|.
+    policy is the surrogate policy of M-tilde.  reference_mass is the
+    consistent reference mass matrix, from which mass, the consistent M, is
+    built on its first read.
     """
 
-    mass: sp.csr_array
     stiffness: sp.csr_array
     surrogate_mass: sp.csr_array
+    policy: SurrogatePolicy
     dof_map: np.ndarray
     surrogate_lambda_min: float
     surrogate_lambda_max: float
@@ -244,10 +264,24 @@ class AssembledSystem:
     geometry: AffineGeometry
     patch_incidence: sp.csr_array
     patch_volumes: np.ndarray
+    reference_mass: np.ndarray
+
+    @functools.cached_property
+    def mass(self) -> sp.csr_array:
+        """The Dirichlet-reduced consistent mass M, built on first read.
+
+        Under the consistent policy M is the surrogate itself.  Otherwise it
+        is scattered and cut as assemble_mass and apply_dirichlet would.
+        """
+        if self.policy.kind == "consistent":
+            return self.surrogate_mass
+        local = self.geometry.volume[:, None, None] * self.reference_mass[None, :, :]
+        full = _scatter(local, self.numbering.element_dofs, self.numbering.n_dofs)
+        return _cut(full, self.dof_map)
 
     @property
     def n_dofs(self) -> int:
-        return self.mass.shape[0]
+        return self.dof_map.size
 
     @property
     def kappa_surrogate(self) -> float:
@@ -319,6 +353,12 @@ def _scatter(
     return mat
 
 
+def _diagonal_csr(values: np.ndarray) -> sp.csr_array:
+    """Canonical CSR with values on its diagonal and int32 indices."""
+    positions = np.arange(values.size + 1, dtype=np.int32)
+    return sp.csr_array((values, positions[:-1], positions), shape=(values.size, values.size))
+
+
 def assemble_mass(
     mesh: SimplicialMesh,
     elem: ReferenceElement,
@@ -329,11 +369,19 @@ def assemble_mass(
     """Assemble M (consistent policy) or a surrogate M-tilde.
 
     Every element contributes exactly |K| times the policy's reference matrix
-    (axiom (M2)).  Returns the sparse matrix and the reference matrix used.
+    (axiom (M2)).  A diagonal reference matrix gives a diagonal, summed per
+    DOF by one bincount of |K| times its diagonal.  Returns the sparse matrix
+    and the reference matrix used.
     """
     numbering = numbering or number_dofs(mesh, elem)
     geometry = geometry or build_affine_maps(mesh)
     ref = surrogate_reference_matrix(elem, policy)
+    diagonal = np.diag(ref)
+    if np.array_equal(ref, np.diag(diagonal)):
+        weights = geometry.volume[:, None] * diagonal[None, :]
+        return _diagonal_csr(np.bincount(
+            numbering.element_dofs.ravel(), weights=weights.ravel(), minlength=numbering.n_dofs
+        )), ref
     local = geometry.volume[:, None, None] * ref[None, :, :]
     return _scatter(local, numbering.element_dofs, numbering.n_dofs), ref
 
@@ -432,8 +480,8 @@ def assemble_stiffness(
     geometry = geometry or build_affine_maps(mesh)
     pts, wts, grads = _stiffness_quadrature(elem, diffusion)
 
-    if diffusion.is_constant:  # checked when the field was built
-        tensors = diffusion.matrix[None, :, :, None]
+    if diffusion.is_constant:  # SPD checked when the field was built
+        tensors = diffusion.constant_matrix(elem.dimension)[None, :, :, None]
     else:
         samples = diffusion.sample(geometry.map_points(pts))
         _check_spd_samples(samples)
@@ -448,21 +496,21 @@ def assemble_system(
     diffusion: DiffusionField,
     policy: SurrogatePolicy = CONSISTENT,
 ) -> AssembledSystem:
-    """Assemble M, A, and M-tilde and return the Dirichlet-reduced system."""
+    """Assemble A and M-tilde and return the Dirichlet-reduced system.
+
+    The consistent mass M is not assembled here: the system builds it on the
+    first read of its mass.
+    """
     numbering = number_dofs(mesh, elem)
     geometry = build_affine_maps(mesh)
-    mass, _ = assemble_mass(mesh, elem, CONSISTENT, numbering, geometry)
     stiffness = assemble_stiffness(mesh, elem, diffusion, numbering, geometry)
-    if policy.kind == "consistent":
-        surrogate, ref = mass, elem.ref_mass_matrix
-    else:
-        surrogate, ref = assemble_mass(mesh, elem, policy, numbering, geometry)
+    surrogate, ref = assemble_mass(mesh, elem, policy, numbering, geometry)
     eigenvalues = np.linalg.eigvalsh(ref)
     incidence, patch_volumes = build_patches(mesh, elem, numbering, geometry)
     return apply_dirichlet(AssembledSystem(
-        mass=mass,
         stiffness=stiffness,
         surrogate_mass=surrogate,
+        policy=policy,
         dof_map=np.arange(numbering.n_dofs),
         surrogate_lambda_min=float(eigenvalues[0]),
         surrogate_lambda_max=float(eigenvalues[-1]),
@@ -470,6 +518,7 @@ def assemble_system(
         geometry=geometry,
         patch_incidence=incidence,
         patch_volumes=patch_volumes,
+        reference_mass=elem.ref_mass_matrix,
     ))
 
 
@@ -485,21 +534,26 @@ def apply_dirichlet(system: AssembledSystem) -> AssembledSystem:
     free = system.numbering.free_dofs
     if free.size == 0:
         raise MeshStructureError("no free DOF: every DOF lies on the Dirichlet boundary")
-
-    def cut(matrix: sp.csr_array) -> sp.csr_array:
-        out = matrix[free][:, free]
-        out.sort_indices()
-        return out
-
+    surrogate = system.surrogate_mass
+    if _is_diagonal(surrogate):
+        surrogate = _diagonal_csr(surrogate.diagonal()[free])
+    else:
+        surrogate = _cut(surrogate, free)
     return replace(
         system,
-        mass=cut(system.mass),
-        stiffness=cut(system.stiffness),
-        surrogate_mass=cut(system.surrogate_mass),
+        stiffness=_cut(system.stiffness, free),
+        surrogate_mass=surrogate,
         dof_map=free,
         patch_incidence=system.patch_incidence[free],
         patch_volumes=system.patch_volumes[free],
     )
+
+
+def _cut(matrix: sp.csr_array, free: np.ndarray) -> sp.csr_array:
+    """The rows and columns of free, indices sorted."""
+    out = matrix[free][:, free]
+    out.sort_indices()
+    return out
 
 
 def _pulled_back_norm(inv: np.ndarray, tensor: np.ndarray) -> np.ndarray:
@@ -540,11 +594,11 @@ def element_alignment_factor(
     closed form, with no stacked matmul.
     """
     inv = geometry.inv_jacobian
+    d = inv.shape[-1]
     if diffusion.is_constant:
-        return _pulled_back_norm(inv, diffusion.matrix)
+        return _pulled_back_norm(inv, diffusion.constant_matrix(d))
     if elem is None:
         raise ValueError("position-dependent diffusion needs the reference element")
-    d = inv.shape[-1]
     pts, _, _ = _stiffness_quadrature(elem, diffusion)
     ref_pts = np.vstack([np.zeros((1, d)), np.eye(d), pts])
     samples = diffusion.sample(geometry.map_points(ref_pts))

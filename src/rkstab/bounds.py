@@ -332,7 +332,7 @@ def zhudu_bound(geometry: AffineGeometry, diffusion: DiffusionField) -> float:
     d = geometry.jacobian.shape[-1]
     jacobian_part = element_alignment_factor(geometry, DiffusionField.constant(np.eye(d)))
     if diffusion.is_constant:
-        lam_d = float(np.linalg.eigvalsh(diffusion.matrix)[-1])
+        lam_d = float(np.linalg.eigvalsh(diffusion.constant_matrix(d))[-1])
     else:
         ref_pts = np.vstack([np.zeros((1, d)), np.eye(d), np.full((1, d), 1.0 / (d + 1))])
         samples = diffusion.sample(geometry.map_points(ref_pts))

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.sparse as sp
 
 from rkstab.assembly import (
     CONSISTENT,
+    AssembledSystem,
     HRZ_DIAGONAL,
     NODE_QUADRATURE,
     DiffusionField,
@@ -31,7 +33,10 @@ from rkstab.mesh import (
     structured_triangular,
     uniform_interval,
 )
+from rkstab.bounds import compute_bound_report, verify_matrix_inequalities
+from rkstab.cli import main
 from rkstab.reference import build_reference_element, simplex_quadrature
+from rkstab.timestepping import integrate, rk_scheme, stable_timestep
 
 
 def single_triangle():
@@ -553,3 +558,131 @@ def test_scalar_diffusion_requires_dimension():
         DiffusionField.constant(2.0)
     field = DiffusionField.constant(2.0, d=2)
     np.testing.assert_allclose(field.matrix, 2.0 * np.eye(2))
+
+
+# --------------------------------------------------------------------------
+# Constant tensors of the wrong size
+
+
+@pytest.mark.parametrize("matrix", [np.diag([1.0, 1.0, -1.0]), np.eye(3), np.ones((1, 2))],
+                         ids=["3x3-indefinite", "3x3", "1x2"])
+def test_constant_tensor_size_checked_when_built(matrix):
+    # diag(1, 1, -1) passed the SPD test, which read only its leading 2x2 block
+    with pytest.raises(ValueError, match="diffusion matrix must be"):
+        DiffusionField.constant(matrix)
+
+
+def test_constant_tensor_of_the_wrong_dimension_rejected_by_assembly():
+    mesh = uniform_interval(4)
+    elem = build_reference_element(1, 1)
+    # a 2x2 tensor on an interval assembled a 3x3 stiffness with a lambda_max
+    with pytest.raises(ValueError, match="2x2 on a mesh of dimension 1"):
+        assemble_system(mesh, elem, identity(2), HRZ_DIAGONAL)
+    with pytest.raises(ValueError, match="2x2 on a mesh of dimension 1"):
+        assemble_stiffness(mesh, elem, identity(2))
+    with pytest.raises(ValueError, match="1x1 on a mesh of dimension 2"):
+        element_alignment_factor(build_affine_maps(structured_triangular(2, 2)), identity(1))
+
+
+# --------------------------------------------------------------------------
+# The consistent mass is built on first read
+
+
+@pytest.fixture
+def mass_builds(monkeypatch):
+    """Calls of AssembledSystem.mass's builder: one per system that reads M."""
+    builds = []
+    build = AssembledSystem.__dict__["mass"].func
+
+    @functools.wraps(build)
+    def counted(system):
+        builds.append(system)
+        return build(system)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(AssembledSystem, "mass")
+    monkeypatch.setattr(AssembledSystem, "mass", prop)
+    return builds
+
+
+@pytest.mark.parametrize("policy,order", [(HRZ_DIAGONAL, 2), (NODE_QUADRATURE, 3)],
+                         ids=["hrz", "node_quadrature"])
+def test_bounds_only_paths_never_build_the_consistent_mass(mass_builds, capsys, tmp_path,
+                                                           policy, order):
+    mesh = random_perturbed(3, 3, 0.05, seed=2)
+    elem = build_reference_element(2, order)
+    D = DiffusionField.rotated_anisotropic(np.pi / 6, (1.0, 100.0))
+    system = assemble_system(mesh, elem, D, policy)
+    report = compute_bound_report(mesh, elem, D, policy, system=system)
+    verify_matrix_inequalities(system, elem)
+    scheme = rk_scheme("classic_rk4")
+    for source in ("exact", "diag_ratio", "geometric"):
+        stable_timestep(scheme, source, report)
+    assert system.n_dofs > 0
+    common = ["--mesh", "structured_triangular:nx=3,ny=3", "--order", str(order),
+              "--policy", policy.kind]
+    assert main(["bounds", *common, "--out", str(tmp_path / "bounds")]) == 0
+    assert main(["sweep", *common, "--sweep-axis", "n", "--sweep-values", "2,3",
+                 "--workers", "1", "--out", str(tmp_path / "sweep")]) == 0
+    capsys.readouterr()
+    assert mass_builds == []
+
+    # integrate reads M for its L2 norms; the second run reuses it
+    u0 = np.linspace(0.0, 1.0, system.n_dofs)
+    integrate(system, scheme, 1e-4, 3, u0)
+    integrate(system, scheme, 1e-4, 3, u0)
+    assert mass_builds == [system]
+
+
+def _old_cut(matrix, free):
+    out = matrix[free][:, free]
+    out.sort_indices()
+    return out
+
+
+def _old_construction(mesh, elem, ref, free):
+    """The reduced |K| ref assembly as it was built for M and M-tilde: the
+    COO->CSR sum of _scatter, then the Dirichlet cut."""
+    numbering = number_dofs(mesh, elem)
+    local = build_affine_maps(mesh).volume[:, None, None] * ref[None, :, :]
+    return _old_cut(_scatter(local, numbering.element_dofs, numbering.n_dofs), free)
+
+
+def _same_bytes(a, b) -> bool:
+    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+               for x, y in [(a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr)])
+
+
+_OLD_CONSTRUCTION_MESHES = {
+    (1, 1): lambda: uniform_interval(9),
+    (1, 2): lambda: uniform_interval(7),
+    (1, 3): lambda: uniform_interval(5),
+    (2, 1): lambda: random_perturbed(6, 5, 0.03, seed=1),
+    (2, 2): lambda: random_perturbed(5, 5, 0.04, seed=2),
+    (2, 3): lambda: random_perturbed(4, 4, 0.05, seed=3),
+}
+
+
+@pytest.mark.parametrize("d,m,policy", [
+    (d, m, policy)
+    for d, m in _OLD_CONSTRUCTION_MESHES
+    for policy in (CONSISTENT, HRZ_DIAGONAL, NODE_QUADRATURE)
+    if not (policy is NODE_QUADRATURE and (d, m) == (2, 2))  # (M1) fails there
+], ids=lambda v: v.kind if isinstance(v, SurrogatePolicy) else str(v))
+def test_lazy_mass_and_bincount_surrogate_match_the_old_construction(d, m, policy):
+    mesh = _OLD_CONSTRUCTION_MESHES[d, m]()
+    elem = build_reference_element(d, m)
+    system = assemble_system(mesh, elem, identity(d), policy)
+    free = system.dof_map
+    assert _same_bytes(system.mass, _old_construction(mesh, elem, elem.ref_mass_matrix, free))
+    if policy is CONSISTENT:
+        assert system.mass is system.surrogate_mass
+        return
+    old = _old_construction(mesh, elem, surrogate_reference_matrix(elem, policy), free)
+    new = system.surrogate_mass
+    assert _is_diagonal(new) and new.nnz == old.nnz == system.n_dofs
+    assert new.indices.dtype == new.indptr.dtype == np.int32
+    np.testing.assert_array_equal(new.indices, old.indices)
+    np.testing.assert_array_equal(new.indptr, old.indptr)
+    # bincount sums each DOF's |K| ref_ii in another order than the COO sum
+    assert np.max(np.abs(new.data - old.data) / old.data) <= 4.5e-16
