@@ -22,6 +22,18 @@ from rkstab.cli import main
 MESH_1D = "uniform_interval:n=8"
 
 
+def child_env(**extra):
+    """The environment of a child process that runs outside the checkout.
+
+    It gets the package's own parent directory on PYTHONPATH instead of any
+    relative entry inherited from us.
+    """
+    package_root = str(Path(rkstab.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    return dict(os.environ, **extra,
+                PYTHONPATH=package_root + (os.pathsep + inherited if inherited else ""))
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -787,12 +799,8 @@ class TestMeshCommands:
         path = tmp_path / "flipped.txt"
         path.write_text("DIMENSION 2\nVERTICES 3\n0 0\n1 0\n0 1\nELEMENTS 1\n0 2 1\n"
                         "BOUNDARY 3\n0 1 D\n1 2 D\n0 2 D\n")
-        package_root = str(Path(rkstab.__file__).resolve().parent.parent)
-        inherited = os.environ.get("PYTHONPATH")
-        env = dict(os.environ,
-                   PYTHONPATH=package_root + (os.pathsep + inherited if inherited else ""))
         proc = subprocess.run([sys.executable, "-m", "rkstab.cli", "validate", "--mesh", str(path)],
-                              capture_output=True, cwd=tmp_path, env=env)
+                              capture_output=True, cwd=tmp_path, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == (
             b'{"warning": "repaired 1 negatively oriented element(s) by vertex swap"}\n'
@@ -825,24 +833,37 @@ def test_package_exports_are_the_module_lists():
 
 
 def test_console_entry_point_runs(tmp_path):
-    # The child runs outside the checkout, so it gets the package's own parent
-    # directory on PYTHONPATH instead of any relative entry inherited from us.
-    package_root = str(Path(rkstab.__file__).resolve().parent.parent)
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(
-        os.environ,
-        PYTHONPATH=package_root + (os.pathsep + inherited if inherited else ""),
-    )
     proc = subprocess.run(
         [sys.executable, "-m", "rkstab.cli", "bounds", "--mesh", "uniform_interval:n=4",
          "--out", str(tmp_path)],
         capture_output=True,
         text=True,
         cwd=tmp_path,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1])["command"] == "bounds"
+
+
+def test_trace_bytes_identical_across_blas_threads(tmp_path):
+    """16,129 DOFs: long enough that a BLAS dot threads, and so reorders its sum."""
+    argv = ["integrate", "--mesh", "random_perturbed:nx=128,ny=128,amplitude=0.001,seed=1",
+            "--order", "1", "--policy", "hrz_diagonal", "--scheme", "classic_rk4",
+            "--steps", "100", "--bound-source", "diag_ratio"]
+    traces = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "rkstab.cli", *argv, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+        )
+        assert proc.returncode == 0, proc.stderr
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0].count(b"\n") == 102
+    assert traces[0] == traces[1]
 
 
 def _readme_commands() -> list[list[str]]:

@@ -16,7 +16,8 @@ from rkstab.assembly import (
     assemble_system,
 )
 from rkstab.bounds import BOUND_CSV_FIELDS, compute_bound_report
-from rkstab.mesh import structured_triangular, uniform_interval
+from rkstab import timestepping
+from rkstab.mesh import random_perturbed, stretched, structured_triangular, uniform_interval
 from rkstab.reference import build_reference_element
 from rkstab.timestepping import (
     BOUND_SOURCES,
@@ -126,6 +127,15 @@ class TestSchemes:
         np.testing.assert_allclose(
             scheme.stability_poly, named.stability_poly, rtol=0, atol=1e-15
         )
+
+    def test_boundary_where_the_doubling_stops_just_above_one(self):
+        """|R(-4)| - 1 is 4.4e-16: the scan brackets by the test that stopped the doubling."""
+        weight = np.nextafter(0.5, 1.0)
+        scheme = scheme_from_tableau(np.zeros((1, 1)), [weight])
+        s = scheme.real_stability_boundary
+        assert s == 3.999999999999404
+        assert abs(scheme.amplification(-s)) <= 1.0
+        assert 2.0 / weight - 1e-12 <= s <= 2.0 / weight
 
     def test_tableau_must_be_strictly_lower_triangular(self):
         with pytest.raises(ValueError, match="not explicit"):
@@ -452,15 +462,22 @@ def butcher_oracle(system, tableau, tau, n_steps, u0):
     return u, np.array(l2), np.array(energy)
 
 
-def p2_system(dimension, policy):
-    mesh = uniform_interval(12) if dimension == 1 else structured_triangular(6, 6)
-    elem = build_reference_element(dimension, 2)
+def mesh_system(mesh, order, policy):
+    """Unit diffusion in 1D; in 2D, D rotated by pi/6 with eigenvalues 1 and 10."""
     diffusion = (
         DiffusionField.constant(1.0, d=1)
-        if dimension == 1
+        if mesh.dimension == 1
         else DiffusionField.rotated_anisotropic(np.pi / 6, (1.0, 10.0))
     )
+    elem = build_reference_element(mesh.dimension, order)
     return assemble_system(mesh, elem, diffusion, policy)
+
+
+def oracle_system(dimension, order, policy):
+    """P2 patterns stay CSR; the P1 meshes are large enough to be stored as diagonals."""
+    if dimension == 1:
+        return mesh_system(uniform_interval(12), order, policy)
+    return mesh_system(structured_triangular(*((6, 6) if order == 2 else (8, 8))), order, policy)
 
 
 ORACLE_SCHEMES = [
@@ -470,13 +487,18 @@ ORACLE_SCHEMES = [
 
 
 class TestAgainstButcherOracle:
-    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("dimension", [1, 2], ids=["1d", "2d"])
+    @pytest.mark.parametrize("order", [1, 2], ids=["p1", "p2"])
     @pytest.mark.parametrize("policy", [HRZ_DIAGONAL, CONSISTENT], ids=["hrz", "consistent"])
     @pytest.mark.parametrize(
         "scheme,tableau", ORACLE_SCHEMES, ids=[s.name for s, _ in ORACLE_SCHEMES]
     )
-    def test_integrate_matches_stage_by_stage_update(self, scheme, tableau, policy, dimension):
-        system = p2_system(dimension, policy)
+    def test_integrate_matches_stage_by_stage_update(
+        self, scheme, tableau, policy, order, dimension
+    ):
+        system = oracle_system(dimension, order, policy)
+        stored = timestepping._product_storage(system.stiffness)
+        assert stored.format == ("dia" if order == 1 else "csr")
         lam = lambda_max_dense(system.stiffness, system.surrogate_mass)
         tau = 0.9 * scheme.real_stability_boundary / lam
         u0 = np.random.default_rng(5).standard_normal(system.n_dofs)
@@ -503,15 +525,103 @@ def counting_csr(matrix):
     return Counting(matrix)
 
 
+@pytest.fixture
+def counted_storage(monkeypatch):
+    """Operators the stepper converts count their products on their source's counter.
+
+    Returns the list of converted operators, so a test sees which path ran.
+    """
+    convert = timestepping._product_storage
+    converted = []
+
+    def counting_storage(matrix):
+        stored = convert(matrix)
+        if stored is matrix:
+            return stored
+        source = type(matrix)
+
+        class Counting(type(stored)):
+            def __matmul__(self, other):
+                source.products += 1
+                return super().__matmul__(other)
+
+        converted.append(stored)
+        return Counting(stored)
+
+    monkeypatch.setattr(timestepping, "_product_storage", counting_storage)
+    return converted
+
+
+@pytest.mark.parametrize("order", [1, 2], ids=["p1-dia", "p2-csr"])
 @pytest.mark.parametrize("policy", [HRZ_DIAGONAL, CONSISTENT], ids=["hrz", "consistent"])
 @pytest.mark.parametrize("name", sorted(NAMED_TABLEAUX))
-def test_step_costs_s_stiffness_products_and_one_mass_product(name, policy):
-    _, _, system = interval_system(10, policy, order=2)
+def test_step_costs_s_stiffness_products_and_one_mass_product(
+    name, policy, order, counted_storage
+):
+    _, _, system = interval_system(10, policy, order=order)
     counted = dataclasses.replace(system, stiffness=counting_csr(system.stiffness))
     vars(counted)["mass"] = counting_csr(system.mass)  # fills the cached property
     scheme = rk_scheme(name)
     n_steps = 7
     integrate(counted, scheme, 1e-4, n_steps, np.linspace(0.0, 1.0, system.n_dofs))
+    # A and M for the norms, and the stage matrix of a diagonal surrogate
+    expected_conversions = 3 if policy is HRZ_DIAGONAL else 2
+    assert len(counted_storage) == (expected_conversions if order == 1 else 0)
     # the initial state's norms take one product of each
     assert type(counted.stiffness).products == n_steps * scheme.n_stages + 1
     assert type(counted.mass).products == n_steps + 1
+
+
+P1_MESHES = {
+    "structured": lambda: structured_triangular(12, 12),
+    "perturbed": lambda: random_perturbed(12, 12, 0.02, seed=4),
+    "stretched": lambda: stretched(12, 12, 100.0),
+    "interval": lambda: uniform_interval(40),
+}
+
+
+class TestProductStorage:
+    @pytest.mark.parametrize("policy", [HRZ_DIAGONAL, CONSISTENT], ids=["hrz", "consistent"])
+    @pytest.mark.parametrize("mesh_name", sorted(P1_MESHES))
+    def test_p1_products_have_the_csr_bytes(self, mesh_name, policy):
+        system = mesh_system(P1_MESHES[mesh_name](), 1, policy)
+        rng = np.random.default_rng(3)
+        # magnitudes over 40 decades, some exact zeros and negative zeros
+        x = rng.standard_normal(system.n_dofs) * 10.0 ** rng.integers(-20, 20, system.n_dofs)
+        x[::7] = 0.0
+        x[3::11] = -0.0
+        for matrix in (system.stiffness, system.mass):
+            stored = timestepping._product_storage(matrix)
+            assert stored.format == "dia"
+            assert (stored @ x).tobytes() == (matrix @ x).tobytes()
+
+    @pytest.mark.parametrize("policy", [HRZ_DIAGONAL, CONSISTENT], ids=["hrz", "consistent"])
+    @pytest.mark.parametrize("mesh_name", sorted(P1_MESHES))
+    def test_p1_trace_has_the_csr_bytes(self, mesh_name, policy, monkeypatch):
+        system = mesh_system(P1_MESHES[mesh_name](), 1, policy)
+        scheme = rk_scheme("classic_rk4")
+        tau = 0.9 * scheme.real_stability_boundary / lambda_max_dense(
+            system.stiffness, system.surrogate_mass)
+        u0 = np.random.default_rng(9).standard_normal(system.n_dofs)
+        banded = integrate(system, scheme, tau, 30, u0)
+        monkeypatch.setattr(timestepping, "_product_storage", lambda matrix: matrix)
+        general = integrate(system, scheme, tau, 30, u0)
+        for field in ("l2_norms", "energy_norms", "final_state"):
+            assert getattr(banded, field).tobytes() == getattr(general, field).tobytes()
+
+    def test_p2_pattern_stays_csr(self):
+        for system in (interval_system(10, HRZ_DIAGONAL, order=2)[2],
+                       oracle_system(2, 2, HRZ_DIAGONAL)):
+            assert timestepping._product_storage(system.stiffness) is system.stiffness
+
+    def test_non_canonical_csr_stays_csr(self):
+        canonical = sp.csr_array(
+            sp.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(10, 10))
+        )
+        assert timestepping._product_storage(canonical).format == "dia"
+        # the same tridiagonal pattern, but row 1 lists its columns in descending order
+        indices, data = canonical.indices.copy(), canonical.data.copy()
+        indices[2:5], data[2:5] = indices[4:1:-1], data[4:1:-1]
+        unsorted = sp.csr_array((data, indices, canonical.indptr), shape=canonical.shape)
+        assert not unsorted.has_canonical_format
+        assert timestepping._product_storage(unsorted) is unsorted
