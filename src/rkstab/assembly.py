@@ -9,9 +9,10 @@ assembles to a diagonal, summed per DOF by one bincount.  Stiffness integrals
 are evaluated by quadrature after pulling the diffusion tensor back to the
 reference cell.
 
-assemble_system builds A, the surrogate M-tilde and the patch arrays.  The
-consistent mass M enters only the L2 norm that integrate monitors, so the
-system builds it on first read; under the consistent policy it is M-tilde.
+assemble_system builds A, the surrogate M-tilde and the patch arrays, each
+cut to the free DOFs by apply_dirichlet as it is built.  The consistent mass
+M enters only the L2 norm that integrate monitors, so the system builds and
+cuts it on first read; under the consistent policy it is M-tilde.
 
 The element stiffness matrices come from one blocked kernel that runs every
 sum in one fixed order: the order numpy 2.4's four-operand einsum takes for
@@ -25,7 +26,7 @@ numpy call works on thousands of contiguous values: about 0.06 s at
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -271,13 +272,13 @@ class AssembledSystem:
         """The Dirichlet-reduced consistent mass M, built on first read.
 
         Under the consistent policy M is the surrogate itself.  Otherwise it
-        is scattered and cut as assemble_mass and apply_dirichlet would.
+        is scattered as assemble_mass would, and cut by apply_dirichlet.
         """
         if self.policy.kind == "consistent":
             return self.surrogate_mass
         local = self.geometry.volume[:, None, None] * self.reference_mass[None, :, :]
         full = _scatter(local, self.numbering.element_dofs, self.numbering.n_dofs)
-        return _cut(full, self.dof_map)
+        return apply_dirichlet(full, self.dof_map)
 
     @property
     def n_dofs(self) -> int:
@@ -306,6 +307,8 @@ class AssembledSystem:
 
 def _is_diagonal(matrix: sp.csr_array) -> bool:
     """Whether every stored entry, an explicit zero too, sits on the diagonal."""
+    if matrix.nnz > matrix.shape[0]:  # canonical, so some entry is off the diagonal
+        return False
     rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
     return bool(np.array_equal(matrix.indices, rows))
 
@@ -498,8 +501,9 @@ def assemble_system(
 ) -> AssembledSystem:
     """Assemble A and M-tilde and return the Dirichlet-reduced system.
 
-    The consistent mass M is not assembled here: the system builds it on the
-    first read of its mass.
+    The Dirichlet checks follow build_patches, so an orphan DOF is reported
+    first.  The consistent mass M is not assembled here: the system builds it
+    on the first read of its mass.
     """
     numbering = number_dofs(mesh, elem)
     geometry = build_affine_maps(mesh)
@@ -507,50 +511,37 @@ def assemble_system(
     surrogate, ref = assemble_mass(mesh, elem, policy, numbering, geometry)
     eigenvalues = np.linalg.eigvalsh(ref)
     incidence, patch_volumes = build_patches(mesh, elem, numbering, geometry)
-    return apply_dirichlet(AssembledSystem(
-        stiffness=stiffness,
-        surrogate_mass=surrogate,
+    if numbering.dirichlet_dofs.size == 0:
+        raise MeshStructureError(
+            "empty Dirichlet set: the Dirichlet boundary must have positive measure"
+        )
+    free = numbering.free_dofs
+    if free.size == 0:
+        raise MeshStructureError("no free DOF: every DOF lies on the Dirichlet boundary")
+    return AssembledSystem(
+        stiffness=apply_dirichlet(stiffness, free),
+        surrogate_mass=apply_dirichlet(surrogate, free),
         policy=policy,
-        dof_map=np.arange(numbering.n_dofs),
+        dof_map=free,
         surrogate_lambda_min=float(eigenvalues[0]),
         surrogate_lambda_max=float(eigenvalues[-1]),
         numbering=numbering,
         geometry=geometry,
-        patch_incidence=incidence,
-        patch_volumes=patch_volumes,
+        patch_incidence=incidence[free],
+        patch_volumes=patch_volumes[free],
         reference_mass=elem.ref_mass_matrix,
-    ))
-
-
-def apply_dirichlet(system: AssembledSystem) -> AssembledSystem:
-    """Remove Dirichlet rows and columns (reduction, not penalty).
-
-    Takes the system on the full DOF set, as assemble_system builds it.
-    """
-    if system.numbering.dirichlet_dofs.size == 0:
-        raise MeshStructureError(
-            "empty Dirichlet set: the Dirichlet boundary must have positive measure"
-        )
-    free = system.numbering.free_dofs
-    if free.size == 0:
-        raise MeshStructureError("no free DOF: every DOF lies on the Dirichlet boundary")
-    surrogate = system.surrogate_mass
-    if _is_diagonal(surrogate):
-        surrogate = _diagonal_csr(surrogate.diagonal()[free])
-    else:
-        surrogate = _cut(surrogate, free)
-    return replace(
-        system,
-        stiffness=_cut(system.stiffness, free),
-        surrogate_mass=surrogate,
-        dof_map=free,
-        patch_incidence=system.patch_incidence[free],
-        patch_volumes=system.patch_volumes[free],
     )
 
 
-def _cut(matrix: sp.csr_array, free: np.ndarray) -> sp.csr_array:
-    """The rows and columns of free, indices sorted."""
+def apply_dirichlet(matrix: sp.csr_array, free: np.ndarray) -> sp.csr_array:
+    """The rows and columns of the free DOFs (reduction, not penalty).
+
+    The one Dirichlet cut of a matrix: A and M-tilde in assemble_system, M on
+    its first read.  A diagonal keeps its _diagonal_csr storage; any other
+    matrix is cut by indexing, indices sorted.
+    """
+    if _is_diagonal(matrix):
+        return _diagonal_csr(matrix.diagonal()[free])
     out = matrix[free][:, free]
     out.sort_indices()
     return out

@@ -98,6 +98,8 @@ class InequalityViolation(AssertionError):
 # growing gap makes about 24 checks per decade of steps, for at most 10%
 # more steps than checking every step.
 _CHECK_EVERY = 10
+_RITZ_TOL = 1e-10  # converged: Ritz residual bound beta_k+1 |s_k| <= _RITZ_TOL * theta
+_INEQUALITY_TOL = 1e-10  # the shift of lhs - rhs, relative to the operands' norm
 
 
 def _tridiagonal_top_pair(alphas: np.ndarray, betas: np.ndarray) -> tuple[float, np.ndarray]:
@@ -150,7 +152,6 @@ def _lanczos(A: sp.csr_array, solve: Callable, v0: np.ndarray):
 def _top_ritz_pair(
     A: sp.csr_array,
     surrogate: sp.csr_array,
-    tol: float,
     max_ops: int,
     seed: int,
     replay: bool,
@@ -158,9 +159,9 @@ def _top_ritz_pair(
     """Converged top Ritz value theta, its T eigenvector s, solve and v0.
 
     The residual test runs on the schedule of _CHECK_EVERY, at the last step
-    allowed, and whenever beta falls below tol times the largest alpha: then
-    it passes, since theta >= alpha_j and |s_k| <= 1.  Steps are capped so
-    that max_ops applications of A cover the run, the replay of every step
+    allowed, and whenever beta falls below _RITZ_TOL times the largest alpha:
+    then it passes, since theta >= alpha_j and |s_k| <= 1.  Steps are capped
+    so that max_ops applications of A cover the run, the replay of every step
     when replay is set, and the one application a failure makes.
     """
     n = A.shape[0]
@@ -181,10 +182,10 @@ def _top_ritz_pair(
     for k, (_, _, alpha, beta) in enumerate(steps, start=1):
         alphas[k - 1], betas[k - 1] = alpha, beta
         largest = max(largest, alpha)
-        if k == next_check or k == max_steps or beta <= tol * largest:
+        if k == next_check or k == max_steps or beta <= _RITZ_TOL * largest:
             next_check = k + max(_CHECK_EVERY, k // 10)
             theta, s = _tridiagonal_top_pair(alphas[:k], betas[:k - 1])
-            if beta * abs(s[-1]) <= tol * theta:
+            if beta * abs(s[-1]) <= _RITZ_TOL * theta:
                 return theta, s, solve, v0
     # No Ritz value met the tolerance.  Report the Rayleigh quotient of the
     # unit vector at the largest diagonal ratio, a true lower bound.
@@ -204,7 +205,6 @@ def _top_ritz_pair(
 def lambda_max_with_vector(
     A: sp.csr_array,
     surrogate: sp.csr_array,
-    tol: float = 1e-10,
     max_ops: int = 10000,
     seed: int = DEFAULT_SEED,
 ) -> tuple[float, np.ndarray]:
@@ -219,7 +219,7 @@ def lambda_max_with_vector(
     largest diagonal ratio.  At steps 10, 20, ..., 100, and after that
     every k // 10 steps, the top eigenpair (theta, s) of the tridiagonal T_k
     is computed, and the run stops when the Ritz residual bound
-    beta_k+1 |s_k| is at most tol * theta, or when beta vanishes (an
+    beta_k+1 |s_k| is at most _RITZ_TOL * theta, or when beta vanishes (an
     invariant subspace, which covers a single DOF).  A k-step solve makes
     about 10 + 24 log10(k / 100) checks, for at most 10% more steps than a
     check at every step would take.
@@ -238,7 +238,7 @@ def lambda_max_with_vector(
     lambda_max, together with its relative residual
     ||A x - theta Mt x||_{Mt^-1} / (theta ||x||_Mt).
     """
-    theta, s, solve, v0 = _top_ritz_pair(A, surrogate, tol, max_ops, seed, replay=True)
+    theta, s, solve, v0 = _top_ritz_pair(A, surrogate, max_ops, seed, replay=True)
     x = np.zeros(A.shape[0])
     mx = np.zeros_like(x)
     for s_j, (q, p, _, _) in zip(s, _lanczos(A, solve, v0)):
@@ -253,7 +253,6 @@ def lambda_max_with_vector(
 def lambda_max_generalized(
     A: sp.csr_array,
     surrogate: sp.csr_array,
-    tol: float = 1e-10,
     max_ops: int = 10000,
     seed: int = DEFAULT_SEED,
 ) -> float:
@@ -261,7 +260,7 @@ def lambda_max_generalized(
 
     Runs the same recurrence without the replay, so up to max_ops - 1 steps.
     """
-    return _top_ritz_pair(A, surrogate, tol, max_ops, seed, replay=False)[0]
+    return _top_ritz_pair(A, surrogate, max_ops, seed, replay=False)[0]
 
 
 def diag_ratio_bounds(system: AssembledSystem, elem: ReferenceElement) -> tuple[float, float]:
@@ -361,7 +360,6 @@ def _negative_direction(matrix: sp.csr_array) -> np.ndarray | None:
 def verify_matrix_inequalities(
     system: AssembledSystem,
     elem: ReferenceElement,
-    tol: float = 1e-10,
 ) -> list[str]:
     """Check the structural matrix inequalities lhs >= rhs behind the bounds:
       * diagonal domination: eta * diag(A) >= A,
@@ -369,13 +367,13 @@ def verify_matrix_inequalities(
         surrogate_lambda_max * W with W = diag(patch volumes),
       * diagonal sandwich: kappa^-1 * diag(Mt) <= Mt <= kappa * diag(Mt).
 
-    A check passes when B = lhs - rhs + tol*scale*I, scale the larger
-    operand's infinity norm, has no negative pivot in one symmetric_lu.  That
-    is a Cholesky in disguise, exact for B + E with |E_ij| <= gamma_(c+1)
-    (B_ii B_jj)^(1/2), c the largest column count of L (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2002, Thm 10.3).  So a pass shows
-    lambda_min(lhs - rhs) >= -(tol + c^2 u) scale, u the unit roundoff; c^2 u
-    is 1e-11 at 64x64 P2.  A failure raises InequalityViolation with the
+    With tol = _INEQUALITY_TOL, a check passes when B = lhs - rhs +
+    tol*scale*I, scale the larger operand's infinity norm, has no negative
+    pivot in one symmetric_lu.  That is a Cholesky in disguise, exact for
+    B + E with |E_ij| <= gamma_(c+1) (B_ii B_jj)^(1/2), c the largest column
+    count of L (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    Thm 10.3).  So a pass shows lambda_min(lhs - rhs) >= -(tol + c^2 u)
+    scale, u the unit roundoff; c^2 u is 1e-11 at 64x64 P2.  A failure raises InequalityViolation with the
     witness x of the first negative pivot and the margin x^T (lhs - rhs) x /
     (scale x^T x), in [lambda_min / scale, -tol).  Returns the check names.
     """
@@ -394,7 +392,7 @@ def verify_matrix_inequalities(
     for name, (lhs, rhs) in checks.items():
         scale = max(spla.norm(lhs, np.inf), spla.norm(rhs, np.inf))
         diff = lhs - rhs
-        witness = _negative_direction(diff + tol * scale * sp.eye_array(system.n_dofs))
+        witness = _negative_direction(diff + _INEQUALITY_TOL * scale * sp.eye_array(system.n_dofs))
         if witness is not None:
             margin = float(witness @ (diff @ witness)) / (scale * float(witness @ witness))
             raise InequalityViolation(name, margin, witness)

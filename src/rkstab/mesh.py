@@ -538,8 +538,9 @@ def validate_mesh(mesh: SimplicialMesh) -> list[str]:
     """Run the structural validation pass; returns a list of problems.
 
     Checks positive element volumes, facet conformity (interior facets shared
-    by exactly two elements), boundary coverage by the marked facet list, and
-    that the Dirichlet part of the boundary is nonempty.
+    by exactly two elements), boundary coverage by the marked facet list,
+    that every vertex belongs to an element (an unused one would be an
+    orphan DOF), and that the Dirichlet part of the boundary is nonempty.
     """
     problems = []
     try:
@@ -573,6 +574,9 @@ def validate_mesh(mesh: SimplicialMesh) -> list[str]:
     boundary = set(map(tuple, facets[counts == 1].tolist()))
     for f in sorted(boundary.difference(listed)):
         problems.append(f"boundary facet {f} has no marker (defaults require listing)")
+
+    unused = np.setdiff1d(np.arange(n), mesh.elements)
+    problems.extend(f"vertex {v} belongs to no element" for v in unused)
 
     if DIRICHLET not in mesh.boundary_markers:
         problems.append("no Dirichlet facet: the Dirichlet boundary must have positive measure")

@@ -156,7 +156,7 @@ def test_criterion_3_matrix_inequalities(matrix):
     failures = []
     for label, _, elem, _, _, system, _ in matrix:
         try:
-            verify_matrix_inequalities(system, elem, tol=1e-10)
+            verify_matrix_inequalities(system, elem)
         except Exception as exc:
             failures.append(f"{label}: {exc}")
     passed = not failures

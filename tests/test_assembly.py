@@ -25,8 +25,10 @@ from rkstab.assembly import (
     surrogate_reference_matrix,
 )
 from rkstab.mesh import (
+    MeshStructureError,
     SimplicialMesh,
     build_affine_maps,
+    build_patches,
     number_dofs,
     random_perturbed,
     stretched,
@@ -648,6 +650,18 @@ def _old_construction(mesh, elem, ref, free):
     return _old_cut(_scatter(local, numbering.element_dofs, numbering.n_dofs), free)
 
 
+def _old_system_parts(mesh, elem, diffusion):
+    """A, P, the patch volumes and dof_map as the two-pass construction built
+    them: each on the full DOF set, then cut to the DOFs not on the Dirichlet
+    list."""
+    numbering = number_dofs(mesh, elem)
+    geometry = build_affine_maps(mesh)
+    free = np.setdiff1d(np.arange(numbering.n_dofs), numbering.dirichlet_dofs)
+    stiffness = assemble_stiffness(mesh, elem, diffusion, numbering, geometry)
+    incidence, volumes = build_patches(mesh, elem, numbering, geometry)
+    return _old_cut(stiffness, free), incidence[free], volumes[free], free
+
+
 def _same_bytes(a, b) -> bool:
     return all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
                for x, y in [(a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr)])
@@ -670,10 +684,18 @@ _OLD_CONSTRUCTION_MESHES = {
     if not (policy is NODE_QUADRATURE and (d, m) == (2, 2))  # (M1) fails there
 ], ids=lambda v: v.kind if isinstance(v, SurrogatePolicy) else str(v))
 def test_lazy_mass_and_bincount_surrogate_match_the_old_construction(d, m, policy):
+    """Every part of the one-pass system keeps the bytes of the old two-pass
+    construction; only a diagonal surrogate's values move, by roundoff."""
     mesh = _OLD_CONSTRUCTION_MESHES[d, m]()
     elem = build_reference_element(d, m)
-    system = assemble_system(mesh, elem, identity(d), policy)
-    free = system.dof_map
+    diffusion = (DiffusionField.rotated_anisotropic(0.5, (1.0, 30.0)) if d == 2
+                 else DiffusionField.constant(2.0, 1))
+    system = assemble_system(mesh, elem, diffusion, policy)
+    stiffness, incidence, volumes, free = _old_system_parts(mesh, elem, diffusion)
+    assert _same_bytes(system.stiffness, stiffness)
+    assert _same_bytes(system.patch_incidence, incidence)
+    for new, old in [(system.patch_volumes, volumes), (system.dof_map, free)]:
+        assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
     assert _same_bytes(system.mass, _old_construction(mesh, elem, elem.ref_mass_matrix, free))
     if policy is CONSISTENT:
         assert system.mass is system.surrogate_mass
@@ -686,3 +708,13 @@ def test_lazy_mass_and_bincount_surrogate_match_the_old_construction(d, m, polic
     np.testing.assert_array_equal(new.indptr, old.indptr)
     # bincount sums each DOF's |K| ref_ii in another order than the COO sum
     assert np.max(np.abs(new.data - old.data) / old.data) <= 4.5e-16
+
+
+def test_orphan_dof_reported_before_the_dirichlet_set():
+    """A mesh with an unused vertex and no Dirichlet facet fails on the orphan
+    DOF: build_patches runs before the Dirichlet checks."""
+    base = uniform_interval(3)
+    mesh = SimplicialMesh(1, np.vstack([base.vertices, [[2.0]]]), base.elements,
+                          base.boundary_facets, ("N", "N"))
+    with pytest.raises(MeshStructureError, match="orphan DOF 4: no incident element"):
+        assemble_system(mesh, build_reference_element(1, 1), identity(1))

@@ -152,6 +152,9 @@ BAD_MESH_FILES = {
     # ... and a P1 triangle whose three edges are Dirichlet, so no DOF is free
     "all_dirichlet.txt": "DIMENSION 2\nVERTICES 3\n0 0\n1 0\n0 1\nELEMENTS 1\n0 1 2\n"
                          "BOUNDARY 3\n0 1 D\n1 2 D\n0 2 D\n",
+    # ... and a unit square whose fifth vertex no element uses: an orphan DOF
+    "unused_vertex.txt": "DIMENSION 2\nVERTICES 5\n0 0\n1 0\n1 1\n0 1\n5 5\nELEMENTS 2\n"
+                         "0 1 2\n0 2 3\nBOUNDARY 4\n0 1 D\n1 2 D\n2 3 D\n3 0 D\n",
     # MeshFormatError: a negative count, a count no file of this length holds,
     # a coordinate that is not finite, and a vertex index beyond int64
     "negative_count.txt": "DIMENSION 1\nVERTICES -1\n0\n0.5\n1\nELEMENTS 2\n0 1\n1 2\n"
@@ -793,6 +796,20 @@ class TestMeshCommands:
         if status == "invalid":
             assert result["problems"] == [
                 f"no free DOF at order {order}: every DOF lies on the Dirichlet boundary"]
+
+    def test_validate_and_bounds_agree_on_an_unused_vertex(self, capsys, tmp_path):
+        path = tmp_path / "unused_vertex.txt"
+        path.write_text(BAD_MESH_FILES["unused_vertex.txt"])
+        code, out, err = run_cli(capsys, "validate", "--mesh", str(path))
+        assert code == 0, err
+        assert json.loads(out) == {"command": "validate", "n_problems": 1,
+                                   "problems": ["vertex 4 belongs to no element"],
+                                   "status": "invalid"}
+        code, out, err = run_cli(capsys, "bounds", "--mesh", str(path), "--order", "2",
+                                 "--out", str(tmp_path / "out"))
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "config",
+                                   "message": "orphan DOF 4: no incident element"}
 
     def test_mesh_warning_is_one_json_line(self, tmp_path):
         """The orientation repair reaches stderr as one JSON record: no path, no source line."""

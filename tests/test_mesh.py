@@ -463,6 +463,15 @@ def test_validate_flags_missing_dirichlet():
     assert any("Dirichlet" in p for p in problems)
 
 
+def test_validate_flags_unused_vertices():
+    base = structured_triangular(2, 2)
+    vertices = np.vstack([base.vertices, [[5.0, 5.0], [6.0, 6.0]]])
+    mesh = SimplicialMesh(2, vertices, base.elements, base.boundary_facets,
+                          base.boundary_markers)
+    assert validate_mesh(mesh) == ["vertex 9 belongs to no element",
+                                   "vertex 10 belongs to no element"]
+
+
 def test_validate_flags_unmarked_boundary():
     base = structured_triangular(2, 2)
     mesh = SimplicialMesh(
