@@ -501,23 +501,20 @@ def assemble_system(
 ) -> AssembledSystem:
     """Assemble A and M-tilde and return the Dirichlet-reduced system.
 
-    The Dirichlet checks follow build_patches, so an orphan DOF is reported
-    first.  The consistent mass M is not assembled here: the system builds it
-    on the first read of its mass.
+    The geometry is built before the numbering, so a bad mesh fails on the
+    first problem mesh.validate_mesh reports.  The consistent mass M is not
+    assembled here: the system builds it on the first read of its mass.
     """
-    numbering = number_dofs(mesh, elem)
     geometry = build_affine_maps(mesh)
+    numbering = number_dofs(mesh, elem)
     stiffness = assemble_stiffness(mesh, elem, diffusion, numbering, geometry)
     surrogate, ref = assemble_mass(mesh, elem, policy, numbering, geometry)
     eigenvalues = np.linalg.eigvalsh(ref)
     incidence, patch_volumes = build_patches(mesh, elem, numbering, geometry)
-    if numbering.dirichlet_dofs.size == 0:
-        raise MeshStructureError(
-            "empty Dirichlet set: the Dirichlet boundary must have positive measure"
-        )
     free = numbering.free_dofs
     if free.size == 0:
-        raise MeshStructureError("no free DOF: every DOF lies on the Dirichlet boundary")
+        raise MeshStructureError(f"no free DOF at order {elem.order}: "
+                                 "every DOF lies on the Dirichlet boundary")
     return AssembledSystem(
         stiffness=apply_dirichlet(stiffness, free),
         surrogate_mass=apply_dirichlet(surrogate, free),

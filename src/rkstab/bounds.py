@@ -51,6 +51,7 @@ __all__ = [
     "ConvergenceError",
     "InequalityViolation",
     "DEFAULT_SEED",
+    "DEFAULT_DOF_CAP",
     "lambda_max_generalized",
     "lambda_max_with_vector",
     "diag_ratio_bounds",
@@ -64,6 +65,7 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 1729
+DEFAULT_DOF_CAP = 5000  # largest reduced system whose exact eigenvalue a report computes
 
 
 class ConvergenceError(RuntimeError):
@@ -454,7 +456,7 @@ def compute_bound_report(
     elem: ReferenceElement,
     diffusion: DiffusionField,
     policy: SurrogatePolicy,
-    dof_cap: int = 5000,
+    dof_cap: int = DEFAULT_DOF_CAP,
     seed: int = DEFAULT_SEED,
     system: AssembledSystem | None = None,
 ) -> BoundReport:

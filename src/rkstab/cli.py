@@ -11,8 +11,8 @@ setting's type, choices and range; a spec's kind, keys and value types
 a diffusion the mesh's dimension or kind cannot take, or that is not SPD;
 each sweep value; and the admissibility of the surrogate policy at every
 order that will run.  Commands and sweep points then only read those
-values.  Checks that need the built mesh (a mesh file's facets, degenerate
-elements, no free DOF) run when a point builds it.
+values.  Checks that need the built mesh (every problem validate reports,
+and no free DOF) run when a point builds it, and fail on the first.
 
 Exit codes: 0 on success (an unstable integration or an invalid mesh is
 a finding, not a failure), 1 on internal numerical failure, 2 on config
@@ -54,7 +54,7 @@ from .assembly import (
     l2_project,
     surrogate_reference_matrix,
 )
-from .bounds import BOUND_CSV_FIELDS, DEFAULT_SEED, BoundReport, compute_bound_report
+from .bounds import BOUND_CSV_FIELDS, DEFAULT_DOF_CAP, DEFAULT_SEED, BoundReport, compute_bound_report
 from .mesh import (
     MESH_KINDS,
     DegenerateElementError,
@@ -157,7 +157,7 @@ class RunConfig:
     steps: int = _setting(100, "number of time steps", int, low=0)
     out: str = _setting(".", "output directory")
     seed: int = _setting(DEFAULT_SEED, "rng seed", int)
-    dof_cap: int = _setting(5000, "skip exact eigenvalues above this DOF count", int, low=1)
+    dof_cap: int = _setting(DEFAULT_DOF_CAP, "skip exact eigenvalues above this DOF count", int, low=1)
     workers: int = _setting(1, "sweep worker processes", int, low=1)
     bound_source: str = _setting(  # a tuple, which a JSON list is not in, where a dict raises
         "diag_ratio", "eigenvalue estimate for the stable step", choices=tuple(BOUND_SOURCES))

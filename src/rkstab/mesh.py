@@ -108,9 +108,7 @@ class DofNumbering:
 
     @property
     def free_dofs(self) -> np.ndarray:
-        mask = np.ones(self.n_dofs, dtype=bool)
-        mask[self.dirichlet_dofs] = False
-        return np.nonzero(mask)[0]
+        return np.delete(np.arange(self.n_dofs), self.dirichlet_dofs)
 
 
 @dataclass(frozen=True)
@@ -165,16 +163,62 @@ def build_affine_maps(mesh: SimplicialMesh) -> AffineGeometry:
     )
 
 
-# local vertex pairs of a triangle's edges
-_TRIANGLE_EDGES = [(0, 1), (0, 2), (1, 2)]
+# local vertex tuples of an element's facets, in validate_mesh's order; number_dofs' edges
+_ELEMENT_FACETS = {1: [(0,), (1,)], 2: [(0, 1), (1, 2), (0, 2)]}
 
 
 def _facet_keys(facets: np.ndarray, n_vertices: int) -> np.ndarray:
-    """Integer keys of sorted vertex tuples along the last axis (a * n_vertices + b)."""
-    keys = facets[..., 0]
-    for column in range(1, facets.shape[-1]):
-        keys = keys * n_vertices + facets[..., column]
-    return keys
+    """Keys of vertex tuples (last axis): v, or min * n_vertices + max, in sorted tuple order."""
+    if facets.shape[-1] == 1:
+        return facets[..., 0]
+    a, b = facets[..., 0], facets[..., 1]
+    return np.minimum(a, b) * n_vertices + np.maximum(a, b)
+
+
+def _facet_table(mesh: SimplicialMesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each element's facet keys, shape (n_elements, d + 1), then the distinct
+    keys, sorted, and the number of elements that hold each."""
+    n = mesh.n_vertices
+    index = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64  # int32 halves the traffic
+    element_keys = _facet_keys(mesh.elements.astype(index)[:, _ELEMENT_FACETS[mesh.dimension]], n)
+    return element_keys, *np.unique(element_keys, return_counts=True)
+
+
+def _structure_problems(mesh: SimplicialMesh, table: tuple[np.ndarray, ...]) -> list[str]:
+    """Every problem validate_mesh reports after build_affine_maps', in its order."""
+    d, n = mesh.dimension, mesh.n_vertices
+    element_keys, keys, counts = table
+
+    def tuple_of(key) -> tuple[int, ...]:
+        return (int(key),) if d == 1 else divmod(int(key), n)
+
+    seen = element_keys.ravel()  # in (element, local facet) order
+    over_shared = dict.fromkeys(seen[np.isin(seen, keys[counts > 2])].tolist())  # first-seen order
+    problems = [f"facet {tuple_of(k)} shared by {counts[np.searchsorted(keys, k)]} elements "
+                "(non-conforming)" for k in over_shared]
+    listed, listed_of = np.unique(np.sort(mesh.boundary_facets.astype(np.int64).reshape(-1, d),
+                                          axis=1), axis=0, return_inverse=True)
+    in_range = np.all((listed >= 0) & (listed < n), axis=1)
+    # out-of-range facets get distinct negative keys, which match no element facet
+    listed_keys = np.where(in_range, _facet_keys(listed, n), -1 - np.arange(len(listed)))
+    at = np.searchsorted(keys, listed_keys)  # past the last key, a sentinel no element holds
+    shared = np.where(np.append(keys, -1)[at] == listed_keys, np.append(counts, 0)[at], 0)
+    is_dirichlet = np.array([mk == DIRICHLET for mk in mesh.boundary_markers], dtype=bool)
+    both = np.intersect1d(listed_of[is_dirichlet], listed_of[~is_dirichlet])
+    for bad, text in ((shared == 0, "does not belong to any element"),
+                      (shared >= 2, "is interior (shared by two elements)"),
+                      (np.isin(np.arange(len(listed)), both), "is marked both D and N")):
+        problems.extend(f"boundary facet {tuple(listed[f].tolist())} {text}"
+                        for f in np.nonzero(bad)[0])
+    unlisted = counts == 1
+    unlisted[at[shared > 0]] = False
+    problems.extend(f"boundary facet {tuple_of(k)} has no marker (defaults require listing)"
+                    for k in keys[unlisted])
+    unused = np.bincount(mesh.elements.ravel(), minlength=n)[:n] == 0
+    problems.extend(f"vertex {v} belongs to no element" for v in np.nonzero(unused)[0])
+    if not is_dirichlet.any():
+        problems.append("no Dirichlet facet: the Dirichlet boundary must have positive measure")
+    return problems
 
 
 def number_dofs(mesh: SimplicialMesh, elem: ReferenceElement) -> DofNumbering:
@@ -183,17 +227,17 @@ def number_dofs(mesh: SimplicialMesh, elem: ReferenceElement) -> DofNumbering:
     Vertex DOFs coincide with vertex indices.  For m >= 2 in 2D, each global
     edge contributes m-1 DOFs ordered from its lower-indexed vertex; remaining
     nodes are element-interior and numbered in element order.  In 1D all
-    non-vertex nodes are element-interior.
+    non-vertex nodes are element-interior.  Edges are validate_mesh's facets, and
+    its first problem past the geometry raises MeshStructureError.
     """
     d, m = mesh.dimension, elem.order
     n_vertices, n_elements = mesh.n_vertices, mesh.n_elements
     elements = mesh.elements
-    use_edges = d == 2 and m >= 2
-    if use_edges:
-        # global edges: sorted vertex pairs, numbered in lexicographic order
-        keys = _facet_keys(np.sort(elements[:, _TRIANGLE_EDGES], axis=2), n_vertices)
-        edge_keys, edge_of = np.unique(keys, return_inverse=True)
-        edge_of = edge_of.reshape(keys.shape)
+    element_keys, edge_keys, _ = table = _facet_table(mesh)
+    problems = _structure_problems(mesh, table)
+    if problems:
+        raise MeshStructureError(problems[0])
+    use_edges = d == 2 and m >= 2  # global edges: the table's facets, in key order
     n_edge_dofs = edge_keys.size * (m - 1) if use_edges else 0
 
     element_dofs = np.empty((n_elements, elem.node_count), dtype=np.int64)
@@ -207,7 +251,7 @@ def number_dofs(mesh: SimplicialMesh, elem: ReferenceElement) -> DofNumbering:
             a2 = int(alpha[k2])
             # the node sits a2/m of the way from local vertex k1 to k2
             slot = np.where(elements[:, k1] < elements[:, k2], a2 - 1, m - a2 - 1)
-            edge = edge_of[:, _TRIANGLE_EDGES.index((k1, k2))]
+            edge = np.searchsorted(edge_keys, element_keys[:, _ELEMENT_FACETS[2].index((k1, k2))])
             element_dofs[:, loc] = n_vertices + edge * (m - 1) + slot
         else:
             interior_locals.append(loc)
@@ -222,12 +266,7 @@ def number_dofs(mesh: SimplicialMesh, elem: ReferenceElement) -> DofNumbering:
     facets = mesh.boundary_facets.astype(np.int64).reshape(-1, d)[is_dirichlet]
     dirichlet = [facets.ravel()]
     if use_edges:
-        keys = _facet_keys(np.sort(facets, axis=1), n_vertices)
-        edge = np.searchsorted(edge_keys, keys)
-        missing = edge_keys[np.minimum(edge, edge_keys.size - 1)] != keys
-        if np.any(missing):
-            facet = facets[np.argmax(missing)].tolist()
-            raise MeshStructureError(f"Dirichlet facet {facet} is not an element edge")
+        edge = np.searchsorted(edge_keys, _facet_keys(facets, n_vertices))
         dirichlet.append((n_vertices + edge[:, None] * (m - 1) + np.arange(m - 1)).ravel())
     return DofNumbering(
         n_dofs=n_dofs,
@@ -247,7 +286,8 @@ def build_patches(
 
     A DOF's patch is the set of elements whose basis function it belongs to:
     row i of P holds 1.0 at those elements, in increasing element order, so
-    the patch volume is the sum of their volumes in that order.
+    the patch volume is the sum of their volumes in that order.  No row is
+    empty, as number_dofs rejects a vertex that no element uses.
     """
     numbering = numbering or number_dofs(mesh, elem)
     geometry = geometry or build_affine_maps(mesh)
@@ -266,9 +306,6 @@ def build_patches(
         shape=(numbering.n_dofs, n_elements),
     )
     incidence.sort_indices()
-    orphans = np.nonzero(np.diff(incidence.indptr) == 0)[0]
-    if orphans.size:
-        raise MeshStructureError(f"orphan DOF {orphans[0]}: no incident element")
     return incidence, incidence @ geometry.volume
 
 
@@ -530,54 +567,17 @@ def read_mesh(path) -> SimplicialMesh:
 # validation
 
 
-# local vertex tuples of an element's facets, in the order validate_mesh reports them
-_ELEMENT_FACETS = {1: [(0,), (1,)], 2: [(0, 1), (1, 2), (0, 2)]}
-
-
 def validate_mesh(mesh: SimplicialMesh) -> list[str]:
     """Run the structural validation pass; returns a list of problems.
 
-    Checks positive element volumes, facet conformity (interior facets shared
-    by exactly two elements), boundary coverage by the marked facet list,
-    that every vertex belongs to an element (an unused one would be an
-    orphan DOF), and that the Dirichlet part of the boundary is nonempty.
+    A collapsed or inverted element, then every problem for which number_dofs
+    rejects a mesh: a facet held by more than two elements, a boundary list
+    that is not each boundary facet once, as D or N, a vertex that no element
+    uses (an orphan DOF), and no Dirichlet facet.
     """
     problems = []
     try:
         build_affine_maps(mesh)
     except (DegenerateElementError, MeshStructureError) as exc:
         problems.append(str(exc))
-
-    d, n = mesh.dimension, mesh.n_vertices
-    facets = np.sort(mesh.elements.astype(np.int64)[:, _ELEMENT_FACETS[d]], axis=2).reshape(-1, d)
-    keys, first, counts = np.unique(
-        _facet_keys(facets, n), return_index=True, return_counts=True
-    )
-    facets = facets[first]
-    over_shared = np.nonzero(counts > 2)[0]
-    for f in over_shared[np.argsort(first[over_shared])]:
-        problems.append(
-            f"facet {tuple(facets[f].tolist())} shared by {counts[f]} elements (non-conforming)"
-        )
-
-    listed = sorted({tuple(sorted(int(v) for v in facet)) for facet in mesh.boundary_facets})
-    listed_arr = np.array(listed, dtype=np.int64).reshape(-1, d)
-    in_range = np.all((listed_arr >= 0) & (listed_arr < n), axis=1)
-    # out-of-range facets get distinct negative keys, which match no element facet
-    listed_keys = np.where(in_range, _facet_keys(listed_arr, n), -1 - np.arange(len(listed)))
-    known = np.isin(listed_keys, keys, assume_unique=True)
-    interior = np.isin(listed_keys, keys[counts >= 2], assume_unique=True)
-    for f in np.nonzero(~known)[0]:
-        problems.append(f"boundary facet {listed[f]} does not belong to any element")
-    for f in np.nonzero(interior)[0]:
-        problems.append(f"boundary facet {listed[f]} is interior (shared by two elements)")
-    boundary = set(map(tuple, facets[counts == 1].tolist()))
-    for f in sorted(boundary.difference(listed)):
-        problems.append(f"boundary facet {f} has no marker (defaults require listing)")
-
-    unused = np.setdiff1d(np.arange(n), mesh.elements)
-    problems.extend(f"vertex {v} belongs to no element" for v in unused)
-
-    if DIRICHLET not in mesh.boundary_markers:
-        problems.append("no Dirichlet facet: the Dirichlet boundary must have positive measure")
-    return problems
+    return problems + _structure_problems(mesh, _facet_table(mesh))

@@ -711,10 +711,10 @@ def test_lazy_mass_and_bincount_surrogate_match_the_old_construction(d, m, polic
 
 
 def test_orphan_dof_reported_before_the_dirichlet_set():
-    """A mesh with an unused vertex and no Dirichlet facet fails on the orphan
-    DOF: build_patches runs before the Dirichlet checks."""
+    """A mesh with an unused vertex and no Dirichlet facet fails on the unused
+    vertex: validate_mesh reports it before the missing Dirichlet facet."""
     base = uniform_interval(3)
     mesh = SimplicialMesh(1, np.vstack([base.vertices, [[2.0]]]), base.elements,
                           base.boundary_facets, ("N", "N"))
-    with pytest.raises(MeshStructureError, match="orphan DOF 4: no incident element"):
+    with pytest.raises(MeshStructureError, match="vertex 4 belongs to no element"):
         assemble_system(mesh, build_reference_element(1, 1), identity(1))

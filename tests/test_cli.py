@@ -138,6 +138,28 @@ BAD_CONFIGS = {
 }
 
 
+def square_2x2(boundary, vertices=(), elements=()):
+    """The unit square in 2x2 cells, with vertex 4 inside, in the mesh file format.
+
+    The boundary lines are given; extra vertex and element lines follow the
+    square's own.
+    """
+    sections = [
+        ("VERTICES", ["0 0", "0.5 0", "1 0", "0 0.5", "0.5 0.5", "1 0.5", "0 1", "0.5 1", "1 1",
+                      *vertices]),
+        ("ELEMENTS", ["0 1 4", "0 4 3", "1 2 5", "1 5 4", "3 4 7", "3 7 6", "4 5 8", "4 8 7",
+                      *elements]),
+        ("BOUNDARY", boundary),
+    ]
+    return "DIMENSION 2\n" + "".join(
+        f"{name} {len(lines)}\n" + "".join(line + "\n" for line in lines) for name, lines in sections
+    )
+
+
+# The eight edges of square_2x2's boundary, all Dirichlet.
+SQUARE_EDGES = ["0 1 D", "1 2 D", "2 5 D", "5 8 D", "8 7 D", "7 6 D", "6 3 D", "3 0 D"]
+
+
 # Mesh files that fail to read or to build, by file name.
 BAD_MESH_FILES = {
     # DegenerateElementError: a zero-area triangle
@@ -155,6 +177,17 @@ BAD_MESH_FILES = {
     # ... and a unit square whose fifth vertex no element uses: an orphan DOF
     "unused_vertex.txt": "DIMENSION 2\nVERTICES 5\n0 0\n1 0\n1 1\n0 1\n5 5\nELEMENTS 2\n"
                          "0 1 2\n0 2 3\nBOUNDARY 4\n0 1 D\n1 2 D\n2 3 D\n3 0 D\n",
+    # ... and boundary lists that leave a boundary facet out, list an interior
+    # facet, list a facet that is no element edge, and mark a facet both D
+    # and N; a facet shared by three elements; and a 1D interior vertex
+    # listed as a boundary facet.  Each leaves a DOF free at P1.
+    "unlisted_facet.txt": square_2x2(SQUARE_EDGES[:-1]),
+    "interior_facet.txt": square_2x2([*SQUARE_EDGES, "0 4 N"]),
+    "off_edge.txt": square_2x2([*SQUARE_EDGES, "0 8 N"]),
+    "both_markers.txt": square_2x2([*SQUARE_EDGES, "1 0 N"]),
+    "over_shared.txt": square_2x2([*SQUARE_EDGES, "0 9 N", "4 9 N"], ["0.25 0.75"], ["0 4 9"]),
+    "interior_vertex_1d.txt": "DIMENSION 1\nVERTICES 4\n0\n0.25\n0.5\n1\nELEMENTS 3\n"
+                              "0 1\n1 2\n2 3\nBOUNDARY 3\n0 D\n1 D\n3 D\n",
     # MeshFormatError: a negative count, a count no file of this length holds,
     # a coordinate that is not finite, and a vertex index beyond int64
     "negative_count.txt": "DIMENSION 1\nVERTICES -1\n0\n0.5\n1\nELEMENTS 2\n0 1\n1 2\n"
@@ -797,19 +830,26 @@ class TestMeshCommands:
             assert result["problems"] == [
                 f"no free DOF at order {order}: every DOF lies on the Dirichlet boundary"]
 
-    def test_validate_and_bounds_agree_on_an_unused_vertex(self, capsys, tmp_path):
-        path = tmp_path / "unused_vertex.txt"
-        path.write_text(BAD_MESH_FILES["unused_vertex.txt"])
-        code, out, err = run_cli(capsys, "validate", "--mesh", str(path))
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("name", [name for name in BAD_MESH_FILES if name not in (
+        "negative_count.txt", "huge_count.txt", "nan.txt", "huge_index.txt")])
+    def test_every_command_fails_on_validates_first_problem(self, capsys, tmp_path, name, order):
+        """A mesh file that reads but that validate calls invalid makes every
+        command that builds a system exit 2, on validate's first problem."""
+        path = tmp_path / name
+        path.write_text(BAD_MESH_FILES[name])
+        code, out, err = run_cli(capsys, "validate", "--mesh", str(path), "--order", str(order))
         assert code == 0, err
-        assert json.loads(out) == {"command": "validate", "n_problems": 1,
-                                   "problems": ["vertex 4 belongs to no element"],
-                                   "status": "invalid"}
-        code, out, err = run_cli(capsys, "bounds", "--mesh", str(path), "--order", "2",
-                                 "--out", str(tmp_path / "out"))
-        assert code == 2 and out == ""
-        assert json.loads(err) == {"error": "config",
-                                   "message": "orphan DOF 4: no incident element"}
+        result = json.loads(out)
+        assert result["status"] == "invalid"
+        expected = {"error": "config", "message": result["problems"][0]}
+        for command in (["bounds"], ["integrate", "--steps", "1"],
+                        ["sweep", "--sweep-axis", "policy", "--sweep-values", "consistent"]):
+            code, out, err = run_cli(capsys, *command, "--mesh", str(path), "--order", str(order),
+                                     "--out", str(tmp_path / "out"))
+            assert code == 2 and out == "", command
+            assert json.loads(err) == expected, command
+        assert not (tmp_path / "out").exists()
 
     def test_mesh_warning_is_one_json_line(self, tmp_path):
         """The orientation repair reaches stderr as one JSON record: no path, no source line."""

@@ -335,7 +335,7 @@ def test_orphan_dof_detected():
         ("D", "D"),
     )
     elem = build_reference_element(1, 1)
-    with pytest.raises(MeshStructureError, match="orphan"):
+    with pytest.raises(MeshStructureError, match="vertex 3 belongs to no element"):
         build_patches(mesh, elem)
 
 
@@ -493,6 +493,22 @@ def test_validate_flags_interior_facet_marked():
     mesh = SimplicialMesh(2, base.vertices, base.elements, facets, markers)
     problems = validate_mesh(mesh)
     assert any("interior" in p for p in problems)
+
+
+def test_facet_marked_both_dirichlet_and_neumann_is_a_problem():
+    """A boundary facet listed once as D and once as N states no one boundary
+    condition: validate_mesh reports it and number_dofs rejects the mesh."""
+    base = structured_triangular(2, 2)
+    facets = np.vstack([base.boundary_facets, [[1, 0]], [[0, 1]]])
+    mesh = SimplicialMesh(2, base.vertices, base.elements, facets,
+                          base.boundary_markers + ("N", "D"))
+    assert validate_mesh(mesh) == ["boundary facet (0, 1) is marked both D and N"]
+    with pytest.raises(MeshStructureError, match=r"^boundary facet \(0, 1\) is marked both"):
+        number_dofs(mesh, build_reference_element(2, 1))
+    # listing a facet twice with one marker states one condition
+    twice = SimplicialMesh(2, base.vertices, base.elements, facets,
+                           base.boundary_markers + ("D", "D"))
+    assert validate_mesh(twice) == []
 
 
 def test_validate_reports_every_facet_problem_in_order():
@@ -660,5 +676,6 @@ def test_dirichlet_facet_off_the_edge_set_rejected():
     facets = np.vstack([base.boundary_facets, [[0, 8]]])  # opposite corners
     mesh = SimplicialMesh(2, base.vertices, base.elements, facets,
                           base.boundary_markers + ("D",))
-    with pytest.raises(MeshStructureError, match=r"\[0, 8\]"):
+    with pytest.raises(MeshStructureError,
+                       match=r"boundary facet \(0, 8\) does not belong to any element"):
         number_dofs(mesh, build_reference_element(2, 2))
