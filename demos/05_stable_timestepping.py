@@ -45,7 +45,7 @@ ratio = l2_growth_certificate(trace, system, elem)
 print()
 print(f"stable run: energy {trace.energy_norms[0]:.4f} -> {trace.energy_norms[-1]:.4e}")
 print(f"observed L2 growth {ratio:.6f} <= certificate "
-      f"{np.sqrt(elem.condition_number * system.kappa_surrogate):.6f}")
+      f"{system.l2_growth_bound:.6f}")
 
 # Now 5% past the critical step with the worst initial condition.
 tau_bad = 1.05 * 2.0 / report.lambda_max_exact

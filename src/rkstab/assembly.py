@@ -26,6 +26,7 @@ numpy call works on thousands of contiguous values: about 0.06 s at
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -246,17 +247,19 @@ def surrogate_reference_matrix(elem: ReferenceElement, policy: SurrogatePolicy) 
 class AssembledSystem:
     """Dirichlet-reduced sparse system M, A, and surrogate M-tilde.
 
-    dof_map lists the full DOFs that survived the Dirichlet cut, in the order
-    of the reduced rows.  surrogate_lambda_min/max are the extreme
-    eigenvalues of the surrogate reference matrix.  patch_incidence is the
-    free-DOF-by-element patch incidence P, and patch_volumes is P @ |K|.
-    policy is the surrogate policy of M-tilde.  reference_mass is the
-    consistent reference mass matrix, from which mass, the consistent M, is
-    built on its first read.
+    mesh, elem, diffusion and policy are what it was assembled from, and
+    every bound reads them here.  dof_map lists the full DOFs that survived
+    the Dirichlet cut, in the order of the reduced rows.  surrogate_lambda_min
+    and _max are the extreme eigenvalues of the surrogate reference matrix.
+    patch_incidence is the free-DOF-by-element patch incidence P, and
+    patch_volumes is P @ |K|.  mass, the consistent M, is built on first read.
     """
 
     stiffness: sp.csr_array
     surrogate_mass: sp.csr_array
+    mesh: SimplicialMesh
+    elem: ReferenceElement
+    diffusion: DiffusionField
     policy: SurrogatePolicy
     dof_map: np.ndarray
     surrogate_lambda_min: float
@@ -265,7 +268,6 @@ class AssembledSystem:
     geometry: AffineGeometry
     patch_incidence: sp.csr_array
     patch_volumes: np.ndarray
-    reference_mass: np.ndarray
 
     @functools.cached_property
     def mass(self) -> sp.csr_array:
@@ -276,7 +278,7 @@ class AssembledSystem:
         """
         if self.policy.kind == "consistent":
             return self.surrogate_mass
-        local = self.geometry.volume[:, None, None] * self.reference_mass[None, :, :]
+        local = self.geometry.volume[:, None, None] * self.elem.ref_mass_matrix[None, :, :]
         full = _scatter(local, self.numbering.element_dofs, self.numbering.n_dofs)
         return apply_dirichlet(full, self.dof_map)
 
@@ -295,6 +297,11 @@ class AssembledSystem:
         diagonal = self.stiffness.diagonal()
         diagonal.flags.writeable = False
         return diagonal
+
+    @property
+    def l2_growth_bound(self) -> float:
+        """sqrt(kappa(M-hat) kappa(M-tilde_ref)), the a priori bound on L2 growth."""
+        return math.sqrt(self.elem.condition_number * self.kappa_surrogate)
 
     @property
     def diag_surrogate(self) -> np.ndarray:
@@ -518,6 +525,9 @@ def assemble_system(
     return AssembledSystem(
         stiffness=apply_dirichlet(stiffness, free),
         surrogate_mass=apply_dirichlet(surrogate, free),
+        mesh=mesh,
+        elem=elem,
+        diffusion=diffusion,
         policy=policy,
         dof_map=free,
         surrogate_lambda_min=float(eigenvalues[0]),
@@ -526,7 +536,6 @@ def assemble_system(
         geometry=geometry,
         patch_incidence=incidence[free],
         patch_volumes=patch_volumes[free],
-        reference_mass=elem.ref_mass_matrix,
     )
 
 

@@ -265,7 +265,7 @@ def lambda_max_generalized(
     return _top_ritz_pair(A, surrogate, max_ops, seed, replay=False)[0]
 
 
-def diag_ratio_bounds(system: AssembledSystem, elem: ReferenceElement) -> tuple[float, float]:
+def diag_ratio_bounds(system: AssembledSystem) -> tuple[float, float]:
     """Two-sided diagonal-ratio bounds (lower, upper) on lambda_max.
 
     lower = max_i A_ii / Mt_ii; upper = eta * kappa(Mt_ref) * lower.
@@ -275,7 +275,7 @@ def diag_ratio_bounds(system: AssembledSystem, elem: ReferenceElement) -> tuple[
     if np.any(diag_a <= 0) or np.any(diag_m <= 0):
         raise ValueError("diagonal entries must be positive on the reduced system")
     lower = float(np.max(diag_a / diag_m))
-    upper = elem.node_count * system.kappa_surrogate * lower
+    upper = system.elem.node_count * system.kappa_surrogate * lower
     return lower, upper
 
 
@@ -283,41 +283,34 @@ def is_m_matrix(matrix: sp.csr_array) -> bool:
     """Sign-structure test: off-diagonals <= 0 and row sums >= 0.
 
     Both tests allow cut = 1e-12 * max |entry|.  Cost: one pass over the stored
-    entries, the diagonal, and one product with a vector of ones; no COO
-    copy.  A matrix not in canonical CSR form (sorted, no duplicates) is
-    summed into it first, so each entry is tested by its value.
+    entries; then, unless more than n of them exceed cut, the diagonal and one
+    product with a vector of ones; no COO copy.  A matrix not in canonical CSR
+    form (sorted, no duplicates) is summed into it first, so each entry is
+    tested by its value.
     """
     if not matrix.has_canonical_format:
         matrix = matrix.copy()
         matrix.sum_duplicates()
-    return _is_m_matrix(matrix, matrix.diagonal())
-
-
-def _is_m_matrix(matrix: sp.csr_array, diagonal: np.ndarray) -> bool:
-    """is_m_matrix on a canonical CSR matrix whose diagonal is already read."""
     data = matrix.data
     scale = max(float(data.max()), -float(data.min())) if data.size else 1.0
     cut = 1e-12 * scale
     # Canonical CSR stores each diagonal entry at most once, so the positive
-    # off-diagonal count is the positive entry count less the diagonal's.
-    if np.count_nonzero(data > cut) > np.count_nonzero(diagonal > cut):
+    # off-diagonal count is the positive entry count less the diagonal's (n at most).
+    positive = np.count_nonzero(data > cut)
+    if positive > matrix.shape[0] or positive > np.count_nonzero(matrix.diagonal() > cut):
         return False
     return bool(np.all(matrix @ np.ones(matrix.shape[1]) >= -cut))
 
 
-def geometric_bound(
-    system: AssembledSystem,
-    elem: ReferenceElement,
-    diffusion: DiffusionField,
-) -> float:
+def geometric_bound(system: AssembledSystem) -> float:
     """Patch-based upper bound on lambda_max of the system's pencil.
 
     eta * (C_H1 / surrogate_lambda_min) * max over free DOFs of the patch
     average (P @ (|K| * alignment(K))) / (P @ |K|), with P the system's
     free-DOF-by-element patch incidence.
     """
-    geometry = system.geometry
-    align = element_alignment_factor(geometry, diffusion, elem)
+    geometry, elem = system.geometry, system.elem
+    align = element_alignment_factor(geometry, system.diffusion, elem)
     averages = (system.patch_incidence @ (geometry.volume * align)) / system.patch_volumes
     worst = float(np.max(averages, initial=0.0))
     return elem.node_count * (elem.c_h1 / system.surrogate_lambda_min) * worst
@@ -359,10 +352,7 @@ def _negative_direction(matrix: sp.csr_array) -> np.ndarray | None:
     return spla.spsolve_triangular(lu.L.T, e_k, lower=False, unit_diagonal=True)[lu.perm_r]
 
 
-def verify_matrix_inequalities(
-    system: AssembledSystem,
-    elem: ReferenceElement,
-) -> list[str]:
+def verify_matrix_inequalities(system: AssembledSystem) -> list[str]:
     """Check the structural matrix inequalities lhs >= rhs behind the bounds:
       * diagonal domination: eta * diag(A) >= A,
       * patch-volume sandwich: surrogate_lambda_min * W <= Mt <=
@@ -385,7 +375,7 @@ def verify_matrix_inequalities(
     diag_m = sp.diags_array(surrogate.diagonal(), format="csr")
     kappa = system.kappa_surrogate
     checks = {
-        "diagonal_domination": (elem.node_count * sp.diags_array(A.diagonal(), format="csr"), A),
+        "diagonal_domination": (system.elem.node_count * sp.diags_array(A.diagonal(), format="csr"), A),
         "patch_volume_lower": (surrogate, system.surrogate_lambda_min * W),
         "patch_volume_upper": (system.surrogate_lambda_max * W, surrogate),
         "diagonal_sandwich_lower": (surrogate, (1.0 / kappa) * diag_m),
@@ -462,8 +452,9 @@ def compute_bound_report(
 ) -> BoundReport:
     """Assemble (unless given a system) and evaluate every bound expression.
 
-    The geometric and comparison bounds read the system's element geometry,
-    patch incidence and surrogate spectrum; nothing is rebuilt.
+    A given system must be built from these mesh, elem and diffusion objects
+    and an equal policy, or ValueError.  Every field is read from the system
+    (its inputs, geometry, patches and surrogate spectrum); nothing is rebuilt.
 
     The exact eigenvalue, and with it the sandwich check, is skipped
     (reported as None) when the reduced system exceeds dof_cap degrees of
@@ -471,10 +462,13 @@ def compute_bound_report(
     """
     if system is None:
         system = assemble_system(mesh, elem, diffusion, policy)
-    lower, upper = diag_ratio_bounds(system, elem)
-    geometric = geometric_bound(system, elem, diffusion)
-    zhudu = zhudu_bound(system.geometry, diffusion)
-    m_matrix = _is_m_matrix(system.stiffness, system.diag_stiffness)
+    elif not (mesh is system.mesh and elem is system.elem and diffusion is system.diffusion
+              and policy == system.policy):
+        raise ValueError("the system was not assembled from these inputs")
+    lower, upper = diag_ratio_bounds(system)
+    geometric = geometric_bound(system)
+    zhudu = zhudu_bound(system.geometry, system.diffusion)
+    m_matrix = is_m_matrix(system.stiffness)
     refined = 2.0 * system.kappa_surrogate * lower if m_matrix else None
     lam = sandwich = None
     if system.n_dofs <= dof_cap:
@@ -482,14 +476,14 @@ def compute_bound_report(
         slack = 1.0 + 1e-9  # roundoff allowance of the sandwich check
         sandwich = lower <= lam * slack and lam <= upper * slack
     return BoundReport(
-        dimension=mesh.dimension,
-        n_elements=mesh.n_elements,
+        dimension=system.mesh.dimension,
+        n_elements=system.mesh.n_elements,
         n_dofs=system.n_dofs,
-        order=elem.order,
-        node_count=elem.node_count,
-        policy=policy.kind,
+        order=system.elem.order,
+        node_count=system.elem.node_count,
+        policy=system.policy.kind,
         kappa_surrogate=system.kappa_surrogate,
-        c_h1=elem.c_h1,
+        c_h1=system.elem.c_h1,
         lambda_max_exact=lam,
         lower_diag_ratio=lower,
         upper_diag_ratio=upper,

@@ -339,22 +339,17 @@ def cmd_bounds(config: RunConfig) -> dict:
     }
 
 
-def _initial_vector(
-    config: RunConfig,
-    mesh: SimplicialMesh,
-    elem,
-    system: AssembledSystem,
-) -> np.ndarray:
+def _initial_vector(config: RunConfig, system: AssembledSystem) -> np.ndarray:
     if config.initial == "top_mode":
         return top_mode_initial_condition(system, seed=config.seed)
     if config.initial == "random":
         rng = np.random.default_rng(config.seed)
         return rng.standard_normal(system.n_dofs)
-    if mesh.dimension == 1:
+    if system.mesh.dimension == 1:
         func = lambda x: math.sin(math.pi * x[0])
     else:
         func = lambda x: math.sin(math.pi * x[0]) * math.sin(math.pi * x[1])
-    coeffs = l2_project(mesh, elem, func, system.numbering, system.geometry)
+    coeffs = l2_project(system.mesh, system.elem, func, system.numbering, system.geometry)
     return coeffs[system.dof_map]
 
 
@@ -383,7 +378,7 @@ def cmd_integrate(config: RunConfig) -> dict:
             raise ConfigError(str(exc)) from exc
         tau_source = config.bound_source
 
-    u0 = _initial_vector(config, mesh, elem, system)
+    u0 = _initial_vector(config, system)
 
     summary: dict = {
         "command": "integrate",
@@ -394,7 +389,7 @@ def cmd_integrate(config: RunConfig) -> dict:
         "n_dofs": system.n_dofs,
         "seed": config.seed,
         "lambda_max_exact": None if report is None else report.lambda_max_exact,
-        "growth_bound": math.sqrt(elem.condition_number * system.kappa_surrogate),
+        "growth_bound": system.l2_growth_bound,
         "growth_ratio": None,
         "certificate": None,
         "certificate_step": None,

@@ -153,8 +153,6 @@ def _boundary_from_poly(coeffs: tuple[float, ...]) -> float:
         if above.size:
             first = start + int(above[0])
             break
-    if first == 0:
-        return 0.0
     lo, up = float(grid[first - 1]), float(grid[first])
     while up - lo > 1e-12:
         mid = 0.5 * (lo + up)
@@ -404,14 +402,17 @@ def top_mode_initial_condition(system: AssembledSystem, seed: int = 0) -> np.nda
 def l2_growth_certificate(
     trace: IntegrationTrace, system: AssembledSystem, elem: ReferenceElement
 ) -> float:
-    """Check observed L2 growth against sqrt(kappa(M-hat) kappa(M-tilde_ref)).
+    """Check observed L2 growth against system.l2_growth_bound.
 
     Returns the observed max_n ||u_n|| / ||u_0||.  Raises CertificateError
     (naming the offending step) if the observed growth exceeds the bound
     by more than 1e-9.  A run started from the zero vector certifies
-    trivially with ratio 0.
+    trivially with ratio 0.  elem must be the system's own element object,
+    or ValueError.
     """
-    bound = math.sqrt(elem.condition_number * system.kappa_surrogate)
+    if elem is not system.elem:
+        raise ValueError("the system was not assembled with this element")
+    bound = system.l2_growth_bound
     if len(trace.l2_norms) == 0:
         return 0.0
     initial = float(trace.l2_norms[0])

@@ -156,7 +156,7 @@ def test_criterion_3_matrix_inequalities(matrix):
     failures = []
     for label, _, elem, _, _, system, _ in matrix:
         try:
-            verify_matrix_inequalities(system, elem)
+            verify_matrix_inequalities(system)
         except Exception as exc:
             failures.append(f"{label}: {exc}")
     passed = not failures
@@ -246,7 +246,7 @@ def test_criterion_6_anisotropy_gap():
         system = assemble_system(mesh, elem, diffusion, CONSISTENT)
         values[a] = (
             zhudu_bound(system.geometry, diffusion),
-            geometric_bound(system, elem, diffusion),
+            geometric_bound(system),
         )
     zhudu_growth = values[100.0][0] / values[10.0][0]
     geo_change = values[100.0][1] / values[10.0][1]

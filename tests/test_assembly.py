@@ -616,7 +616,7 @@ def test_bounds_only_paths_never_build_the_consistent_mass(mass_builds, capsys, 
     D = DiffusionField.rotated_anisotropic(np.pi / 6, (1.0, 100.0))
     system = assemble_system(mesh, elem, D, policy)
     report = compute_bound_report(mesh, elem, D, policy, system=system)
-    verify_matrix_inequalities(system, elem)
+    verify_matrix_inequalities(system)
     scheme = rk_scheme("classic_rk4")
     for source in ("exact", "diag_ratio", "geometric"):
         stable_timestep(scheme, source, report)

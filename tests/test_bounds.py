@@ -62,7 +62,7 @@ def lumped_interior_lambda_max(n_cells: int) -> float:
 
 def geometric(mesh, elem, diffusion, policy):
     system = assemble_system(mesh, elem, diffusion, policy)
-    return geometric_bound(system, elem, diffusion)
+    return geometric_bound(system)
 
 
 def lumped_1d_system(n_cells):
@@ -424,7 +424,7 @@ def test_non_spd_pencil_rejected():
 
 def test_diag_ratio_bounds_1d_lumped():
     system, elem = lumped_1d_system(8)
-    lower, upper = diag_ratio_bounds(system, elem)
+    lower, upper = diag_ratio_bounds(system)
     h = 1.0 / 8
     assert abs(lower - 2.0 / h**2) < 1e-10
     # eta = 2 and the lumped reference matrix is a multiple of the identity
@@ -438,7 +438,7 @@ def test_diag_ratio_bounds_1d_consistent():
     mesh = uniform_interval(8)
     elem = build_reference_element(1, 1)
     system = assemble_system(mesh, elem, identity(1), CONSISTENT)
-    lower, upper = diag_ratio_bounds(system, elem)
+    lower, upper = diag_ratio_bounds(system)
     h = 1.0 / 8
     assert abs(lower - 3.0 / h**2) < 1e-10  # (2/h) / (4h/6)
     assert abs(upper - 18.0 / h**2) < 1e-9  # eta=2, kappa=3
@@ -536,6 +536,102 @@ def test_is_m_matrix_reads_duplicates_by_their_sum():
     np.testing.assert_array_equal(matrix.data, data)
 
 
+def diagonal_reads(monkeypatch):
+    """Count every diagonal() read of a CSR array."""
+    reads = []
+    original = sp.csr_array.diagonal
+
+    def counted(self, k=0):
+        reads.append(k)
+        return original(self, k)
+
+    monkeypatch.setattr(sp.csr_array, "diagonal", counted)
+    return reads
+
+
+def duplicated_m_matrix():
+    """The M-matrix tridiag(-1, 2, -1) of order 3, each entry stored as two halves."""
+    dense = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+    rows, cols = np.nonzero(dense)
+    indptr = 2 * np.searchsorted(rows, np.arange(4))
+    return sp.csr_array((np.repeat(0.5 * dense[rows, cols], 2), np.repeat(cols, 2), indptr),
+                        shape=(3, 3))
+
+
+@pytest.mark.parametrize("case, expected, reads", [
+    ("p1-identity", True, 1),
+    ("p1-rotated", False, 0),
+    ("p2-identity", False, 0),
+    ("duplicates", True, 1),
+])
+def test_is_m_matrix_reads_the_diagonal_only_when_it_decides(monkeypatch, case, expected, reads):
+    """More positive entries than rows decide False before the diagonal is read."""
+    if case == "duplicates":
+        matrix = duplicated_m_matrix()
+        assert not matrix.has_canonical_format
+    else:
+        order = 2 if case.startswith("p2") else 1
+        D = (DiffusionField.rotated_anisotropic(np.pi / 6, (1.0, 100.0))
+             if case == "p1-rotated" else identity(2))
+        matrix = assemble_system(structured_triangular(6, 6),
+                                 build_reference_element(2, order), D, HRZ_DIAGONAL).stiffness
+    assert coo_m_matrix_oracle(matrix) is expected
+    counted = diagonal_reads(monkeypatch)
+    assert is_m_matrix(matrix) is expected
+    assert len(counted) == reads
+
+
+def test_report_runs_the_public_m_matrix_test(monkeypatch):
+    """The report calls bounds.is_m_matrix by its module name, which a tracer can wrap."""
+    calls = []
+    original = rkstab.bounds.is_m_matrix
+
+    def counted(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(rkstab.bounds, "is_m_matrix", counted)
+    mesh = structured_triangular(4, 4)
+    elem, D = build_reference_element(2, 1), identity(2)
+    system = assemble_system(mesh, elem, D, HRZ_DIAGONAL)
+    report = compute_bound_report(mesh, elem, D, HRZ_DIAGONAL, system=system)
+    assert len(calls) == 1 and calls[0] is system.stiffness
+    assert report.m_matrix_refinement_applied is True
+
+
+def test_system_records_its_inputs():
+    mesh = structured_triangular(4, 4)
+    elem = build_reference_element(2, 2)
+    D = DiffusionField.constant(100.0 * np.eye(2))
+    system = assemble_system(mesh, elem, D, HRZ_DIAGONAL)
+    assert system.mesh is mesh and system.elem is elem and system.diffusion is D
+    assert system.policy == HRZ_DIAGONAL
+    assert system.l2_growth_bound == math.sqrt(elem.condition_number * system.kappa_surrogate)
+
+
+@pytest.mark.parametrize("mismatch", ["mesh", "elem", "diffusion", "policy"])
+def test_report_refuses_a_system_built_from_other_inputs(mismatch):
+    """A P2 HRZ system with D = 100 I, reported with one input not its own.
+
+    With D = I and the consistent policy, such a report once printed an
+    upper_geometric below lambda_max, and sandwich_satisfied true."""
+    mesh = structured_triangular(8, 8)
+    elem = build_reference_element(2, 2)
+    D = DiffusionField.constant(100.0 * np.eye(2))
+    system = assemble_system(mesh, elem, D, HRZ_DIAGONAL)
+    inputs = {"mesh": mesh, "elem": elem, "diffusion": D, "policy": HRZ_DIAGONAL}
+    inputs[mismatch] = {
+        "mesh": structured_triangular(8, 8),  # equal, but not the system's object
+        "elem": build_reference_element(2, 3),
+        "diffusion": identity(2),
+        "policy": CONSISTENT,
+    }[mismatch]
+    with pytest.raises(ValueError, match="not assembled from"):
+        compute_bound_report(**inputs, system=system)
+    own = compute_bound_report(mesh, elem, D, HRZ_DIAGONAL, dof_cap=0, system=system)
+    assert own.policy == "hrz_diagonal" and own.order == 2
+
+
 def test_geometric_bound_1d_hand_values():
     mesh = uniform_interval(8)
     elem = build_reference_element(1, 1)
@@ -561,7 +657,7 @@ def test_geometric_bound_dominates_lambda_max():
     for policy in (CONSISTENT, HRZ_DIAGONAL):
         system = assemble_system(mesh, elem, D, policy)
         lam = lambda_max_generalized(system.stiffness, system.surrogate_mass)
-        bound = geometric_bound(system, elem, D)
+        bound = geometric_bound(system)
         assert lam <= bound * (1 + 1e-9)
 
 
@@ -709,8 +805,8 @@ def test_rotation_invariance():
     lam0 = lambda_max_dense(sys0.stiffness, sys0.surrogate_mass)
     lam1 = lambda_max_dense(sys1.stiffness, sys1.surrogate_mass)
     assert abs(lam0 - lam1) < 1e-10 * lam0
-    g0 = geometric_bound(sys0, elem, D0)
-    g1 = geometric_bound(sys1, elem, D1)
+    g0 = geometric_bound(sys0)
+    g1 = geometric_bound(sys1)
     assert abs(g0 - g1) < 1e-10 * g0
     z0 = zhudu_bound(sys0.geometry, D0)
     z1 = zhudu_bound(sys1.geometry, D1)
@@ -737,7 +833,7 @@ MATRIX_INEQUALITY_CHECKS = [
 def test_matrix_inequalities_hold(d, m, make, policy, diffusion):
     elem = build_reference_element(d, m)
     system = assemble_system(make(), elem, diffusion, policy)
-    assert verify_matrix_inequalities(system, elem) == MATRIX_INEQUALITY_CHECKS
+    assert verify_matrix_inequalities(system) == MATRIX_INEQUALITY_CHECKS
 
 
 def test_sparse_path_finds_violation_random_forms_miss():
@@ -756,7 +852,7 @@ def test_sparse_path_finds_violation_random_forms_miss():
     tampered = dataclasses.replace(system, stiffness=sp.csr_array(stiffness))
     assert tampered.n_dofs == 529
     with pytest.raises(InequalityViolation) as info:
-        verify_matrix_inequalities(tampered, elem)
+        verify_matrix_inequalities(tampered)
     violation, tol = info.value, 1e-10
     assert violation.name == "diagonal_domination"
     x = violation.witness
@@ -781,7 +877,7 @@ def test_matrix_inequality_violation_reported():
     system, elem = lumped_1d_system(6)
     tampered = dataclasses.replace(system, surrogate_lambda_min=100.0)
     with pytest.raises(InequalityViolation) as info:
-        verify_matrix_inequalities(tampered, elem)
+        verify_matrix_inequalities(tampered)
     assert info.value.name == "patch_volume_lower"
     assert info.value.witness.shape == (system.n_dofs,)
 

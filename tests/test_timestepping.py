@@ -417,6 +417,15 @@ class TestGrowthCertificate:
         assert excinfo.value.step == 2
         assert excinfo.value.ratio == pytest.approx(10.0)
 
+    def test_refuses_an_element_the_system_was_not_built_with(self):
+        _, elem, system = interval_system(8, HRZ_DIAGONAL)
+        trace = integrate(
+            system, rk_scheme("explicit_euler"), 1e-3, 2, smooth_interior_values(8)
+        )
+        assert l2_growth_certificate(trace, system, elem) >= 1.0
+        with pytest.raises(ValueError, match="not assembled with this element"):
+            l2_growth_certificate(trace, system, build_reference_element(1, 1))
+
     def test_zero_trace_certifies_trivially(self):
         _, elem, system = interval_system(8, HRZ_DIAGONAL)
         trace = integrate(
