@@ -7,12 +7,15 @@ matrix is symmetric positive definite, and the element matrix is its |K|
 multiple.  A diagonal reference matrix (HRZ lumping, node quadrature)
 assembles to a diagonal, summed per DOF by one bincount.  Stiffness integrals
 are evaluated by quadrature after pulling the diffusion tensor back to the
-reference cell.
+reference cell.  The stiffness, the alignment factors and the comparison
+bound read D on the elements from DiffusionField.on alone, and a callable D,
+like l2_project's function, is called once per point by one helper.
 
 assemble_system builds A, the surrogate M-tilde and the patch arrays, each
 cut to the free DOFs by apply_dirichlet as it is built.  The consistent mass
-M enters only the L2 norm that integrate monitors, so the system builds and
-cuts it on first read; under the consistent policy it is M-tilde.
+M enters only the L2 norm that integrate monitors, so the system builds it
+with assemble_mass and cuts it on first read; under the consistent policy it
+is M-tilde.
 
 The element stiffness matrices come from one blocked kernel that runs every
 sum in one fixed order: the order numpy 2.4's four-operand einsum takes for
@@ -37,10 +40,10 @@ import scipy.sparse.linalg as spla
 from .mesh import (
     AffineGeometry,
     DofNumbering,
-    MeshStructureError,
     SimplicialMesh,
     build_affine_maps,
     build_patches,
+    free_dofs,
     number_dofs,
 )
 from .reference import (
@@ -83,9 +86,9 @@ class DiffusionField:
     """Diffusion tensor D(x): a constant matrix, or a callable of position.
 
     A constant matrix is checked to be SPD once, here; a callable's values
-    are checked where the stiffness assembly samples them.  For callables,
-    `degree` declares a polynomial-degree proxy used to pick the stiffness
-    quadrature order.
+    are checked where the stiffness assembly integrates them.  `on` gives
+    the values on the elements.  For callables, `degree` declares a
+    polynomial-degree proxy used to pick the stiffness quadrature order.
     """
 
     matrix: np.ndarray | None = None
@@ -132,30 +135,30 @@ class DiffusionField:
     def is_constant(self) -> bool:
         return self.func is None
 
-    def constant_matrix(self, d: int) -> np.ndarray:
-        """The constant tensor, checked to be d x d for a mesh of dimension d."""
-        if self.matrix.shape[0] != d:
-            raise ValueError(
-                f"diffusion matrix is {self.matrix.shape[0]}x{self.matrix.shape[0]} "
-                f"on a mesh of dimension {d}"
-            )
-        return self.matrix
+    def on(self, geometry: AffineGeometry, ref_points: np.ndarray) -> np.ndarray:
+        """D at the images of ref_points (P, d) on every element, shape (E, P, d, d).
 
-    def sample(self, points: np.ndarray) -> np.ndarray:
-        """Tensor values at physical points of shape (..., d); shape (..., d, d).
-
-        A callable is called once per point.
+        A constant comes back once, as a read-only (1, 1, d, d) view that
+        broadcasts over both axes, after a check that it is d x d.  A callable
+        is called once per point, and its values are not checked here.
         """
-        points = np.atleast_2d(points)
+        d = geometry.jacobian.shape[-1]
         if self.is_constant:
-            return np.broadcast_to(
-                self.matrix, (*points.shape[:-1], *self.matrix.shape)
-            ).copy()
-        flat = points.reshape(-1, points.shape[-1])
-        values = np.array([self.func(p) for p in flat], dtype=float)
-        if values.ndim == 1:  # scalar-valued callable in 1D
-            values = values[:, None, None]
-        return values.reshape(*points.shape[:-1], *values.shape[1:])
+            if self.matrix.shape[0] != d:
+                raise ValueError(f"diffusion matrix is {self.matrix.shape[0]}x{self.matrix.shape[0]} "
+                                 f"on a mesh of dimension {d}")
+            return np.broadcast_to(self.matrix, (1, 1, d, d))
+        points = geometry.map_points(ref_points)
+        return _at_each_point(self.func, points).reshape(*points.shape[:-1], d, d)
+
+
+def _at_each_point(func: Callable[[np.ndarray], object], points: np.ndarray) -> np.ndarray:
+    """func at each point of points (..., d), one call per point, in C order.
+
+    The one place a user function is called point by point; the caller
+    reshapes the values, which come back one row per point.
+    """
+    return np.array([func(p) for p in points.reshape(-1, points.shape[-1])], dtype=float)
 
 
 def _spd_defects(samples: np.ndarray) -> dict[str, np.ndarray]:
@@ -273,13 +276,12 @@ class AssembledSystem:
     def mass(self) -> sp.csr_array:
         """The Dirichlet-reduced consistent mass M, built on first read.
 
-        Under the consistent policy M is the surrogate itself.  Otherwise it
-        is scattered as assemble_mass would, and cut by apply_dirichlet.
+        Under the consistent policy M is the surrogate itself.  Otherwise
+        assemble_mass builds it, and apply_dirichlet cuts it.
         """
         if self.policy.kind == "consistent":
             return self.surrogate_mass
-        local = self.geometry.volume[:, None, None] * self.elem.ref_mass_matrix[None, :, :]
-        full = _scatter(local, self.numbering.element_dofs, self.numbering.n_dofs)
+        full, _ = assemble_mass(self.mesh, self.elem, CONSISTENT, self.numbering, self.geometry)
         return apply_dirichlet(full, self.dof_map)
 
     @property
@@ -398,17 +400,16 @@ def assemble_mass(
 
 def _stiffness_quadrature(
     elem: ReferenceElement, diffusion: DiffusionField
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quadrature points/weights/gradients adequate for the stiffness integral.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature points and weights adequate for the stiffness integral.
 
     The alignment factors sample D at these same points, which is what makes
     the geometric bound hold for the assembled stiffness.
     """
     needed = 2 * (elem.order - 1) + max(diffusion.degree, 0)
     if needed <= 2 * elem.order:
-        return elem.quad_points, elem.quad_weights, elem.quad_grads
-    pts, wts = simplex_quadrature(elem.dimension, needed)
-    return pts, wts, tabulate_gradients(elem, pts)
+        return elem.quad_points, elem.quad_weights
+    return simplex_quadrature(elem.dimension, needed)
 
 
 # Elements per block of the stiffness kernel.  Each numpy call then works on
@@ -488,15 +489,13 @@ def assemble_stiffness(
     """
     numbering = numbering or number_dofs(mesh, elem)
     geometry = geometry or build_affine_maps(mesh)
-    pts, wts, grads = _stiffness_quadrature(elem, diffusion)
-
-    if diffusion.is_constant:  # SPD checked when the field was built
-        tensors = diffusion.constant_matrix(elem.dimension)[None, :, :, None]
-    else:
-        samples = diffusion.sample(geometry.map_points(pts))
-        _check_spd_samples(samples)
-        tensors = samples.transpose(1, 2, 3, 0)
-    local = _element_stiffness(geometry.inv_jacobian, tensors, wts, grads, geometry.volume)
+    pts, wts = _stiffness_quadrature(elem, diffusion)
+    grads = elem.quad_grads if pts is elem.quad_points else tabulate_gradients(elem, pts)
+    tensors = diffusion.on(geometry, pts)
+    _check_spd_samples(tensors)
+    local = _element_stiffness(
+        geometry.inv_jacobian, tensors.transpose(1, 2, 3, 0), wts, grads, geometry.volume
+    )
     return _scatter(local, numbering.element_dofs, numbering.n_dofs)
 
 
@@ -514,14 +513,11 @@ def assemble_system(
     """
     geometry = build_affine_maps(mesh)
     numbering = number_dofs(mesh, elem)
+    free = free_dofs(numbering, elem.order)
     stiffness = assemble_stiffness(mesh, elem, diffusion, numbering, geometry)
     surrogate, ref = assemble_mass(mesh, elem, policy, numbering, geometry)
     eigenvalues = np.linalg.eigvalsh(ref)
     incidence, patch_volumes = build_patches(mesh, elem, numbering, geometry)
-    free = numbering.free_dofs
-    if free.size == 0:
-        raise MeshStructureError(f"no free DOF at order {elem.order}: "
-                                 "every DOF lies on the Dirichlet boundary")
     return AssembledSystem(
         stiffness=apply_dirichlet(stiffness, free),
         surrogate_mass=apply_dirichlet(surrogate, free),
@@ -592,13 +588,10 @@ def element_alignment_factor(
     """
     inv = geometry.inv_jacobian
     d = inv.shape[-1]
-    if diffusion.is_constant:
-        return _pulled_back_norm(inv, diffusion.constant_matrix(d))
-    if elem is None:
+    if elem is None and not diffusion.is_constant:
         raise ValueError("position-dependent diffusion needs the reference element")
-    pts, _, _ = _stiffness_quadrature(elem, diffusion)
-    ref_pts = np.vstack([np.zeros((1, d)), np.eye(d), pts])
-    samples = diffusion.sample(geometry.map_points(ref_pts))
+    pts = np.empty((0, d)) if elem is None else _stiffness_quadrature(elem, diffusion)[0]
+    samples = diffusion.on(geometry, np.vstack([np.zeros((1, d)), np.eye(d), pts]))
     return _pulled_back_norm(inv[:, None], samples).max(axis=1)
 
 
@@ -619,8 +612,7 @@ def l2_project(
     pts, wts = simplex_quadrature(elem.dimension, 2 * elem.order + 2)
     basis = tabulate_basis(elem, pts)
     x = geometry.map_points(pts)
-    f_vals = np.array([func(p) for p in x.reshape(-1, x.shape[-1])], dtype=float)
-    weighted = wts * f_vals.reshape(x.shape[:2])
+    weighted = wts * _at_each_point(func, x).reshape(x.shape[:2])
     local = geometry.volume[:, None] * (basis.T @ weighted[:, :, None])[:, :, 0]
     load = np.bincount(
         numbering.element_dofs.ravel(), weights=local.ravel(), minlength=numbering.n_dofs

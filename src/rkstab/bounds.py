@@ -38,6 +38,7 @@ from .assembly import (
     AssembledSystem,
     DiffusionField,
     SurrogatePolicy,
+    _pulled_back_norm,
     assemble_system,
     element_alignment_factor,
     surrogate_solver,
@@ -324,13 +325,9 @@ def zhudu_bound(geometry: AffineGeometry, diffusion: DiffusionField) -> float:
     Position-dependent D is sampled at each element's vertices and centroid.
     """
     d = geometry.jacobian.shape[-1]
-    jacobian_part = element_alignment_factor(geometry, DiffusionField.constant(np.eye(d)))
-    if diffusion.is_constant:
-        lam_d = float(np.linalg.eigvalsh(diffusion.constant_matrix(d))[-1])
-    else:
-        ref_pts = np.vstack([np.zeros((1, d)), np.eye(d), np.full((1, d), 1.0 / (d + 1))])
-        samples = diffusion.sample(geometry.map_points(ref_pts))
-        lam_d = np.linalg.eigvalsh(samples)[..., -1].max(axis=1)
+    jacobian_part = _pulled_back_norm(geometry.inv_jacobian, np.eye(d))
+    ref_pts = np.vstack([np.zeros((1, d)), np.eye(d), np.full((1, d), 1.0 / (d + 1))])
+    lam_d = np.linalg.eigvalsh(diffusion.on(geometry, ref_pts))[..., -1].max(axis=1)
     return float(np.max(lam_d * jacobian_part, initial=0.0))
 
 

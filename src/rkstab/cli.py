@@ -63,6 +63,7 @@ from .mesh import (
     MeshStructureError,
     SimplicialMesh,
     check_mesh_spec,
+    free_dofs,
     generate_mesh,
     number_dofs,
     read_mesh,
@@ -503,10 +504,11 @@ def cmd_validate(config: RunConfig) -> dict:
     mesh = build_mesh(config)
     problems = validate_mesh(mesh)
     if not problems:  # a sound mesh can still leave no DOF free at the run's order
-        numbering = number_dofs(mesh, build_reference_element(mesh.dimension, config.order))
-        if numbering.free_dofs.size == 0:
-            problems.append(f"no free DOF at order {config.order}: "
-                            "every DOF lies on the Dirichlet boundary")
+        try:
+            free_dofs(number_dofs(mesh, build_reference_element(mesh.dimension, config.order)),
+                      config.order)
+        except MeshStructureError as exc:
+            problems.append(str(exc))
     return {
         "command": "validate",
         "status": "ok" if not problems else "invalid",

@@ -26,6 +26,7 @@ __all__ = [
     "DegenerateElementError",
     "build_affine_maps",
     "build_patches",
+    "free_dofs",
     "number_dofs",
     "generate_mesh",
     "check_mesh_spec",
@@ -105,10 +106,6 @@ class DofNumbering:
     element_dofs: np.ndarray          # (n_elements, eta)
     dirichlet_dofs: np.ndarray        # sorted global indices
     n_edge_dofs: int
-
-    @property
-    def free_dofs(self) -> np.ndarray:
-        return np.delete(np.arange(self.n_dofs), self.dirichlet_dofs)
 
 
 @dataclass(frozen=True)
@@ -274,6 +271,19 @@ def number_dofs(mesh: SimplicialMesh, elem: ReferenceElement) -> DofNumbering:
         dirichlet_dofs=np.unique(np.concatenate(dirichlet)),
         n_edge_dofs=n_edge_dofs,
     )
+
+
+def free_dofs(numbering: DofNumbering, order: int) -> np.ndarray:
+    """The DOFs off the Dirichlet boundary of an order-m numbering, sorted.
+
+    The one no-free-DOF rule: with none, MeshStructureError, which validate
+    reports and every system build raises.
+    """
+    free = np.delete(np.arange(numbering.n_dofs), numbering.dirichlet_dofs)
+    if free.size == 0:
+        raise MeshStructureError(f"no free DOF at order {order}: "
+                                 "every DOF lies on the Dirichlet boundary")
+    return free
 
 
 def build_patches(

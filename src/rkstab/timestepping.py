@@ -385,12 +385,13 @@ def integrate(
 
 
 def top_mode_initial_condition(system: AssembledSystem, seed: int = 0) -> np.ndarray:
-    """Dominant eigenvector of the pencil plus a small smooth perturbation.
+    """Dominant eigenvector of the pencil plus seeded Gaussian noise.
 
-    The perturbation guarantees a nonzero component on the top mode even
-    after floating-point roundoff in downstream arithmetic; its norm is 1e-3
-    times the eigenvector's, so the returned vector still points almost
-    exactly along the most unstable direction.
+    The noise, drawn from default_rng(seed), guarantees a nonzero component
+    on the top mode even after floating-point roundoff in downstream
+    arithmetic; its norm is 1e-3 times the eigenvector's, so the returned
+    vector still points almost exactly along the most unstable direction.
+    seed sets the noise only: the eigensolve always starts from DEFAULT_SEED.
     """
     _, vec = lambda_max_with_vector(system.stiffness, system.surrogate_mass)
     rng = np.random.default_rng(seed)

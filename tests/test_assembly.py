@@ -35,9 +35,9 @@ from rkstab.mesh import (
     structured_triangular,
     uniform_interval,
 )
-from rkstab.bounds import compute_bound_report, verify_matrix_inequalities
+from rkstab.bounds import compute_bound_report, verify_matrix_inequalities, zhudu_bound
 from rkstab.cli import main
-from rkstab.reference import build_reference_element, simplex_quadrature
+from rkstab.reference import build_reference_element, simplex_quadrature, tabulate_gradients
 from rkstab.timestepping import integrate, rk_scheme, stable_timestep
 
 
@@ -284,6 +284,12 @@ def test_alignment_factor_callable_sampling():
     assert abs(factor - 2.0) < 1e-12  # max(1+x) = 2 at vertex (1, 0)
 
 
+def callable_samples(diffusion, geometry, ref_points):
+    """diffusion.func at the images of ref_points on every element, (E, P, d, d)."""
+    return np.array([[diffusion.func(p) for p in points]
+                     for points in geometry.map_points(ref_points)], dtype=float)
+
+
 def matmul_alignment_oracle(geometry, diffusion, elem):
     """Per-element max of np.linalg.norm(F'^-1 D F'^-T, 2) from stacked matmuls."""
     inv = geometry.inv_jacobian
@@ -293,7 +299,7 @@ def matmul_alignment_oracle(geometry, diffusion, elem):
     d = elem.dimension
     needed = 2 * (elem.order - 1) + diffusion.degree
     pts = elem.quad_points if needed <= 2 * elem.order else simplex_quadrature(d, needed)[0]
-    samples = diffusion.sample(geometry.map_points(np.vstack([np.zeros((1, d)), np.eye(d), pts])))
+    samples = callable_samples(diffusion, geometry, np.vstack([np.zeros((1, d)), np.eye(d), pts]))
     inv = inv[:, None]
     pulled = inv @ samples @ inv.transpose(0, 1, 3, 2)
     return np.array([[np.linalg.norm(m, 2) for m in per_elem] for per_elem in pulled]).max(axis=1)
@@ -369,12 +375,13 @@ def stiffness_oracle(mesh, elem, diffusion):
     assemble_stiffness documents: every sum starts from 0.0 and runs over its
     index in increasing order, (a, b) lexicographically."""
     geometry = build_affine_maps(mesh)
-    pts, wts, grads = _stiffness_quadrature(elem, diffusion)
+    pts, wts = _stiffness_quadrature(elem, diffusion)
+    grads = tabulate_gradients(elem, pts)
     n_q, eta, d = grads.shape
     if diffusion.is_constant:
         samples = [[diffusion.matrix.tolist()]] * len(geometry.volume)
     else:
-        samples = diffusion.sample(geometry.map_points(pts)).tolist()
+        samples = callable_samples(diffusion, geometry, pts).tolist()
     w, g = wts.tolist(), grads.tolist()
     local = []
     for inv, tensors, vol in zip(geometry.inv_jacobian.tolist(), samples,
@@ -408,13 +415,14 @@ def stiffness_oracle(mesh, elem, diffusion):
 def einsum_stiffness(mesh, elem, diffusion):
     """Element stiffness matrices by numpy's einsum, the earlier assembly."""
     geometry = build_affine_maps(mesh)
-    pts, wts, grads = _stiffness_quadrature(elem, diffusion)
+    pts, wts = _stiffness_quadrature(elem, diffusion)
+    grads = tabulate_gradients(elem, pts)
     inv = geometry.inv_jacobian
     if diffusion.is_constant:
         geo = np.einsum("eab,bc,edc->ead", inv, diffusion.matrix, inv)
         local = np.einsum("q,qia,eab,qjb->eij", wts, grads, geo, grads)
     else:
-        samples = diffusion.sample(geometry.map_points(pts))
+        samples = callable_samples(diffusion, geometry, pts)
         geo = np.einsum("eab,eqbc,edc->eqad", inv, samples, inv)
         local = np.einsum("q,qia,eqab,qjb->eij", wts, grads, geo, grads)
     local *= geometry.volume[:, None, None]
@@ -587,6 +595,105 @@ def test_constant_tensor_of_the_wrong_dimension_rejected_by_assembly():
 
 
 # --------------------------------------------------------------------------
+# D on the elements
+
+
+def test_diffusion_on_elements_shapes():
+    """A constant comes back once, as a read-only view of its matrix; a
+    callable gives its value at every image of every reference point."""
+    geometry = build_affine_maps(random_perturbed(3, 2, 0.05, seed=4))
+    ref_points = np.array([[0.0, 0.0], [0.25, 0.5], [1 / 3, 1 / 3]])
+    constant = DiffusionField.rotated_anisotropic(0.3, (1.0, 10.0))
+    values = constant.on(geometry, ref_points)
+    assert values.shape == (1, 1, 2, 2)
+    assert np.shares_memory(values, constant.matrix) and not values.flags.writeable
+    np.testing.assert_array_equal(values[0, 0], constant.matrix)
+
+    def tensor(x):
+        return np.array([[2.0 + x[0], x[1]], [x[1], 3.0]])
+
+    values = DiffusionField.from_callable(tensor, degree=1).on(geometry, ref_points)
+    assert values.shape == (geometry.volume.size, 3, 2, 2)
+    images = geometry.map_points(ref_points)
+    np.testing.assert_array_equal(values, [[tensor(x) for x in row] for row in images])
+
+
+def test_diffusion_on_elements_rejects_a_constant_of_the_wrong_dimension():
+    with pytest.raises(ValueError, match="^diffusion matrix is 2x2 on a mesh of dimension 1$"):
+        identity(2).on(build_affine_maps(uniform_interval(3)), np.zeros((1, 1)))
+
+
+def test_scalar_valued_callable_on_an_interval():
+    """A scalar-valued 1D callable reads as 1x1 tensors, and assembles the
+    bytes of the same callable returning 1x1 arrays."""
+    mesh = uniform_interval(4)
+    geometry = build_affine_maps(mesh)
+    scalar = DiffusionField.from_callable(lambda x: 1.0 + x[0] ** 2, degree=2)
+    matrix = DiffusionField.from_callable(lambda x: np.array([[1.0 + x[0] ** 2]]), degree=2)
+    ref_points = np.array([[0.0], [0.5], [1.0]])
+    values = scalar.on(geometry, ref_points)
+    assert values.shape == (4, 3, 1, 1)
+    np.testing.assert_array_equal(values[..., 0, 0], 1.0 + geometry.map_points(ref_points)[..., 0] ** 2)
+    elem = build_reference_element(1, 3)
+    assert _same_bytes(assemble_stiffness(mesh, elem, scalar), assemble_stiffness(mesh, elem, matrix))
+
+
+@pytest.mark.parametrize("d,m", [(d, m) for d in (1, 2) for m in (1, 2, 3)])
+def test_callable_returning_a_constant_gives_the_constant_bytes(d, m):
+    """A constant D and a callable that returns it give the same bytes of A,
+    of the alignment factors and of the comparison bound."""
+    mesh = uniform_interval(6) if d == 1 else random_perturbed(4, 3, 0.05, seed=2)
+    matrix = (np.array([[2.5]]) if d == 1
+              else DiffusionField.rotated_anisotropic(0.5, (1.0, 30.0)).matrix)
+    constant = DiffusionField.constant(matrix)
+    func = DiffusionField.from_callable(lambda x: matrix, degree=0)
+    elem = build_reference_element(d, m)
+    geometry = build_affine_maps(mesh)
+    assert _same_bytes(assemble_stiffness(mesh, elem, constant),
+                       assemble_stiffness(mesh, elem, func))
+    assert (element_alignment_factor(geometry, constant, elem).tobytes()
+            == element_alignment_factor(geometry, func, elem).tobytes())
+    assert zhudu_bound(geometry, constant).hex() == zhudu_bound(geometry, func).hex()
+
+
+def test_a_callable_is_called_once_per_point():
+    """D, in the stiffness and alone, and l2_project's function are each
+    called once at every image of every quadrature point, in element order."""
+    mesh = random_perturbed(3, 3, 0.05, seed=1)
+    geometry = build_affine_maps(mesh)
+    elem = build_reference_element(2, 2)
+    calls = []
+
+    def counted(x):
+        calls.append(tuple(x))
+        return np.eye(2)
+
+    def images(ref_points):
+        return [tuple(x) for x in geometry.map_points(ref_points).reshape(-1, 2)]
+
+    field = DiffusionField.from_callable(counted, degree=3)
+    pts = _stiffness_quadrature(elem, field)[0]
+    field.on(geometry, pts)
+    assert calls == images(pts)
+    calls.clear()
+    assemble_stiffness(mesh, elem, field)
+    assert calls == images(pts)
+    calls.clear()
+    l2_project(mesh, elem, lambda x: counted(x)[0, 0])
+    assert calls == images(simplex_quadrature(2, 2 * elem.order + 2)[0])
+
+
+def test_no_free_dof_fails_before_the_stiffness():
+    """The no-free-DOF rule is a mesh rule: it fails before D is read."""
+    calls = []
+    field = DiffusionField.from_callable(lambda x: calls.append(x) or -np.eye(2), degree=0)
+    with pytest.raises(MeshStructureError,
+                       match="^no free DOF at order 1: every DOF lies on the Dirichlet boundary$"):
+        assemble_system(single_triangle(), build_reference_element(2, 1), field)
+    assert calls == []
+
+
+# --------------------------------------------------------------------------
 # The consistent mass is built on first read
 
 
@@ -708,6 +815,22 @@ def test_lazy_mass_and_bincount_surrogate_match_the_old_construction(d, m, polic
     np.testing.assert_array_equal(new.indptr, old.indptr)
     # bincount sums each DOF's |K| ref_ii in another order than the COO sum
     assert np.max(np.abs(new.data - old.data) / old.data) <= 4.5e-16
+
+
+def test_lazy_mass_is_built_by_assemble_mass(monkeypatch):
+    """The consistent mass of a diagonal-surrogate system is assemble_mass's, once."""
+    import rkstab.assembly as assembly
+    system = assemble_system(uniform_interval(6), build_reference_element(1, 2), identity(1),
+                             HRZ_DIAGONAL)
+    build, policies = assembly.assemble_mass, []
+
+    def counted(mesh, elem, policy, *args):
+        policies.append(policy)
+        return build(mesh, elem, policy, *args)
+
+    monkeypatch.setattr(assembly, "assemble_mass", counted)
+    assert system.mass is system.mass
+    assert policies == [CONSISTENT]
 
 
 def test_orphan_dof_reported_before_the_dirichlet_set():
