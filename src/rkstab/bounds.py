@@ -310,7 +310,7 @@ def geometric_bound(system: AssembledSystem) -> float:
     average (P @ (|K| * alignment(K))) / (P @ |K|), with P the system's
     free-DOF-by-element patch incidence.
     """
-    geometry, elem = system.geometry, system.elem
+    geometry, elem = system.mesh.geometry, system.elem
     align = element_alignment_factor(geometry, system.diffusion, elem)
     averages = (system.patch_incidence @ (geometry.volume * align)) / system.patch_volumes
     worst = float(np.max(averages, initial=0.0))
@@ -464,7 +464,7 @@ def compute_bound_report(
         raise ValueError("the system was not assembled from these inputs")
     lower, upper = diag_ratio_bounds(system)
     geometric = geometric_bound(system)
-    zhudu = zhudu_bound(system.geometry, system.diffusion)
+    zhudu = zhudu_bound(system.mesh.geometry, system.diffusion)
     m_matrix = is_m_matrix(system.stiffness)
     refined = 2.0 * system.kappa_surrogate * lower if m_matrix else None
     lam = sandwich = None

@@ -350,7 +350,7 @@ def _initial_vector(config: RunConfig, system: AssembledSystem) -> np.ndarray:
         func = lambda x: math.sin(math.pi * x[0])
     else:
         func = lambda x: math.sin(math.pi * x[0]) * math.sin(math.pi * x[1])
-    coeffs = l2_project(system.mesh, system.elem, func, system.numbering, system.geometry)
+    coeffs = l2_project(system.mesh, system.elem, func, system.numbering)
     return coeffs[system.dof_map]
 
 

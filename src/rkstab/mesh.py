@@ -8,6 +8,7 @@ edge order, then element-interior DOFs in element order.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -62,7 +63,8 @@ class SimplicialMesh:
 
     vertices is (n_vertices, d); elements is (n_elements, d+1) with positive
     orientation; boundary_facets is (n_facets, d) vertex tuples and
-    boundary_markers the matching "D"/"N" labels.
+    boundary_markers the matching "D"/"N" labels.  vertices and elements are
+    read-only views, so no write through the mesh leaves its geometry stale.
     """
 
     dimension: int
@@ -70,6 +72,22 @@ class SimplicialMesh:
     elements: np.ndarray
     boundary_facets: np.ndarray
     boundary_markers: tuple[str, ...]
+
+    def __post_init__(self):
+        for name in ("vertices", "elements"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    @functools.cached_property
+    def geometry(self) -> AffineGeometry:
+        """The affine maps of the elements, built by build_affine_maps on first read.
+
+        Every assembly and bound of this mesh reads this one copy.  A
+        degenerate or inverted element raises on each read, as
+        build_affine_maps does.
+        """
+        return build_affine_maps(self)
 
     @property
     def n_vertices(self) -> int:
@@ -290,7 +308,6 @@ def build_patches(
     mesh: SimplicialMesh,
     elem: ReferenceElement,
     numbering: DofNumbering | None = None,
-    geometry: AffineGeometry | None = None,
 ) -> tuple[sp.csr_array, np.ndarray]:
     """DOF-by-element patch incidence P and the patch volumes P @ volume.
 
@@ -300,7 +317,6 @@ def build_patches(
     empty, as number_dofs rejects a vertex that no element uses.
     """
     numbering = numbering or number_dofs(mesh, elem)
-    geometry = geometry or build_affine_maps(mesh)
     n_elements, eta = numbering.element_dofs.shape
     # int32 indices unless the entry count needs more; scipy keeps the
     # index type of the coordinates it is given.
@@ -316,7 +332,7 @@ def build_patches(
         shape=(numbering.n_dofs, n_elements),
     )
     incidence.sort_indices()
-    return incidence, incidence @ geometry.volume
+    return incidence, incidence @ mesh.geometry.volume
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,10 @@ class ReferenceElement:
         Reference mass matrix on the unit-measure cell.
     lambda_hat_min, lambda_hat_max : float
         Extreme eigenvalues of ref_mass_matrix.
+    jacobi_lambda_min, jacobi_lambda_max : float
+        Extreme eigenvalues of the Jacobi-scaled reference mass
+        diag(M)^-1/2 M diag(M)^-1/2.  The Jacobi-scaled spectrum of every
+        mass matrix assembled from it lies in this interval (Wathen 1987).
     c_h1 : float
         Largest squared H1 seminorm of a basis function.
     c_h1_diag : ndarray, shape (node_count,)
@@ -179,6 +183,8 @@ class ReferenceElement:
     ref_mass_matrix: np.ndarray
     lambda_hat_min: float
     lambda_hat_max: float
+    jacobi_lambda_min: float
+    jacobi_lambda_max: float
     c_h1: float
     c_h1_diag: np.ndarray
     quad_grads: np.ndarray
@@ -221,6 +227,8 @@ def build_reference_element(d: int, m: int) -> ReferenceElement:
     mass = 0.5 * (mass + mass.T)
     c_h1_diag = np.einsum("q,qid,qid->i", quad_weights, quad_grads, quad_grads)
     eigenvalues = np.linalg.eigvalsh(mass)
+    scale = 1.0 / np.sqrt(np.diag(mass))
+    jacobi = np.linalg.eigvalsh(scale[:, None] * mass * scale[None, :])
 
     return ReferenceElement(
         dimension=d,
@@ -233,6 +241,8 @@ def build_reference_element(d: int, m: int) -> ReferenceElement:
         ref_mass_matrix=mass,
         lambda_hat_min=float(eigenvalues[0]),
         lambda_hat_max=float(eigenvalues[-1]),
+        jacobi_lambda_min=float(jacobi[0]),
+        jacobi_lambda_max=float(jacobi[-1]),
         c_h1=float(np.max(c_h1_diag)),
         c_h1_diag=c_h1_diag,
         quad_grads=quad_grads,

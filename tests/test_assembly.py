@@ -1,10 +1,16 @@
 import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from conftest import lambda_max_dense
+
+import rkstab.mesh
+from rkstab import assembly
 from rkstab.assembly import (
     CONSISTENT,
     AssembledSystem,
@@ -14,6 +20,7 @@ from rkstab.assembly import (
     NonSPDDiffusionError,
     SurrogateAxiomError,
     SurrogatePolicy,
+    _chebyshev_steps,
     _is_diagonal,
     _scatter,
     _stiffness_quadrature,
@@ -146,7 +153,7 @@ def test_m2_axiom_element_contributions():
     numbering = number_dofs(mesh, elem)
     geometry = build_affine_maps(mesh)
     for policy in (CONSISTENT, HRZ_DIAGONAL):
-        assembled, ref = assemble_mass(mesh, elem, policy, numbering, geometry)
+        assembled, ref = assemble_mass(mesh, elem, policy, numbering)
         dense = np.zeros((numbering.n_dofs, numbering.n_dofs))
         for e, volume in enumerate(geometry.volume):
             dofs = numbering.element_dofs[e]
@@ -536,8 +543,8 @@ def test_lemma3_diagonal_bound():
 
     numbering = number_dofs(mesh, elem)
     geometry = build_affine_maps(mesh)
-    incidence, _ = build_patches(mesh, elem, numbering, geometry)
-    A = assemble_stiffness(mesh, elem, D, numbering, geometry)
+    incidence, _ = build_patches(mesh, elem, numbering)
+    A = assemble_stiffness(mesh, elem, D, numbering)
     align = element_alignment_factor(geometry, D)
     diag = A.diagonal()
     for i in range(numbering.n_dofs):
@@ -561,6 +568,84 @@ def test_l2_projection_linear_1d_nodal_values():
     elem = build_reference_element(1, 1)
     u = l2_project(mesh, elem, lambda x: 3.0 * x[0] - 1.0)
     np.testing.assert_allclose(u, 3.0 * mesh.vertices[:, 0] - 1.0, atol=1e-12)
+
+
+PROJECTION_MESHES = {
+    "interval": lambda: uniform_interval(7),
+    "structured": lambda: structured_triangular(5, 4),
+    "perturbed": lambda: random_perturbed(5, 5, 0.03, seed=3),
+    "stretched-100": lambda: stretched(5, 5, 100.0),
+    "alternating": lambda: structured_triangular(4, 5, "alternating"),
+}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("kind", PROJECTION_MESHES)
+def test_jacobi_scaled_mass_spectrum_lies_in_the_reference_interval(kind, m):
+    """Wathen's interval: the pencil (M, diag M) of the assembled consistent
+    mass has its eigenvalues in the element's [c, C]."""
+    mesh = PROJECTION_MESHES[kind]()
+    elem = build_reference_element(mesh.dimension, m)
+    mass, _ = assemble_mass(mesh, elem)
+    jacobi = sp.diags_array(mass.diagonal()).tocsr()
+    largest = lambda_max_dense(mass, jacobi)
+    smallest = 1.0 / lambda_max_dense(jacobi, mass)
+    assert elem.jacobi_lambda_min * (1 - 1e-12) <= smallest
+    assert largest <= elem.jacobi_lambda_max * (1 + 1e-12)
+
+
+def test_reference_jacobi_intervals_and_step_counts():
+    """The triangle intervals [c, C] at P1-P3 and the fixed Chebyshev step counts."""
+    expected = {1: (0.5, 2.0, 35), 2: (0.3924, 2.0598, 41), 3: (0.2868, 2.0093, 48)}
+    for m, (lo, hi, steps) in expected.items():
+        elem = build_reference_element(2, m)
+        assert abs(elem.jacobi_lambda_min - lo) < 5e-5 and abs(elem.jacobi_lambda_max - hi) < 5e-5
+        assert _chebyshev_steps(elem.jacobi_lambda_min, elem.jacobi_lambda_max) == steps
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("kind", PROJECTION_MESHES)
+def test_l2_projection_matches_a_direct_solve(monkeypatch, kind, m):
+    """The fixed-count Chebyshev solve agrees with spsolve on the same M and
+    load to 1e-14 of max|u|, and factorises nothing."""
+    mesh = PROJECTION_MESHES[kind]()
+    elem = build_reference_element(mesh.dimension, m)
+    solves = []
+    original = assembly._chebyshev_solve
+
+    def recorded(matrix, rhs, lo, hi):
+        solves.append((matrix, rhs))
+        return original(matrix, rhs, lo, hi)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("l2_project factorised a matrix")
+
+    monkeypatch.setattr(assembly, "_chebyshev_solve", recorded)
+    monkeypatch.setattr(assembly, "symmetric_lu", refused)
+    monkeypatch.setattr(spla, "splu", refused)
+    u = l2_project(mesh, elem, lambda x: math.exp(x[0]) * math.cos(3.0 * x[-1]) + x[-1] ** 2)
+    monkeypatch.undo()
+    ((mass, load),) = solves
+    oracle = spla.spsolve(mass.tocsc(), load)
+    assert np.abs(u - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+
+def test_system_and_projection_build_the_geometry_once(monkeypatch):
+    """assemble_system, then l2_project(mesh, elem, f) with no numbering,
+    build the mesh's affine maps once."""
+    calls = []
+    original = rkstab.mesh.build_affine_maps
+
+    def counted(mesh):
+        calls.append(mesh)
+        return original(mesh)
+
+    monkeypatch.setattr(rkstab.mesh, "build_affine_maps", counted)
+    mesh = random_perturbed(6, 6, 0.02, seed=1)
+    elem = build_reference_element(2, 1)
+    assemble_system(mesh, elem, identity(2), HRZ_DIAGONAL)
+    l2_project(mesh, elem, lambda x: x[0] * x[1])
+    assert calls == [mesh]
 
 
 def test_scalar_diffusion_requires_dimension():
@@ -762,10 +847,9 @@ def _old_system_parts(mesh, elem, diffusion):
     them: each on the full DOF set, then cut to the DOFs not on the Dirichlet
     list."""
     numbering = number_dofs(mesh, elem)
-    geometry = build_affine_maps(mesh)
     free = np.setdiff1d(np.arange(numbering.n_dofs), numbering.dirichlet_dofs)
-    stiffness = assemble_stiffness(mesh, elem, diffusion, numbering, geometry)
-    incidence, volumes = build_patches(mesh, elem, numbering, geometry)
+    stiffness = assemble_stiffness(mesh, elem, diffusion, numbering)
+    incidence, volumes = build_patches(mesh, elem, numbering)
     return _old_cut(stiffness, free), incidence[free], volumes[free], free
 
 
@@ -819,7 +903,6 @@ def test_lazy_mass_and_bincount_surrogate_match_the_old_construction(d, m, polic
 
 def test_lazy_mass_is_built_by_assemble_mass(monkeypatch):
     """The consistent mass of a diagonal-surrogate system is assemble_mass's, once."""
-    import rkstab.assembly as assembly
     system = assemble_system(uniform_interval(6), build_reference_element(1, 2), identity(1),
                              HRZ_DIAGONAL)
     build, policies = assembly.assemble_mass, []

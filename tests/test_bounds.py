@@ -581,6 +581,22 @@ def test_is_m_matrix_reads_the_diagonal_only_when_it_decides(monkeypatch, case, 
     assert len(counted) == reads
 
 
+def test_reports_read_each_system_diagonal_once(monkeypatch):
+    """A and M-tilde's diagonals are cached, read-only arrays: two reports
+    read each once (the P2 stiffness is decided not an M-matrix unread)."""
+    mesh, elem, D = structured_triangular(6, 6), build_reference_element(2, 2), identity(2)
+    system = assemble_system(mesh, elem, D, HRZ_DIAGONAL)
+    reads = diagonal_reads(monkeypatch)
+    first = compute_bound_report(mesh, elem, D, HRZ_DIAGONAL, dof_cap=0, system=system)
+    second = compute_bound_report(mesh, elem, D, HRZ_DIAGONAL, dof_cap=0, system=system)
+    assert len(reads) == 2
+    assert first == second
+    assert system.diag_surrogate is system.diag_surrogate
+    assert not system.diag_surrogate.flags.writeable
+    monkeypatch.undo()
+    assert system.diag_surrogate.tobytes() == system.surrogate_mass.diagonal().tobytes()
+
+
 def test_report_runs_the_public_m_matrix_test(monkeypatch):
     """The report calls bounds.is_m_matrix by its module name, which a tracer can wrap."""
     calls = []
@@ -808,8 +824,8 @@ def test_rotation_invariance():
     g0 = geometric_bound(sys0)
     g1 = geometric_bound(sys1)
     assert abs(g0 - g1) < 1e-10 * g0
-    z0 = zhudu_bound(sys0.geometry, D0)
-    z1 = zhudu_bound(sys1.geometry, D1)
+    z0 = zhudu_bound(sys0.mesh.geometry, D0)
+    z1 = zhudu_bound(sys1.mesh.geometry, D1)
     assert abs(z0 - z1) < 1e-10 * z0
 
 

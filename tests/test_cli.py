@@ -903,24 +903,27 @@ def test_console_entry_point_runs(tmp_path):
 
 
 def test_trace_bytes_identical_across_blas_threads(tmp_path):
-    """16,129 DOFs: long enough that a BLAS dot threads, and so reorders its sum."""
-    argv = ["integrate", "--mesh", "random_perturbed:nx=128,ny=128,amplitude=0.001,seed=1",
-            "--order", "1", "--policy", "hrz_diagonal", "--scheme", "classic_rk4",
-            "--steps", "100", "--bound-source", "diag_ratio"]
-    traces = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads-{threads}"
-        proc = subprocess.run(
-            [sys.executable, "-m", "rkstab.cli", *argv, "--out", str(out)],
-            capture_output=True,
-            text=True,
-            cwd=tmp_path,
-            env=child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
-        )
-        assert proc.returncode == 0, proc.stderr
-        traces.append((out / "trace.csv").read_bytes())
-    assert traces[0].count(b"\n") == 102
-    assert traces[0] == traces[1]
+    """16,129 DOFs at P1 and 12,321 at P2: long enough that a BLAS dot threads,
+    and so reorders its sum.  Both start from the L2 projection of the smooth
+    initial state, so its solve is covered at each order."""
+    for mesh, order in [("random_perturbed:nx=128,ny=128,amplitude=0.001,seed=1", "1"),
+                        ("random_perturbed:nx=56,ny=56,amplitude=0.001,seed=1", "2")]:
+        argv = ["integrate", "--mesh", mesh, "--order", order, "--policy", "hrz_diagonal",
+                "--scheme", "classic_rk4", "--steps", "100", "--bound-source", "diag_ratio"]
+        traces = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"p{order}-threads-{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "rkstab.cli", *argv, "--out", str(out)],
+                capture_output=True,
+                text=True,
+                cwd=tmp_path,
+                env=child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+            )
+            assert proc.returncode == 0, proc.stderr
+            traces.append((out / "trace.csv").read_bytes())
+        assert traces[0].count(b"\n") == 102
+        assert traces[0] == traces[1]
 
 
 def _readme_commands() -> list[list[str]]:

@@ -90,6 +90,26 @@ def test_degenerate_element_rejected():
     )
     with pytest.raises(DegenerateElementError, match="element 0"):
         build_affine_maps(mesh)
+    for _ in range(2):  # the geometry raises on every read; no failure is cached
+        with pytest.raises(DegenerateElementError, match="element 0"):
+            mesh.geometry
+
+
+def test_mesh_holds_one_geometry_over_read_only_arrays():
+    """The mesh builds its affine maps once, and its arrays refuse in-place
+    writes, so those maps cannot go stale."""
+    mesh = random_perturbed(3, 2, 0.05, seed=2)
+    geometry = mesh.geometry
+    assert mesh.geometry is geometry
+    built = build_affine_maps(mesh)
+    for name in ("jacobian", "inv_jacobian", "volume", "offset"):
+        assert getattr(geometry, name).tobytes() == getattr(built, name).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        mesh.vertices[0, 0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        mesh.vertices += 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        mesh.elements[0, 0] = 1
 
 
 def test_total_volume_matches_domain():
@@ -645,7 +665,7 @@ def test_vectorised_geometry_matches_element_oracle(tmp_path, kind, m):
         assert same_bits(geometry.volume[e], np.linalg.det(jac) / math.factorial(d))
         assert same_bits(geometry.offset[e], coords[0])
 
-    incidence, volumes = build_patches(mesh, elem, numbering, geometry)
+    incidence, volumes = build_patches(mesh, elem, numbering)
     assert incidence.shape == (n_dofs, mesh.n_elements)
     assert incidence.has_sorted_indices
     for i in range(n_dofs):
