@@ -554,25 +554,45 @@ def apply_dirichlet(matrix: sp.csr_array, free: np.ndarray) -> sp.csr_array:
     return out
 
 
-def _pulled_back_norm(inv: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+def _pulled_back_norm(inv: np.ndarray, tensor: np.ndarray | None = None) -> np.ndarray:
     """|| inv T inv^T ||_2 over broadcast stacks of 1x1 or 2x2 matrices.
 
-    The entries of the product are formed directly from the entry arrays of
-    inv and T, in the order (inv T) inv^T; the norm is the larger modulus of
-    the two closed-form eigenvalues of that (symmetric) product.
+    tensor=None stands for the identity, so the product is inv inv^T.  The
+    entries of the product are formed directly from the entry arrays of inv
+    and T, in the order (inv T) inv^T, each sum of two products accumulated
+    in place; the norm is the larger modulus of the two closed-form
+    eigenvalues of that (symmetric) product.  The entry arrays of a
+    geometry's inv_jacobian are contiguous, so every pass runs at array speed.
     """
     if inv.shape[-1] == 1:
-        return np.abs(inv[..., 0, 0] * tensor[..., 0, 0] * inv[..., 0, 0])
+        pulled = inv[..., 0, 0] if tensor is None else inv[..., 0, 0] * tensor[..., 0, 0]
+        return np.abs(pulled * inv[..., 0, 0])
     a, b, c, d = inv[..., 0, 0], inv[..., 0, 1], inv[..., 1, 0], inv[..., 1, 1]
-    t00, t01, t10, t11 = tensor[..., 0, 0], tensor[..., 0, 1], tensor[..., 1, 0], tensor[..., 1, 1]
-    x00, x01 = a * t00 + b * t10, a * t01 + b * t11
-    x10, x11 = c * t00 + d * t10, c * t01 + d * t11
-    p00, p01 = x00 * a + x01 * b, x00 * c + x01 * d
-    p10, p11 = x10 * a + x11 * b, x10 * c + x11 * d
-    half_sum = 0.5 * (p00 + p11)
-    half_diff = 0.5 * (p00 - p11)
-    radius = np.sqrt(half_diff**2 + p01 * p10)
-    return np.maximum(np.abs(half_sum + radius), np.abs(half_sum - radius))
+
+    def pair(u, s, v, t):
+        """u s + v t, as a new array."""
+        out = u * s
+        out += v * t
+        return out
+
+    if tensor is None:
+        x00, x01, x10, x11 = a, b, c, d
+    else:
+        t00, t01, t10, t11 = tensor[..., 0, 0], tensor[..., 0, 1], tensor[..., 1, 0], tensor[..., 1, 1]
+        x00, x01 = pair(a, t00, b, t10), pair(a, t01, b, t11)
+        x10, x11 = pair(c, t00, d, t10), pair(c, t01, d, t11)
+    p00, p01 = pair(x00, a, x01, b), pair(x00, c, x01, d)
+    p10, p11 = pair(x10, a, x11, b), pair(x10, c, x11, d)
+    half_sum = p00 + p11
+    half_sum *= 0.5
+    half_diff = np.subtract(p00, p11, out=p00)
+    half_diff *= 0.5
+    radius = np.multiply(half_diff, half_diff, out=half_diff)
+    radius += np.multiply(p01, p10, out=p01)
+    np.sqrt(radius, out=radius)
+    upper = np.abs(np.add(half_sum, radius, out=p11), out=p11)
+    lower = np.abs(np.subtract(half_sum, radius, out=radius), out=radius)
+    return np.maximum(upper, lower, out=upper)
 
 
 def element_alignment_factor(

@@ -325,7 +325,7 @@ def zhudu_bound(geometry: AffineGeometry, diffusion: DiffusionField) -> float:
     Position-dependent D is sampled at each element's vertices and centroid.
     """
     d = geometry.jacobian.shape[-1]
-    jacobian_part = _pulled_back_norm(geometry.inv_jacobian, np.eye(d))
+    jacobian_part = _pulled_back_norm(geometry.inv_jacobian)
     ref_pts = np.vstack([np.zeros((1, d)), np.eye(d), np.full((1, d), 1.0 / (d + 1))])
     lam_d = np.linalg.eigvalsh(diffusion.on(geometry, ref_pts))[..., -1].max(axis=1)
     return float(np.max(lam_d * jacobian_part, initial=0.0))

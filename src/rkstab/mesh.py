@@ -104,12 +104,20 @@ class AffineGeometry:
 
     Element e maps reference point xi to jacobian[e] @ xi + offset[e]; the
     Jacobian columns are the edge vectors from the element's first vertex.
+    Every array is read-only, so no write can change the assemblies and
+    bounds that read it later.  inv_jacobian is stored component-major, as
+    one contiguous (d, d, n_elements) block seen through a transposed view:
+    each inv_jacobian[..., i, j] is a contiguous array over the elements.
     """
 
     jacobian: np.ndarray        # (n_elements, d, d)
     inv_jacobian: np.ndarray    # (n_elements, d, d)
     volume: np.ndarray          # (n_elements,)
     offset: np.ndarray          # (n_elements, d)
+
+    def __post_init__(self):
+        for name in ("jacobian", "inv_jacobian", "volume", "offset"):
+            getattr(self, name).flags.writeable = False
 
     def map_points(self, ref_points: np.ndarray) -> np.ndarray:
         """Physical images of reference points; shape (n_elements, n_points, d)."""
@@ -172,7 +180,7 @@ def build_affine_maps(mesh: SimplicialMesh) -> AffineGeometry:
         )
     return AffineGeometry(
         jacobian=jac,
-        inv_jacobian=np.linalg.inv(jac),
+        inv_jacobian=np.ascontiguousarray(np.linalg.inv(jac).transpose(1, 2, 0)).transpose(2, 0, 1),
         volume=det / _FACTORIAL[d],
         offset=mesh.vertices[mesh.elements[:, 0]],
     )

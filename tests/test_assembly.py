@@ -22,6 +22,7 @@ from rkstab.assembly import (
     SurrogatePolicy,
     _chebyshev_steps,
     _is_diagonal,
+    _pulled_back_norm,
     _scatter,
     _stiffness_quadrature,
     assemble_mass,
@@ -375,6 +376,33 @@ def test_alignment_factor_matches_matmul_oracle(mesh, field, order):
     np.testing.assert_allclose(
         factor, matmul_alignment_oracle(geometry, diffusion, elem), rtol=1e-14, atol=0
     )
+
+
+def random_spd_stack(rng, shape, d):
+    """SPD d x d matrices over shape, with eigenvalues spread over 1:100."""
+    q = np.linalg.qr(rng.standard_normal((*shape, d, d)))[0]
+    scales = rng.uniform(0.01, 1.0, (*shape, 1, d))
+    return (q * scales) @ np.swapaxes(q, -1, -2)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("case", ["identity", "per_element", "constant", "samples"])
+def test_pulled_back_norm_matches_matmul_oracle(d, case):
+    """The closed form against np.linalg.norm(inv @ T @ inv^T, 2) on random
+    stacks: the identity (tensor=None), one tensor per element, the (E, 1)
+    by (1, 1) broadcast of a constant D, and (E, P) samples of a callable D."""
+    rng = np.random.default_rng(7 + d)
+    n_elements, n_points = 50, 4
+    inv = rng.standard_normal((n_elements, d, d)) * rng.uniform(0.1, 100.0, (n_elements, 1, 1))
+    shapes = {"per_element": (n_elements,), "constant": (1, 1), "samples": (n_elements, n_points)}
+    if case in ("constant", "samples"):
+        inv = inv[:, None]
+    tensor = None if case == "identity" else random_spd_stack(rng, shapes[case], d)
+    pulled = inv @ (np.eye(d) if tensor is None else tensor) @ np.swapaxes(inv, -1, -2)
+    expected = np.linalg.norm(pulled, 2, axis=(-2, -1))
+    norms = _pulled_back_norm(inv, tensor)
+    assert norms.shape == expected.shape
+    np.testing.assert_allclose(norms, expected, rtol=1e-13, atol=0)
 
 
 def stiffness_oracle(mesh, elem, diffusion):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -24,6 +25,7 @@ from rkstab.assembly import (
     SurrogateAxiomError,
     assemble_mass,
     assemble_system,
+    element_alignment_factor,
 )
 from rkstab.bounds import (
     BOUND_CSV_FIELDS,
@@ -806,6 +808,62 @@ def test_zhudu_equals_alignment_for_isotropic():
     geometry = build_affine_maps(mesh)
     expected = max(element_alignment_factor(geometry, identity(2)))
     assert abs(zhudu_bound(geometry, identity(2)) - expected) < 1e-12 * expected
+
+
+def swirl(x):
+    """Rotated 1:100 tensor whose axis and scale vary with position."""
+    c, s = np.cos(3.0 * x[0] + x[1]), np.sin(3.0 * x[0] + x[1])
+    rot = np.array([[c, -s], [s, c]])
+    return (1.0 + x[0] * x[1]) * rot @ np.diag([1.0, 100.0]) @ rot.T
+
+
+ROTATED = DiffusionField.rotated_anisotropic(0.5, (1.0, 100.0))
+PINNED_CASES = {
+    "perturbed16-p2-rotated": (lambda: random_perturbed(16, 16, 0.01, seed=1), 2, ROTATED),
+    **{f"structured6-p{m}-{name}": (lambda: structured_triangular(6, 6), m, field)
+       for m in (1, 2, 3) for name, field in (("identity", identity(2)), ("rotated", ROTATED))},
+    "interval9-p3-identity": (lambda: uniform_interval(9), 3, identity(1)),
+    "perturbed6-p2-swirl-deg2": (lambda: random_perturbed(6, 6, 0.03, seed=2), 2,
+                                 DiffusionField.from_callable(swirl, degree=2)),
+}
+# float.hex() of upper_geometric and upper_zhudu, and the SHA-256 of the
+# alignment factors' bytes.  The structured meshes have exact zeros in
+# inv_jacobian.  zhudu_bound's identity (tensor=None) passes their signs on
+# where products by 1 and 0 would not, and its bits must still match.
+PINNED_BITS = {
+    "perturbed16-p2-rotated": ("0x1.fe5077da1f792p+27", "0x1.9b4e4a73510e9p+17",
+        "1c447c6eef9f1d7c3c52d63d3c66687e8e80847874a624a6203587afc93c2ecf"),
+    "structured6-p1-identity": ("0x1.a81f1b07628d5p+12", "0x1.78ff3478579a2p+6",
+        "71dc9fcbb28298a83d39faf474b05cf0a204f2aeb563c773c2444bb9225cc0c3"),
+    "structured6-p1-rotated": ("0x1.28a0f39b7179bp+19", "0x1.268760fe04707p+13",
+        "9fee124ca79a71676ae657d022b99a0933df7c0425765d095c3abc073322cfc4"),
+    "structured6-p2-identity": ("0x1.1bebac2eadbc3p+17", "0x1.78ff3478579a2p+6",
+        "71dc9fcbb28298a83d39faf474b05cf0a204f2aeb563c773c2444bb9225cc0c3"),
+    "structured6-p2-rotated": ("0x1.8d254840bf383p+23", "0x1.268760fe04707p+13",
+        "9fee124ca79a71676ae657d022b99a0933df7c0425765d095c3abc073322cfc4"),
+    "structured6-p3-identity": ("0x1.a19fd4d340f87p+20", "0x1.78ff3478579a2p+6",
+        "71dc9fcbb28298a83d39faf474b05cf0a204f2aeb563c773c2444bb9225cc0c3"),
+    "structured6-p3-rotated": ("0x1.457a0e4378f96p+27", "0x1.268760fe04707p+13",
+        "9fee124ca79a71676ae657d022b99a0933df7c0425765d095c3abc073322cfc4"),
+    "interval9-p3-identity": ("0x1.1beb803c51607p+16", "0x1.4400000000007p+6",
+        "468b2c5f0b8de6b15e80ed9ddd97797ea8731bbac6762c169f3b7a71d5b3078c"),
+    "perturbed6-p2-swirl-deg2": ("0x1.cf5f4e1a631c0p+24", "0x1.35e68080bf769p+15",
+        "58c82d186980f4f4c2805fd61c11e4346a9644625ee9b86bb34758accdb29948"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CASES))
+def test_geometry_bounds_keep_their_bits(name):
+    """The geometric and comparison bounds and the alignment factors keep
+    their bits across changes to the geometry layout and the closed form."""
+    make, m, diffusion = PINNED_CASES[name]
+    mesh = make()
+    elem = build_reference_element(mesh.dimension, m)
+    system = assemble_system(mesh, elem, diffusion)
+    align = element_alignment_factor(mesh.geometry, diffusion, elem)
+    bits = (geometric_bound(system).hex(), zhudu_bound(mesh.geometry, diffusion).hex(),
+            hashlib.sha256(align.tobytes()).hexdigest())
+    assert bits == PINNED_BITS[name]
 
 
 def test_rotation_invariance():

@@ -110,6 +110,27 @@ def test_mesh_holds_one_geometry_over_read_only_arrays():
         mesh.vertices += 1.0
     with pytest.raises(ValueError, match="read-only"):
         mesh.elements[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        geometry.jacobian[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        geometry.inv_jacobian[..., 1, 0] += 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        geometry.volume[:] *= 2
+    with pytest.raises(ValueError, match="read-only"):
+        geometry.offset[0] = 0.0
+    for name in ("jacobian", "inv_jacobian", "volume", "offset"):
+        assert getattr(geometry, name).tobytes() == getattr(built, name).tobytes()
+
+
+@pytest.mark.parametrize("mesh", [uniform_interval(5), random_perturbed(4, 3, 0.05, seed=1)])
+def test_inverse_jacobian_entries_are_contiguous_over_elements(mesh):
+    """inv_jacobian is one (d, d, E) block behind its (E, d, d) view, so each
+    entry array, the operand of every closed-form product, is contiguous."""
+    inv = mesh.geometry.inv_jacobian
+    d = mesh.dimension
+    assert inv.shape == (mesh.n_elements, d, d)
+    for i, j in itertools.product(range(d), repeat=2):
+        assert inv[..., i, j].flags.c_contiguous
 
 
 def test_total_volume_matches_domain():
