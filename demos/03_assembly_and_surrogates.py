@@ -39,5 +39,5 @@ ref = surrogate_reference_matrix(elem, HRZ_DIAGONAL)
 print(f"HRZ reference matrix trace: {np.trace(ref):.15f}")
 
 # Unreduced stiffness rows sum to ~0 (constants lie in the kernel).
-row_sums = np.abs(assemble_stiffness(mesh, elem, diffusion).sum(axis=1))
+row_sums = np.abs(assemble_stiffness(mesh, elem, diffusion)[0].sum(axis=1))
 print(f"max unreduced stiffness row sum: {row_sums.max():.2e}")

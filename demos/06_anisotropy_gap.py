@@ -25,7 +25,7 @@ for a in (1.0, 10.0, 100.0, 1000.0):
     mesh = stretched(16, 16, a)
     diffusion = DiffusionField.constant(np.diag([1.0, a**-2]))
     system = assemble_system(mesh, elem, diffusion, CONSISTENT)
-    comparison = zhudu_bound(system.mesh.geometry, diffusion)
+    comparison = zhudu_bound(system)
     geometric = geometric_bound(system)
     print(f"{a:9g} {comparison:14.4e} {geometric:12.4e} {comparison / geometric:10.2f}")
 

@@ -7,9 +7,9 @@ matrix is symmetric positive definite, and the element matrix is its |K|
 multiple.  A diagonal reference matrix (HRZ lumping, node quadrature)
 assembles to a diagonal, summed per DOF by one bincount.  Stiffness integrals
 are evaluated by quadrature after pulling the diffusion tensor back to the
-reference cell.  The stiffness, the alignment factors and the comparison
-bound read D on the elements from DiffusionField.on alone, and a callable D,
-like l2_project's function, is called once per point by one helper.
+reference cell, at points where DiffusionField.on samples D once; the system
+keeps those samples, and every bound reads D from them.  A callable D, like
+l2_project's function, is called once per point by one helper.
 
 Every builder reads the mesh's own affine maps, SimplicialMesh.geometry,
 which the mesh builds once.  assemble_system builds A, the surrogate M-tilde
@@ -88,7 +88,7 @@ class NonSPDDiffusionError(ValueError):
 
 @dataclass(frozen=True)
 class DiffusionField:
-    """Diffusion tensor D(x): a constant matrix, or a callable of position.
+    """Diffusion tensor D(x): a constant matrix or a callable of position, not both.
 
     A constant matrix is checked to be SPD once, here; a callable's values
     are checked where the stiffness assembly integrates them.  `on` gives
@@ -101,6 +101,8 @@ class DiffusionField:
     degree: int = 0
 
     def __post_init__(self):
+        if (self.matrix is None) == (self.func is None):
+            raise ValueError("a diffusion field needs exactly one of matrix and func")
         if self.matrix is not None:
             if self.matrix.shape not in ((1, 1), (2, 2)):
                 raise ValueError(f"diffusion matrix must be 1x1 or 2x2, got shape {self.matrix.shape}")
@@ -145,7 +147,8 @@ class DiffusionField:
 
         A constant comes back once, as a read-only (1, 1, d, d) view that
         broadcasts over both axes, after a check that it is d x d.  A callable
-        is called once per point, and its values are not checked here.
+        is called once per point, must return d x d (or, in 1D, scalar)
+        values, and gives them read-only, not checked for SPD here.
         """
         d = geometry.jacobian.shape[-1]
         if self.is_constant:
@@ -154,7 +157,12 @@ class DiffusionField:
                                  f"on a mesh of dimension {d}")
             return np.broadcast_to(self.matrix, (1, 1, d, d))
         points = geometry.map_points(ref_points)
-        return _at_each_point(self.func, points).reshape(*points.shape[:-1], d, d)
+        values = _at_each_point(self.func, points)
+        if values.shape[1:] != (d, d) and not (d == 1 and values.size == len(values)):
+            raise ValueError(f"diffusion callable must return shape ({d}, {d}), got {values.shape[1:]}")
+        values = values.reshape(*points.shape[:-1], d, d)
+        values.flags.writeable = False
+        return values
 
 
 def _at_each_point(func: Callable[[np.ndarray], object], points: np.ndarray) -> np.ndarray:
@@ -256,9 +264,11 @@ class AssembledSystem:
     """Dirichlet-reduced sparse system M, A, and surrogate M-tilde.
 
     mesh, elem, diffusion and policy are what it was assembled from, and
-    every bound reads them here.  dof_map lists the full DOFs that survived
-    the Dirichlet cut, in the order of the reduced rows.  surrogate_lambda_min
-    and _max are the extreme eigenvalues of the surrogate reference matrix.
+    every bound reads them here, D through diffusion_samples: the read-only
+    (E, Q, d, d) values A integrated, (1, 1, d, d) for a constant.  dof_map
+    lists the full DOFs that survived the Dirichlet cut, in the order of the
+    reduced rows.  surrogate_lambda_min and _max are the extreme eigenvalues
+    of the surrogate reference matrix.
     patch_incidence is the free-DOF-by-element patch incidence P, and
     patch_volumes is P @ |K|.  mass, the consistent M, is built on first read.
     """
@@ -268,6 +278,7 @@ class AssembledSystem:
     mesh: SimplicialMesh
     elem: ReferenceElement
     diffusion: DiffusionField
+    diffusion_samples: np.ndarray
     policy: SurrogatePolicy
     dof_map: np.ndarray
     surrogate_lambda_min: float
@@ -407,11 +418,7 @@ def assemble_mass(
 def _stiffness_quadrature(
     elem: ReferenceElement, diffusion: DiffusionField
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature points and weights adequate for the stiffness integral.
-
-    The alignment factors sample D at these same points, which is what makes
-    the geometric bound hold for the assembled stiffness.
-    """
+    """Quadrature points and weights adequate for the stiffness integral."""
     needed = 2 * (elem.order - 1) + max(diffusion.degree, 0)
     if needed <= 2 * elem.order:
         return elem.quad_points, elem.quad_weights
@@ -486,11 +493,12 @@ def assemble_stiffness(
     elem: ReferenceElement,
     diffusion: DiffusionField,
     numbering: DofNumbering | None = None,
-) -> sp.csr_array:
+) -> tuple[sp.csr_array, np.ndarray]:
     """Assemble the stiffness matrix for the diffusion field.
 
     Element integrals are |K| sum_q w_q grad_i^T (F'^-1 D F'^-T) grad_j with
-    reference-cell quadrature; the result is symmetrized exactly.
+    reference-cell quadrature; the result is symmetrized exactly.  Returns A
+    and the SPD-checked samples of D it integrated, from DiffusionField.on.
     """
     numbering = numbering or number_dofs(mesh, elem)
     geometry = mesh.geometry
@@ -501,7 +509,7 @@ def assemble_stiffness(
     local = _element_stiffness(
         geometry.inv_jacobian, tensors.transpose(1, 2, 3, 0), wts, grads, geometry.volume
     )
-    return _scatter(local, numbering.element_dofs, numbering.n_dofs)
+    return _scatter(local, numbering.element_dofs, numbering.n_dofs), tensors
 
 
 def assemble_system(
@@ -520,7 +528,7 @@ def assemble_system(
     mesh.geometry  # built first: a degenerate element is the first problem
     numbering = number_dofs(mesh, elem)
     free = free_dofs(numbering, elem.order)
-    stiffness = assemble_stiffness(mesh, elem, diffusion, numbering)
+    stiffness, samples = assemble_stiffness(mesh, elem, diffusion, numbering)
     surrogate, ref = assemble_mass(mesh, elem, policy, numbering)
     eigenvalues = np.linalg.eigvalsh(ref)
     incidence, patch_volumes = build_patches(mesh, elem, numbering)
@@ -530,6 +538,7 @@ def assemble_system(
         mesh=mesh,
         elem=elem,
         diffusion=diffusion,
+        diffusion_samples=samples,
         policy=policy,
         dof_map=free,
         surrogate_lambda_min=float(eigenvalues[0]),
@@ -595,29 +604,20 @@ def _pulled_back_norm(inv: np.ndarray, tensor: np.ndarray | None = None) -> np.n
     return np.maximum(upper, lower, out=upper)
 
 
-def element_alignment_factor(
-    geometry: AffineGeometry,
-    diffusion: DiffusionField,
-    elem: ReferenceElement | None = None,
-) -> np.ndarray:
-    """max over sample points of || F'^-1 D(x) F'^-T ||_2, for every element.
+def element_alignment_factor(system: AssembledSystem) -> np.ndarray:
+    """max_q || G_q ||_2, G_q = F'^-1 D(x_q) F'^-T, for every element.
 
-    Exact for constant diffusion.  Otherwise D is sampled at each element's
-    vertices and at the images of the stiffness quadrature points of elem,
-    the points the assembled stiffness integrates with, so the geometric
-    bound built from these factors holds for that stiffness.
-
-    Cost: a few elementwise passes over the element arrays (and the samples
-    of a callable D); the 2x2 products and their norms are written out in
-    closed form, with no stacked matmul.
+    x_q are the images of the stiffness quadrature points, where the system
+    sampled D, and A integrates these same G_q.  So with g_q = grad v-hat,
+    v^T A_K v = |K| sum_q w_q g_q^T G_q g_q <= |K| max_q ||G_q|| sum_q w_q |g_q|^2
+    = |K| max_q ||G_q|| times the integral of |grad v-hat|^2 over K-hat: the
+    weights are positive and the rule is exact to degree 2(m - 1).  The rest
+    of the geometric bound's proof is unchanged, and no other point is
+    needed.  Exact for constant diffusion.  The norms are the closed form of
+    _pulled_back_norm, a few elementwise passes with no stacked matmul.
     """
-    inv = geometry.inv_jacobian
-    d = inv.shape[-1]
-    if elem is None and not diffusion.is_constant:
-        raise ValueError("position-dependent diffusion needs the reference element")
-    pts = np.empty((0, d)) if elem is None else _stiffness_quadrature(elem, diffusion)[0]
-    samples = diffusion.on(geometry, np.vstack([np.zeros((1, d)), np.eye(d), pts]))
-    return _pulled_back_norm(inv[:, None], samples).max(axis=1)
+    inv = system.mesh.geometry.inv_jacobian
+    return _pulled_back_norm(inv[:, None], system.diffusion_samples).max(axis=1)
 
 
 def _chebyshev_steps(lo: float, hi: float) -> int:

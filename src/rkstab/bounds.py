@@ -44,7 +44,7 @@ from .assembly import (
     surrogate_solver,
     symmetric_lu,
 )
-from .mesh import AffineGeometry, SimplicialMesh
+from .mesh import SimplicialMesh
 from .reference import ReferenceElement
 
 __all__ = [
@@ -311,23 +311,21 @@ def geometric_bound(system: AssembledSystem) -> float:
     free-DOF-by-element patch incidence.
     """
     geometry, elem = system.mesh.geometry, system.elem
-    align = element_alignment_factor(geometry, system.diffusion, elem)
+    align = element_alignment_factor(system)
     averages = (system.patch_incidence @ (geometry.volume * align)) / system.patch_volumes
     worst = float(np.max(averages, initial=0.0))
     return elem.node_count * (elem.c_h1 / system.surrogate_lambda_min) * worst
 
 
-def zhudu_bound(geometry: AffineGeometry, diffusion: DiffusionField) -> float:
-    """Comparison bound: max_K max_x lambda_max(D(x)) * ||F'^-1 F'^-T||_2.
+def zhudu_bound(system: AssembledSystem) -> float:
+    """Comparison bound: max_K max_q lambda_max(D(x_q)) * ||F'^-1 F'^-T||_2.
 
     Reported without its unstated leading constant; used for trend
     comparisons against the geometric bound, not as a certified bound.
-    Position-dependent D is sampled at each element's vertices and centroid.
+    D is read from the system's samples, at the stiffness quadrature points.
     """
-    d = geometry.jacobian.shape[-1]
-    jacobian_part = _pulled_back_norm(geometry.inv_jacobian)
-    ref_pts = np.vstack([np.zeros((1, d)), np.eye(d), np.full((1, d), 1.0 / (d + 1))])
-    lam_d = np.linalg.eigvalsh(diffusion.on(geometry, ref_pts))[..., -1].max(axis=1)
+    jacobian_part = _pulled_back_norm(system.mesh.geometry.inv_jacobian)
+    lam_d = np.linalg.eigvalsh(system.diffusion_samples)[..., -1].max(axis=1)
     return float(np.max(lam_d * jacobian_part, initial=0.0))
 
 
@@ -464,7 +462,7 @@ def compute_bound_report(
         raise ValueError("the system was not assembled from these inputs")
     lower, upper = diag_ratio_bounds(system)
     geometric = geometric_bound(system)
-    zhudu = zhudu_bound(system.mesh.geometry, system.diffusion)
+    zhudu = zhudu_bound(system)
     m_matrix = is_m_matrix(system.stiffness)
     refined = 2.0 * system.kappa_surrogate * lower if m_matrix else None
     lam = sandwich = None

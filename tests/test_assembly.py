@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,14 +50,20 @@ from rkstab.reference import build_reference_element, simplex_quadrature, tabula
 from rkstab.timestepping import integrate, rk_scheme, stable_timestep
 
 
-def single_triangle():
+def single_triangle(tags=("D", "D", "D")):
     return SimplicialMesh(
         2,
         np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         np.array([[0, 1, 2]]),
         np.array([[0, 1], [1, 2], [0, 2]]),
-        ("D", "D", "D"),
+        tags,
     )
+
+
+def alignment_factors(mesh, diffusion):
+    """element_alignment_factor of the P1 system assembled from these inputs."""
+    elem = build_reference_element(mesh.dimension, 1)
+    return element_alignment_factor(assemble_system(mesh, elem, diffusion))
 
 
 def identity(d):
@@ -98,7 +105,7 @@ def test_total_mass_is_domain_measure(d, m, make):
 def test_stiffness_1d_laplacian():
     mesh = uniform_interval(4)
     elem = build_reference_element(1, 1)
-    A = assemble_stiffness(mesh, elem, identity(1)).toarray()
+    A = assemble_stiffness(mesh, elem, identity(1))[0].toarray()
     h = 0.25
     assert abs(A[1, 1] - 2 / h) < 1e-12
     assert abs(A[1, 2] + 1 / h) < 1e-12
@@ -108,7 +115,7 @@ def test_stiffness_1d_laplacian():
 def test_stiffness_single_triangle_hand_values():
     mesh = single_triangle()
     elem = build_reference_element(2, 1)
-    A = assemble_stiffness(mesh, elem, identity(2)).toarray()
+    A = assemble_stiffness(mesh, elem, identity(2))[0].toarray()
     expected = 0.5 * np.array([[2, -1, -1], [-1, 1, 0], [-1, 0, 1]])
     np.testing.assert_allclose(A, expected, atol=1e-14)
 
@@ -116,8 +123,8 @@ def test_stiffness_single_triangle_hand_values():
 def test_stiffness_scales_linearly_in_diffusion():
     mesh = structured_triangular(2, 3)
     elem = build_reference_element(2, 2)
-    A1 = assemble_stiffness(mesh, elem, identity(2))
-    A7 = assemble_stiffness(mesh, elem, DiffusionField.constant(7.0 * np.eye(2)))
+    A1, _ = assemble_stiffness(mesh, elem, identity(2))
+    A7, _ = assemble_stiffness(mesh, elem, DiffusionField.constant(7.0 * np.eye(2)))
     scale = np.abs(A1.toarray()).max()
     np.testing.assert_allclose(
         A7.toarray(), 7.0 * A1.toarray(), rtol=0, atol=1e-13 * scale
@@ -133,7 +140,7 @@ def test_stiffness_row_sums_vanish_unreduced(d, m, make):
     """Constants lie in the kernel of the pure-Neumann operator."""
     mesh = make()
     elem = build_reference_element(d, m)
-    A = assemble_stiffness(mesh, elem, identity(d))
+    A, _ = assemble_stiffness(mesh, elem, identity(d))
     row_sums = np.asarray(A.sum(axis=1)).ravel()
     norm = sp.linalg.norm(A, np.inf)
     assert np.max(np.abs(row_sums)) < 1e-11 * norm
@@ -143,7 +150,7 @@ def test_stiffness_symmetric():
     mesh = random_perturbed(4, 4, 0.05, seed=3)
     elem = build_reference_element(2, 2)
     D = DiffusionField.rotated_anisotropic(np.pi / 6, (1.0, 100.0))
-    A = assemble_stiffness(mesh, elem, D)
+    A, _ = assemble_stiffness(mesh, elem, D)
     assert (A - A.T).count_nonzero() == 0
 
 
@@ -248,21 +255,21 @@ def test_surrogate_is_diagonal_flag():
 
 def test_alignment_factor_1d():
     mesh = uniform_interval(8)
-    factor = element_alignment_factor(build_affine_maps(mesh), identity(1))[0]
+    factor = alignment_factors(mesh, identity(1))[0]
     assert abs(factor - 64.0) < 1e-12  # 1/h^2 with h = 1/8
 
 
 def test_alignment_factor_flattened_triangle():
-    reference = single_triangle()
+    reference = single_triangle(("D", "N", "N"))
     squashed = SimplicialMesh(
         2,
         np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.01]]),
         np.array([[0, 1, 2]]),
         np.array([[0, 1], [1, 2], [0, 2]]),
-        ("D", "D", "D"),
+        ("D", "N", "N"),
     )
-    (f_ref,) = element_alignment_factor(build_affine_maps(reference), identity(2))
-    (f_sq,) = element_alignment_factor(build_affine_maps(squashed), identity(2))
+    (f_ref,) = alignment_factors(reference, identity(2))
+    (f_sq,) = alignment_factors(squashed, identity(2))
     assert abs(f_sq / f_ref - 1e4) < 1e-3 * 1e4
 
 
@@ -272,24 +279,25 @@ def test_alignment_factor_perfect_alignment():
         np.array([[0.0, 0.0], [2.0, 0.0], [0.3, 0.5]]),
         np.array([[0, 1, 2]]),
         np.array([[0, 1], [1, 2], [0, 2]]),
-        ("D", "D", "D"),
+        ("D", "N", "N"),
     )
-    geometry = build_affine_maps(mesh)
-    (jac,) = geometry.jacobian
+    (jac,) = mesh.geometry.jacobian
     D = DiffusionField.constant(jac @ jac.T)
-    (factor,) = element_alignment_factor(geometry, D)
+    (factor,) = alignment_factors(mesh, D)
     assert abs(factor - 1.0) < 1e-13
 
 
 def test_alignment_factor_callable_sampling():
-    mesh = single_triangle()
-    geometry = build_affine_maps(mesh)
+    """A callable D is read only at the images of the stiffness quadrature
+    points: max(1 + x) over them, not the 2 at the vertex (1, 0)."""
+    mesh = single_triangle(("D", "N", "N"))
     field = DiffusionField.from_callable(
         lambda x: (1.0 + x[0]) * np.eye(2), degree=1
     )
     elem = build_reference_element(2, 1)
-    (factor,) = element_alignment_factor(geometry, field, elem)
-    assert abs(factor - 2.0) < 1e-12  # max(1+x) = 2 at vertex (1, 0)
+    (factor,) = alignment_factors(mesh, field)
+    expected = 1.0 + mesh.geometry.map_points(elem.quad_points)[0, :, 0].max()
+    assert abs(factor - expected) < 1e-14 and factor < 2.0
 
 
 def callable_samples(diffusion, geometry, ref_points):
@@ -298,18 +306,21 @@ def callable_samples(diffusion, geometry, ref_points):
                      for points in geometry.map_points(ref_points)], dtype=float)
 
 
-def matmul_alignment_oracle(geometry, diffusion, elem):
-    """Per-element max of np.linalg.norm(F'^-1 D F'^-T, 2) from stacked matmuls."""
-    inv = geometry.inv_jacobian
+def stiffness_samples(diffusion, geometry, elem):
+    """D at the images of the stiffness quadrature points, (E, Q, d, d), or
+    the constant's (1, 1, d, d), with the rule picked independently."""
     if diffusion.is_constant:
-        pulled = inv @ diffusion.matrix @ inv.transpose(0, 2, 1)
-        return np.array([np.linalg.norm(m, 2) for m in pulled])
-    d = elem.dimension
+        return diffusion.matrix[None, None]
     needed = 2 * (elem.order - 1) + diffusion.degree
-    pts = elem.quad_points if needed <= 2 * elem.order else simplex_quadrature(d, needed)[0]
-    samples = callable_samples(diffusion, geometry, np.vstack([np.zeros((1, d)), np.eye(d), pts]))
-    inv = inv[:, None]
-    pulled = inv @ samples @ inv.transpose(0, 1, 3, 2)
+    pts = elem.quad_points if needed <= 2 * elem.order else simplex_quadrature(elem.dimension, needed)[0]
+    return callable_samples(diffusion, geometry, pts)
+
+
+def matmul_alignment_oracle(system):
+    """Per-element max of np.linalg.norm(F'^-1 D_q F'^-T, 2) over the system's
+    samples D_q, from stacked matmuls."""
+    inv = system.mesh.geometry.inv_jacobian[:, None]
+    pulled = inv @ system.diffusion_samples @ inv.transpose(0, 1, 3, 2)
     return np.array([[np.linalg.norm(m, 2) for m in per_elem] for per_elem in pulled]).max(axis=1)
 
 
@@ -370,12 +381,13 @@ ORACLE_FIELDS = {
 def test_alignment_factor_matches_matmul_oracle(mesh, field, order):
     mesh = ORACLE_MESHES[mesh]()
     diffusion = ORACLE_FIELDS[mesh.dimension][field]
-    geometry = build_affine_maps(mesh)
     elem = build_reference_element(mesh.dimension, order)
-    factor = element_alignment_factor(geometry, diffusion, elem)
-    np.testing.assert_allclose(
-        factor, matmul_alignment_oracle(geometry, diffusion, elem), rtol=1e-14, atol=0
-    )
+    system = assemble_system(mesh, elem, diffusion)
+    np.testing.assert_array_equal(system.diffusion_samples,
+                                  stiffness_samples(diffusion, mesh.geometry, elem))
+    factor = element_alignment_factor(system)
+    assert factor.shape == (mesh.n_elements,)
+    np.testing.assert_allclose(factor, matmul_alignment_oracle(system), rtol=1e-14, atol=0)
 
 
 def random_spd_stack(rng, shape, d):
@@ -488,7 +500,7 @@ def test_stiffness_matches_loop_oracle_bytes(mesh, field, order):
     diffusion = ORACLE_FIELDS[mesh.dimension][field]
     elem = build_reference_element(mesh.dimension, order)
     numbering = number_dofs(mesh, elem)
-    A = assemble_stiffness(mesh, elem, diffusion, numbering)
+    A, _ = assemble_stiffness(mesh, elem, diffusion, numbering)
     oracle = _scatter(stiffness_oracle(mesh, elem, diffusion), numbering.element_dofs,
                       numbering.n_dofs)
     for name in ("indptr", "indices", "data"):
@@ -509,7 +521,7 @@ def test_stiffness_nnz_where_sums_cancel(mesh, diffusion, order, nnz, structural
     mesh = mesh()
     elem = build_reference_element(2, order)
     numbering = number_dofs(mesh, elem)
-    A = assemble_stiffness(mesh, elem, diffusion, numbering)
+    A, _ = assemble_stiffness(mesh, elem, diffusion, numbering)
     ones = np.ones((len(mesh.elements), elem.node_count, elem.node_count))
     assert A.nnz == nnz
     assert _scatter(ones, numbering.element_dofs, numbering.n_dofs).nnz == structural
@@ -562,18 +574,23 @@ def test_constant_diffusion_checked_when_built(matrix, kind):
         DiffusionField.constant(matrix)
 
 
-def test_lemma3_diagonal_bound():
-    """A_ii <= C_H1 * sum over the patch of |K| * alignment(K)."""
+@pytest.mark.parametrize("D", [
+    DiffusionField.rotated_anisotropic(np.pi / 6, (1.0, 100.0)),
+    DiffusionField.from_callable(swirl, degree=2),
+    DiffusionField.from_callable(lambda x: (1.0 + 50.0 * x[0] ** 2) * np.eye(2), degree=2),
+], ids=["rotated", "swirl", "graded"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_lemma3_diagonal_bound(D, order):
+    """A_ii <= C_H1 * sum over the patch of |K| * alignment(K), for constant
+    and callable D: the alignment factors read every sample A integrates."""
     mesh = random_perturbed(3, 3, 0.05, seed=2)
-    elem = build_reference_element(2, 2)
-    D = DiffusionField.rotated_anisotropic(np.pi / 6, (1.0, 100.0))
-    from rkstab.mesh import build_patches
+    elem = build_reference_element(2, order)
 
     numbering = number_dofs(mesh, elem)
     geometry = build_affine_maps(mesh)
     incidence, _ = build_patches(mesh, elem, numbering)
-    A = assemble_stiffness(mesh, elem, D, numbering)
-    align = element_alignment_factor(geometry, D)
+    A, _ = assemble_stiffness(mesh, elem, D, numbering)
+    align = element_alignment_factor(assemble_system(mesh, elem, D))
     diag = A.diagonal()
     for i in range(numbering.n_dofs):
         patch = incidence.indices[incidence.indptr[i]:incidence.indptr[i + 1]]
@@ -704,7 +721,7 @@ def test_constant_tensor_of_the_wrong_dimension_rejected_by_assembly():
     with pytest.raises(ValueError, match="2x2 on a mesh of dimension 1"):
         assemble_stiffness(mesh, elem, identity(2))
     with pytest.raises(ValueError, match="1x1 on a mesh of dimension 2"):
-        element_alignment_factor(build_affine_maps(structured_triangular(2, 2)), identity(1))
+        assemble_system(structured_triangular(2, 2), build_reference_element(2, 1), identity(1))
 
 
 # --------------------------------------------------------------------------
@@ -726,7 +743,7 @@ def test_diffusion_on_elements_shapes():
         return np.array([[2.0 + x[0], x[1]], [x[1], 3.0]])
 
     values = DiffusionField.from_callable(tensor, degree=1).on(geometry, ref_points)
-    assert values.shape == (geometry.volume.size, 3, 2, 2)
+    assert values.shape == (geometry.volume.size, 3, 2, 2) and not values.flags.writeable
     images = geometry.map_points(ref_points)
     np.testing.assert_array_equal(values, [[tensor(x) for x in row] for row in images])
 
@@ -748,7 +765,8 @@ def test_scalar_valued_callable_on_an_interval():
     assert values.shape == (4, 3, 1, 1)
     np.testing.assert_array_equal(values[..., 0, 0], 1.0 + geometry.map_points(ref_points)[..., 0] ** 2)
     elem = build_reference_element(1, 3)
-    assert _same_bytes(assemble_stiffness(mesh, elem, scalar), assemble_stiffness(mesh, elem, matrix))
+    assert _same_bytes(assemble_stiffness(mesh, elem, scalar)[0],
+                       assemble_stiffness(mesh, elem, matrix)[0])
 
 
 @pytest.mark.parametrize("d,m", [(d, m) for d in (1, 2) for m in (1, 2, 3)])
@@ -761,17 +779,19 @@ def test_callable_returning_a_constant_gives_the_constant_bytes(d, m):
     constant = DiffusionField.constant(matrix)
     func = DiffusionField.from_callable(lambda x: matrix, degree=0)
     elem = build_reference_element(d, m)
-    geometry = build_affine_maps(mesh)
-    assert _same_bytes(assemble_stiffness(mesh, elem, constant),
-                       assemble_stiffness(mesh, elem, func))
-    assert (element_alignment_factor(geometry, constant, elem).tobytes()
-            == element_alignment_factor(geometry, func, elem).tobytes())
-    assert zhudu_bound(geometry, constant).hex() == zhudu_bound(geometry, func).hex()
+    assert _same_bytes(assemble_stiffness(mesh, elem, constant)[0],
+                       assemble_stiffness(mesh, elem, func)[0])
+    by_constant = assemble_system(mesh, elem, constant)
+    by_func = assemble_system(mesh, elem, func)
+    assert (element_alignment_factor(by_constant).tobytes()
+            == element_alignment_factor(by_func).tobytes())
+    assert zhudu_bound(by_constant).hex() == zhudu_bound(by_func).hex()
 
 
 def test_a_callable_is_called_once_per_point():
-    """D, in the stiffness and alone, and l2_project's function are each
-    called once at every image of every quadrature point, in element order."""
+    """D, in the stiffness, in the system and alone, and l2_project's function
+    are each called once at every image of every quadrature point, in element
+    order; a report on the system calls D no more."""
     mesh = random_perturbed(3, 3, 0.05, seed=1)
     geometry = build_affine_maps(mesh)
     elem = build_reference_element(2, 2)
@@ -792,8 +812,52 @@ def test_a_callable_is_called_once_per_point():
     assemble_stiffness(mesh, elem, field)
     assert calls == images(pts)
     calls.clear()
+    system = assemble_system(mesh, elem, field, HRZ_DIAGONAL)
+    assert calls == images(pts)
+    calls.clear()
+    compute_bound_report(mesh, elem, field, HRZ_DIAGONAL, dof_cap=0, system=system)
+    assert calls == []
     l2_project(mesh, elem, lambda x: counted(x)[0, 0])
     assert calls == images(simplex_quadrature(2, 2 * elem.order + 2)[0])
+
+
+@pytest.mark.parametrize("kind", ["constant", "callable"])
+def test_system_diffusion_samples_are_read_only(kind):
+    mesh = random_perturbed(3, 3, 0.05, seed=1)
+    elem = build_reference_element(2, 2)
+    field = (DiffusionField.rotated_anisotropic(0.3, (1.0, 10.0)) if kind == "constant"
+             else DiffusionField.from_callable(swirl, degree=2))
+    samples = assemble_system(mesh, elem, field).diffusion_samples
+    before = samples.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        samples[...] = 0
+    np.testing.assert_array_equal(samples, before)
+    if kind == "constant":
+        np.testing.assert_array_equal(field.matrix, before[0, 0])
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"matrix": np.eye(2), "func": swirl}],
+                         ids=["neither", "both"])
+def test_diffusion_field_holds_exactly_one_of_matrix_and_func(kwargs):
+    # neither failed later in assembly, with an AttributeError on None.shape;
+    # both checked the matrix and then silently used the callable
+    with pytest.raises(ValueError, match="^a diffusion field needs exactly one of matrix and func$"):
+        DiffusionField(**kwargs)
+
+
+@pytest.mark.parametrize("d,value,shape", [
+    (2, lambda x: 1.0 + x[0], "()"),
+    (2, lambda x: np.eye(3), "(3, 3)"),
+    (2, lambda x: np.ones(4), "(4,)"),
+    (1, lambda x: np.eye(2), "(2, 2)"),
+])
+def test_callable_values_of_the_wrong_shape_rejected(d, value, shape):
+    """A 2D callable returning a scalar died in a bare numpy reshape."""
+    mesh = uniform_interval(4) if d == 1 else structured_triangular(2, 2)
+    field = DiffusionField.from_callable(value, degree=0)
+    expected = re.escape(f"diffusion callable must return shape ({d}, {d}), got {shape}")
+    with pytest.raises(ValueError, match=f"^{expected}$"):
+        assemble_system(mesh, build_reference_element(d, 1), field)
 
 
 def test_no_free_dof_fails_before_the_stiffness():
@@ -876,7 +940,7 @@ def _old_system_parts(mesh, elem, diffusion):
     list."""
     numbering = number_dofs(mesh, elem)
     free = np.setdiff1d(np.arange(numbering.n_dofs), numbering.dirichlet_dofs)
-    stiffness = assemble_stiffness(mesh, elem, diffusion, numbering)
+    stiffness, _ = assemble_stiffness(mesh, elem, diffusion, numbering)
     incidence, volumes = build_patches(mesh, elem, numbering)
     return _old_cut(stiffness, free), incidence[free], volumes[free], free
 

@@ -731,7 +731,7 @@ def random_field(d, kind, rng):
     if d == 1:
         return DiffusionField.from_callable(
             lambda x: np.array([[1.0 + a * x[0] ** 2 + b * np.sin(c * x[0]) ** 2]]),
-            degree=int(rng.integers(0, 5)))
+            degree=int(rng.integers(0, 7)))
     k2 = 10.0 ** rng.uniform(0.0, 3.0)
 
     def field(x):
@@ -739,7 +739,7 @@ def random_field(d, kind, rng):
         rot = np.array([[co, -si], [si, co]])
         return (1.0 + b * x[0] * x[1]) * rot @ np.diag([1.0, k2]) @ rot.T
 
-    return DiffusionField.from_callable(field, degree=int(rng.integers(0, 5)))
+    return DiffusionField.from_callable(field, degree=int(rng.integers(0, 7)))
 
 
 FIELD_KINDS = ("constant", "rotated_anisotropic", "callable")
@@ -795,7 +795,7 @@ def test_zhudu_bound_grows_quadratically_on_aligned_family():
     values = []
     for a in (10.0, 100.0):
         mesh, D = aligned_family(a)
-        values.append(zhudu_bound(build_affine_maps(mesh), D))
+        values.append(zhudu_bound(assemble_system(mesh, build_reference_element(2, 1), D)))
     # ratio tracks (100/10)^2 up to an O(1/a^2) shape correction
     assert abs(values[1] / values[0] / 100.0 - 1.0) < 0.05
 
@@ -803,11 +803,9 @@ def test_zhudu_bound_grows_quadratically_on_aligned_family():
 def test_zhudu_equals_alignment_for_isotropic():
     mesh = stretched(4, 4, 10.0)
     elem = build_reference_element(2, 1)
-    from rkstab.assembly import element_alignment_factor
-
-    geometry = build_affine_maps(mesh)
-    expected = max(element_alignment_factor(geometry, identity(2)))
-    assert abs(zhudu_bound(geometry, identity(2)) - expected) < 1e-12 * expected
+    system = assemble_system(mesh, elem, identity(2))
+    expected = max(element_alignment_factor(system))
+    assert abs(zhudu_bound(system) - expected) < 1e-12 * expected
 
 
 def swirl(x):
@@ -847,8 +845,9 @@ PINNED_BITS = {
         "9fee124ca79a71676ae657d022b99a0933df7c0425765d095c3abc073322cfc4"),
     "interval9-p3-identity": ("0x1.1beb803c51607p+16", "0x1.4400000000007p+6",
         "468b2c5f0b8de6b15e80ed9ddd97797ea8731bbac6762c169f3b7a71d5b3078c"),
-    "perturbed6-p2-swirl-deg2": ("0x1.cf5f4e1a631c0p+24", "0x1.35e68080bf769p+15",
-        "58c82d186980f4f4c2805fd61c11e4346a9644625ee9b86bb34758accdb29948"),
+    # a callable D, which both bounds read at the stiffness quadrature points only
+    "perturbed6-p2-swirl-deg2": ("0x1.b4fb7d2a1a02cp+24", "0x1.2e16f8d11e588p+15",
+        "a11c1fe87112cf62278a07ee8cf804c3f00ba75811854c3eb31dff0c6713e5bb"),
 }
 
 
@@ -860,8 +859,8 @@ def test_geometry_bounds_keep_their_bits(name):
     mesh = make()
     elem = build_reference_element(mesh.dimension, m)
     system = assemble_system(mesh, elem, diffusion)
-    align = element_alignment_factor(mesh.geometry, diffusion, elem)
-    bits = (geometric_bound(system).hex(), zhudu_bound(mesh.geometry, diffusion).hex(),
+    align = element_alignment_factor(system)
+    bits = (geometric_bound(system).hex(), zhudu_bound(system).hex(),
             hashlib.sha256(align.tobytes()).hexdigest())
     assert bits == PINNED_BITS[name]
 
@@ -882,8 +881,8 @@ def test_rotation_invariance():
     g0 = geometric_bound(sys0)
     g1 = geometric_bound(sys1)
     assert abs(g0 - g1) < 1e-10 * g0
-    z0 = zhudu_bound(sys0.mesh.geometry, D0)
-    z1 = zhudu_bound(sys1.mesh.geometry, D1)
+    z0 = zhudu_bound(sys0)
+    z1 = zhudu_bound(sys1)
     assert abs(z0 - z1) < 1e-10 * z0
 
 

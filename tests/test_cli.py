@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import pickle
@@ -939,3 +940,36 @@ def test_readme_commands_run(capsys, tmp_path, argv):
     out = argv.index("--out") + 1
     code, _, err = run_cli(capsys, *argv[1:out], str(tmp_path), *argv[out + 1:])
     assert code == 0, err
+
+
+# The SHA-256 of every file each run writes.  None of the runs eigensolves
+# (--dof-cap 1, and integrate's step comes from the diagonal ratio), and every
+# diffusion is constant, so these bytes must hold whenever the bounds or the
+# assembly are reorganised without a stated change of output.
+OUTPUT_CONTRACT = {
+    ("bounds", "--mesh", "random_perturbed:nx=16,ny=16,amplitude=0.01,seed=1", "--order", "2",
+     "--diffusion", "rotated_anisotropic:angle=0.5,k1=1,k2=100", "--policy", "hrz_diagonal",
+     "--dof-cap", "1"): {
+        "bounds.csv": "d6d2995bdfa18ec68c7b73e94b0bfc6eca70acce98bca1ddddbceb9e544d418f",
+        "bounds.json": "aa76587dcaefb5b710d13a11e060a10c6b268717542e6fd30f603a22a1262d6f",
+    },
+    ("sweep", "--mesh", "stretched:nx=4,ny=4,ratio=1", "--order", "2", "--diffusion", "aligned",
+     "--sweep-axis", "ratio", "--sweep-values", "1,10,100", "--dof-cap", "1",
+     "--workers", "2"): {
+        "sweep.csv": "1b08ec43ea3091570e79d468f6d2b90065c47e938493f40249023c2918ae9673",
+    },
+    ("integrate", "--mesh", "structured_triangular:nx=4,ny=4", "--policy", "hrz_diagonal",
+     "--scheme", "classic_rk4", "--steps", "20"): {
+        "summary.json": "eaf71747d30ced9b202adff3c17f657478bbe20780be17784f4bb082ef13b216",
+        "trace.csv": "704f0946a6030cd3ffe87fea356e68fac9fd0b31f7e79afef193929b6bed46fb",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", OUTPUT_CONTRACT, ids=lambda argv: argv[0])
+def test_output_files_keep_their_bytes(capsys, tmp_path, argv):
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 0, err
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(tmp_path.iterdir())}
+    assert written == OUTPUT_CONTRACT[argv]
