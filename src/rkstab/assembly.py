@@ -9,12 +9,15 @@ assembles to a diagonal, summed per DOF by one bincount.  Stiffness integrals
 are evaluated by quadrature after pulling the diffusion tensor back to the
 reference cell, at points where DiffusionField.on samples D once; the system
 keeps those samples, and every bound reads D from them.  A callable D, like
-l2_project's function, is called once per point by one helper.
+l2_project's function, is called once per point by one helper, whose values
+stream into one array: the first value fixes the shape of all of them, and
+no per-point list is kept.
 
 Every builder reads the mesh's own affine maps, SimplicialMesh.geometry,
-which the mesh builds once.  assemble_system builds A, the surrogate M-tilde
-and the patch arrays, each cut to the free DOFs by apply_dirichlet as it is
-built.  The consistent mass M enters only the L2 norm that integrate
+which the mesh builds once, and its DOF numbering, SimplicialMesh.numbering,
+which it builds once per order.  assemble_system builds A, the surrogate
+M-tilde and the patch arrays, each cut to the free DOFs by apply_dirichlet as
+it is built.  The consistent mass M enters only the L2 norm that integrate
 monitors, so the system builds it with assemble_mass and cuts it on first
 read; under the consistent policy it is M-tilde.
 
@@ -35,6 +38,7 @@ numpy call works on thousands of contiguous values: about 0.06 s at
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -49,7 +53,6 @@ from .mesh import (
     SimplicialMesh,
     build_patches,
     free_dofs,
-    number_dofs,
 )
 from .reference import (
     ReferenceElement,
@@ -147,8 +150,10 @@ class DiffusionField:
 
         A constant comes back once, as a read-only (1, 1, d, d) view that
         broadcasts over both axes, after a check that it is d x d.  A callable
-        is called once per point, must return d x d (or, in 1D, scalar)
-        values, and gives them read-only, not checked for SPD here.
+        is called once per point, and its values stream into one read-only
+        array, not checked for SPD here.  They must be d x d (in 1D, any
+        one value); the first value fixes the shape, so a wrong one fails
+        after one call, and a later value of another shape fails too.
         """
         d = geometry.jacobian.shape[-1]
         if self.is_constant:
@@ -156,22 +161,46 @@ class DiffusionField:
                 raise ValueError(f"diffusion matrix is {self.matrix.shape[0]}x{self.matrix.shape[0]} "
                                  f"on a mesh of dimension {d}")
             return np.broadcast_to(self.matrix, (1, 1, d, d))
+
+        def check(shape):
+            if shape != (d, d) and not (d == 1 and math.prod(shape) == 1):
+                raise ValueError(f"diffusion callable must return shape ({d}, {d}), got {shape}")
+
         points = geometry.map_points(ref_points)
-        values = _at_each_point(self.func, points)
-        if values.shape[1:] != (d, d) and not (d == 1 and values.size == len(values)):
-            raise ValueError(f"diffusion callable must return shape ({d}, {d}), got {values.shape[1:]}")
-        values = values.reshape(*points.shape[:-1], d, d)
+        values = _at_each_point(self.func, points, check).reshape(*points.shape[:-1], d, d)
         values.flags.writeable = False
         return values
 
 
-def _at_each_point(func: Callable[[np.ndarray], object], points: np.ndarray) -> np.ndarray:
+def _at_each_point(
+    func: Callable[[np.ndarray], object],
+    points: np.ndarray,
+    check: Callable[[tuple[int, ...]], None],
+) -> np.ndarray:
     """func at each point of points (..., d), one call per point, in C order.
 
-    The one place a user function is called point by point; the caller
-    reshapes the values, which come back one row per point.
+    The one place a user function is called point by point.  The values
+    stream into one float array, one row per point, which the caller
+    reshapes; no value outlives its conversion.  The first value fixes the
+    shape of every row: check(shape) may reject it before the second call,
+    and a later value of another shape raises ValueError.  A float row
+    refuses a sequence of several values by itself; a shaped row would take
+    any value that broadcasts to it, so each of its values is checked here.
     """
-    return np.array([func(p) for p in points.reshape(-1, points.shape[-1])], dtype=float)
+    rows = iter(points.reshape(-1, points.shape[-1]))
+    first = func(next(rows))
+    shape = np.shape(first)
+    check(shape)
+
+    def checked(row):
+        value = func(row)
+        if getattr(value, "shape", None) != shape and np.shape(value) != shape:
+            raise ValueError(f"every value must have the first value's shape {shape}, "
+                             f"got {np.shape(value)} at {row.tolist()}")
+        return value
+
+    values = itertools.chain([first], map(checked if shape else func, rows))
+    return np.fromiter(values, dtype=(float, shape), count=points.size // points.shape[-1])
 
 
 def _spd_defects(samples: np.ndarray) -> dict[str, np.ndarray]:
@@ -296,7 +325,7 @@ class AssembledSystem:
         """
         if self.policy.kind == "consistent":
             return self.surrogate_mass
-        full, _ = assemble_mass(self.mesh, self.elem, CONSISTENT, self.numbering)
+        full, _ = assemble_mass(self.mesh, self.elem, CONSISTENT)
         return apply_dirichlet(full, self.dof_map)
 
     @property
@@ -393,7 +422,6 @@ def assemble_mass(
     mesh: SimplicialMesh,
     elem: ReferenceElement,
     policy: SurrogatePolicy = CONSISTENT,
-    numbering: DofNumbering | None = None,
 ) -> tuple[sp.csr_array, np.ndarray]:
     """Assemble M (consistent policy) or a surrogate M-tilde.
 
@@ -402,7 +430,7 @@ def assemble_mass(
     DOF by one bincount of |K| times its diagonal.  Returns the sparse matrix
     and the reference matrix used.
     """
-    numbering = numbering or number_dofs(mesh, elem)
+    numbering = mesh.numbering(elem)
     geometry = mesh.geometry
     ref = surrogate_reference_matrix(elem, policy)
     diagonal = np.diag(ref)
@@ -492,7 +520,6 @@ def assemble_stiffness(
     mesh: SimplicialMesh,
     elem: ReferenceElement,
     diffusion: DiffusionField,
-    numbering: DofNumbering | None = None,
 ) -> tuple[sp.csr_array, np.ndarray]:
     """Assemble the stiffness matrix for the diffusion field.
 
@@ -500,7 +527,7 @@ def assemble_stiffness(
     reference-cell quadrature; the result is symmetrized exactly.  Returns A
     and the SPD-checked samples of D it integrated, from DiffusionField.on.
     """
-    numbering = numbering or number_dofs(mesh, elem)
+    numbering = mesh.numbering(elem)
     geometry = mesh.geometry
     pts, wts = _stiffness_quadrature(elem, diffusion)
     grads = elem.quad_grads if pts is elem.quad_points else tabulate_gradients(elem, pts)
@@ -526,12 +553,12 @@ def assemble_system(
     its mass.
     """
     mesh.geometry  # built first: a degenerate element is the first problem
-    numbering = number_dofs(mesh, elem)
+    numbering = mesh.numbering(elem)
     free = free_dofs(numbering, elem.order)
-    stiffness, samples = assemble_stiffness(mesh, elem, diffusion, numbering)
-    surrogate, ref = assemble_mass(mesh, elem, policy, numbering)
+    stiffness, samples = assemble_stiffness(mesh, elem, diffusion)
+    surrogate, ref = assemble_mass(mesh, elem, policy)
     eigenvalues = np.linalg.eigvalsh(ref)
-    incidence, patch_volumes = build_patches(mesh, elem, numbering)
+    incidence, patch_volumes = build_patches(mesh, elem)
     return AssembledSystem(
         stiffness=apply_dirichlet(stiffness, free),
         surrogate_mass=apply_dirichlet(surrogate, free),
@@ -651,11 +678,13 @@ def l2_project(
     mesh: SimplicialMesh,
     elem: ReferenceElement,
     func: Callable[[np.ndarray], float],
-    numbering: DofNumbering | None = None,
 ) -> np.ndarray:
     """L2 projection of a scalar function onto the FE space (full DOF vector).
 
-    func is called once per quadrature point with that point's coordinates.
+    func is called once per quadrature point with that point's coordinates,
+    and its values stream into one array.  The first value fixes their
+    shape: one of a size other than 1 raises ValueError after that one
+    call, and so does a later value of another shape.
     The consistent mass M is solved with no factorisation, by Chebyshev
     iteration preconditioned by diag(M) on the interval [c, C] of the
     element's Jacobi-scaled reference mass (elem.jacobi_lambda_min and
@@ -666,13 +695,18 @@ def l2_project(
     products and elementwise updates, no BLAS reduction, so the bytes do not
     depend on the BLAS thread count.
     """
-    numbering = numbering or number_dofs(mesh, elem)
+    numbering = mesh.numbering(elem)
     geometry = mesh.geometry
-    mass, _ = assemble_mass(mesh, elem, CONSISTENT, numbering)
+    mass, _ = assemble_mass(mesh, elem, CONSISTENT)
     pts, wts = simplex_quadrature(elem.dimension, 2 * elem.order + 2)
     basis = tabulate_basis(elem, pts)
     x = geometry.map_points(pts)
-    weighted = wts * _at_each_point(func, x).reshape(x.shape[:2])
+
+    def check(shape):
+        if math.prod(shape) != 1:
+            raise ValueError(f"l2_project's function must return a scalar, got shape {shape}")
+
+    weighted = wts * _at_each_point(func, x, check).reshape(x.shape[:2])
     local = geometry.volume[:, None] * (basis.T @ weighted[:, :, None])[:, :, 0]
     load = np.bincount(
         numbering.element_dofs.ravel(), weights=local.ravel(), minlength=numbering.n_dofs

@@ -65,7 +65,6 @@ from .mesh import (
     check_mesh_spec,
     free_dofs,
     generate_mesh,
-    number_dofs,
     read_mesh,
     validate_mesh,
     write_mesh,
@@ -350,7 +349,7 @@ def _initial_vector(config: RunConfig, system: AssembledSystem) -> np.ndarray:
         func = lambda x: math.sin(math.pi * x[0])
     else:
         func = lambda x: math.sin(math.pi * x[0]) * math.sin(math.pi * x[1])
-    coeffs = l2_project(system.mesh, system.elem, func, system.numbering)
+    coeffs = l2_project(system.mesh, system.elem, func)
     return coeffs[system.dof_map]
 
 
@@ -505,7 +504,7 @@ def cmd_validate(config: RunConfig) -> dict:
     problems = validate_mesh(mesh)
     if not problems:  # a sound mesh can still leave no DOF free at the run's order
         try:
-            free_dofs(number_dofs(mesh, build_reference_element(mesh.dimension, config.order)),
+            free_dofs(mesh.numbering(build_reference_element(mesh.dimension, config.order)),
                       config.order)
         except MeshStructureError as exc:
             problems.append(str(exc))

@@ -72,6 +72,8 @@ class SimplicialMesh:
     elements: np.ndarray
     boundary_facets: np.ndarray
     boundary_markers: tuple[str, ...]
+    _numberings: dict[int, DofNumbering] = field(default_factory=dict, init=False, repr=False,
+                                                 compare=False)
 
     def __post_init__(self):
         for name in ("vertices", "elements"):
@@ -88,6 +90,18 @@ class SimplicialMesh:
         build_affine_maps does.
         """
         return build_affine_maps(self)
+
+    def numbering(self, elem: ReferenceElement) -> DofNumbering:
+        """The DOF numbering of order-elem.order elements, built by number_dofs
+        on the first request for that order.
+
+        Every assembly of this mesh at that order reads this one copy.  A
+        mesh that number_dofs rejects raises on each request.
+        """
+        numberings = self._numberings
+        if elem.order not in numberings:
+            numberings[elem.order] = number_dofs(self, elem)
+        return numberings[elem.order]
 
     @property
     def n_vertices(self) -> int:
@@ -126,12 +140,20 @@ class AffineGeometry:
 
 @dataclass(frozen=True)
 class DofNumbering:
-    """Global DOF layout for one (mesh, element order) pair."""
+    """Global DOF layout for one (mesh, element order) pair.
+
+    element_dofs and dirichlet_dofs are read-only, as the mesh caches the
+    numbering for every later assembly.
+    """
 
     n_dofs: int
     element_dofs: np.ndarray          # (n_elements, eta)
     dirichlet_dofs: np.ndarray        # sorted global indices
     n_edge_dofs: int
+
+    def __post_init__(self):
+        for name in ("element_dofs", "dirichlet_dofs"):
+            getattr(self, name).flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -312,11 +334,7 @@ def free_dofs(numbering: DofNumbering, order: int) -> np.ndarray:
     return free
 
 
-def build_patches(
-    mesh: SimplicialMesh,
-    elem: ReferenceElement,
-    numbering: DofNumbering | None = None,
-) -> tuple[sp.csr_array, np.ndarray]:
+def build_patches(mesh: SimplicialMesh, elem: ReferenceElement) -> tuple[sp.csr_array, np.ndarray]:
     """DOF-by-element patch incidence P and the patch volumes P @ volume.
 
     A DOF's patch is the set of elements whose basis function it belongs to:
@@ -324,7 +342,7 @@ def build_patches(
     the patch volume is the sum of their volumes in that order.  No row is
     empty, as number_dofs rejects a vertex that no element uses.
     """
-    numbering = numbering or number_dofs(mesh, elem)
+    numbering = mesh.numbering(elem)
     n_elements, eta = numbering.element_dofs.shape
     # int32 indices unless the entry count needs more; scipy keeps the
     # index type of the coordinates it is given.

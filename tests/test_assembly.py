@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,7 +162,7 @@ def test_m2_axiom_element_contributions():
     numbering = number_dofs(mesh, elem)
     geometry = build_affine_maps(mesh)
     for policy in (CONSISTENT, HRZ_DIAGONAL):
-        assembled, ref = assemble_mass(mesh, elem, policy, numbering)
+        assembled, ref = assemble_mass(mesh, elem, policy)
         dense = np.zeros((numbering.n_dofs, numbering.n_dofs))
         for e, volume in enumerate(geometry.volume):
             dofs = numbering.element_dofs[e]
@@ -174,7 +175,7 @@ def test_single_element_mass_is_scaled_reference():
     mesh = single_triangle()
     elem = build_reference_element(2, 2)
     numbering = number_dofs(mesh, elem)
-    assembled, ref = assemble_mass(mesh, elem, HRZ_DIAGONAL, numbering)
+    assembled, ref = assemble_mass(mesh, elem, HRZ_DIAGONAL)
     dofs = numbering.element_dofs[0]
     block = assembled.toarray()[np.ix_(dofs, dofs)]
     np.testing.assert_allclose(block, 0.5 * ref, atol=1e-16)
@@ -500,7 +501,7 @@ def test_stiffness_matches_loop_oracle_bytes(mesh, field, order):
     diffusion = ORACLE_FIELDS[mesh.dimension][field]
     elem = build_reference_element(mesh.dimension, order)
     numbering = number_dofs(mesh, elem)
-    A, _ = assemble_stiffness(mesh, elem, diffusion, numbering)
+    A, _ = assemble_stiffness(mesh, elem, diffusion)
     oracle = _scatter(stiffness_oracle(mesh, elem, diffusion), numbering.element_dofs,
                       numbering.n_dofs)
     for name in ("indptr", "indices", "data"):
@@ -521,7 +522,7 @@ def test_stiffness_nnz_where_sums_cancel(mesh, diffusion, order, nnz, structural
     mesh = mesh()
     elem = build_reference_element(2, order)
     numbering = number_dofs(mesh, elem)
-    A, _ = assemble_stiffness(mesh, elem, diffusion, numbering)
+    A, _ = assemble_stiffness(mesh, elem, diffusion)
     ones = np.ones((len(mesh.elements), elem.node_count, elem.node_count))
     assert A.nnz == nnz
     assert _scatter(ones, numbering.element_dofs, numbering.n_dofs).nnz == structural
@@ -588,8 +589,8 @@ def test_lemma3_diagonal_bound(D, order):
 
     numbering = number_dofs(mesh, elem)
     geometry = build_affine_maps(mesh)
-    incidence, _ = build_patches(mesh, elem, numbering)
-    A, _ = assemble_stiffness(mesh, elem, D, numbering)
+    incidence, _ = build_patches(mesh, elem)
+    A, _ = assemble_stiffness(mesh, elem, D)
     align = element_alignment_factor(assemble_system(mesh, elem, D))
     diag = A.diagonal()
     for i in range(numbering.n_dofs):
@@ -691,6 +692,36 @@ def test_system_and_projection_build_the_geometry_once(monkeypatch):
     assemble_system(mesh, elem, identity(2), HRZ_DIAGONAL)
     l2_project(mesh, elem, lambda x: x[0] * x[1])
     assert calls == [mesh]
+
+
+def test_one_numbering_per_mesh_and_order(monkeypatch):
+    """assemble_system, l2_project(mesh, elem, f), a second assemble_system
+    under another policy and the first one's consistent mass number the DOFs
+    once; its arrays are read-only, so no write leaves a later assembly
+    stale."""
+    calls = []
+    original = rkstab.mesh.number_dofs
+
+    def counted(mesh, elem):
+        calls.append((mesh, elem.order))
+        return original(mesh, elem)
+
+    monkeypatch.setattr(rkstab.mesh, "number_dofs", counted)
+    mesh = random_perturbed(6, 6, 0.02, seed=1)
+    elem = build_reference_element(2, 2)
+    first = assemble_system(mesh, elem, identity(2), HRZ_DIAGONAL)
+    l2_project(mesh, elem, lambda x: x[0] * x[1])
+    second = assemble_system(mesh, elem, identity(2), CONSISTENT)
+    first.mass
+    assert calls == [(mesh, 2)]
+    assert first.numbering is second.numbering is mesh.numbering(elem)
+    assert mesh.numbering(build_reference_element(2, 1)).n_dofs == mesh.n_vertices
+    assert calls == [(mesh, 2), (mesh, 1)]
+    for array in (first.numbering.element_dofs, first.numbering.dirichlet_dofs):
+        before = array.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+        np.testing.assert_array_equal(array, before)
 
 
 def test_scalar_diffusion_requires_dimension():
@@ -860,6 +891,110 @@ def test_callable_values_of_the_wrong_shape_rejected(d, value, shape):
         assemble_system(mesh, build_reference_element(d, 1), field)
 
 
+def counting(value, switch_to=None, after=1):
+    """value as a user function that records its calls; with switch_to, the
+    values from call after + 1 on are switch_to's."""
+    calls = []
+
+    def func(x):
+        calls.append(tuple(x))
+        return (value if switch_to is None or len(calls) <= after else switch_to)(x)
+
+    return func, calls
+
+
+def diffuse(d):
+    """A run that assembles a P1 system, on a mesh of dimension d, whose D is its function."""
+    def run(func):
+        mesh = uniform_interval(4) if d == 1 else structured_triangular(4, 4)
+        return assemble_system(mesh, build_reference_element(d, 1),
+                               DiffusionField.from_callable(func, 0))
+
+    return run
+
+
+def project(func):
+    return l2_project(structured_triangular(4, 4), build_reference_element(2, 1), func)
+
+
+@pytest.mark.parametrize("d,value,shape", [
+    (2, lambda x: 1.0 + x[0], "()"),
+    (2, lambda x: np.eye(3), "(3, 3)"),
+    (2, lambda x: np.ones((1, 2)), "(1, 2)"),
+    (1, lambda x: np.eye(2), "(2, 2)"),
+])
+def test_a_diffusion_value_of_the_wrong_shape_fails_after_one_call(d, value, shape):
+    func, calls = counting(value)
+    expected = re.escape(f"diffusion callable must return shape ({d}, {d}), got {shape}")
+    with pytest.raises(ValueError, match=f"^{expected}$"):
+        diffuse(d)(func)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("value,shape", [
+    (lambda x: np.ones(2), "(2,)"),
+    (lambda x: [x[0], x[1]], "(2,)"),
+    (lambda x: np.eye(2), "(2, 2)"),
+    (lambda x: np.ones(0), "(0,)"),
+])
+def test_a_projected_value_of_a_size_other_than_one_fails_after_one_call(value, shape):
+    """It failed in a numpy reshape after every call: 294,912 at 128x128 P1."""
+    func, calls = counting(value)
+    expected = re.escape(f"l2_project's function must return a scalar, got shape {shape}")
+    with pytest.raises(ValueError, match=f"^{expected}$"):
+        project(func)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("wrap", [np.float64, np.array, lambda v: np.array([v]),
+                                  lambda v: np.array([[v]])],
+                         ids=["float64", "0-d", "(1,)", "(1, 1)"])
+def test_projected_values_of_size_one_keep_the_bytes(wrap):
+    mesh, elem = random_perturbed(4, 4, 0.05, seed=2), build_reference_element(2, 2)
+
+    def func(x):
+        return math.exp(x[0]) * math.cos(3.0 * x[1])
+
+    expected = l2_project(mesh, elem, func)
+    assert l2_project(mesh, elem, lambda x: wrap(func(x))).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("run,first,later", [
+    (diffuse(2), lambda x: np.eye(2), lambda x: 2.0),           # a float broadcasts to 2x2
+    (diffuse(2), lambda x: np.eye(2), lambda x: np.ones(2)),    # so does a row
+    (diffuse(2), lambda x: np.eye(2), lambda x: np.eye(3)),
+    (diffuse(1), lambda x: 1.0, lambda x: np.eye(2)),
+    (project, lambda x: 1.0, lambda x: np.ones(2)),
+    (project, lambda x: np.ones(1), lambda x: 1.0),
+    (project, lambda x: np.ones(1), lambda x: np.ones((1, 1))),  # broadcasts to (1,)
+], ids=["2d-float", "2d-row", "2d-3x3", "1d-2x2", "float-then-row", "(1,)-then-float",
+        "(1,)-then-(1, 1)"])
+def test_a_value_that_changes_shape_fails(run, first, later):
+    func, calls = counting(first, later, after=5)
+    with pytest.raises(ValueError):
+        run(func)
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("func", [lambda x: x[0] * x[1],
+                                  lambda x: np.array([[1.0 + x[0], x[1]], [x[1], 2.0]])],
+                         ids=["scalar", "2x2"])
+def test_values_stream_into_one_array(func):
+    """The traced peak of the per-point helper stays below 1.5 times its
+    output's bytes plus 64 KiB: no list of the values, or of their objects,
+    is kept.  Collecting the values in a list first reads 5.0 and 7.3 times."""
+    points = np.random.default_rng(3).random((500, 100, 2))
+    expected = np.array([func(x) for x in points.reshape(-1, 2)])
+    tracemalloc.start()
+    try:
+        values = assembly._at_each_point(func, points, lambda shape: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.tobytes() == expected.tobytes()
+    assert peak < 1.5 * values.nbytes + 64 * 1024, peak / values.nbytes
+
+
 def test_no_free_dof_fails_before_the_stiffness():
     """The no-free-DOF rule is a mesh rule: it fails before D is read."""
     calls = []
@@ -940,8 +1075,8 @@ def _old_system_parts(mesh, elem, diffusion):
     list."""
     numbering = number_dofs(mesh, elem)
     free = np.setdiff1d(np.arange(numbering.n_dofs), numbering.dirichlet_dofs)
-    stiffness, _ = assemble_stiffness(mesh, elem, diffusion, numbering)
-    incidence, volumes = build_patches(mesh, elem, numbering)
+    stiffness, _ = assemble_stiffness(mesh, elem, diffusion)
+    incidence, volumes = build_patches(mesh, elem)
     return _old_cut(stiffness, free), incidence[free], volumes[free], free
 
 

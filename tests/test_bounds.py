@@ -990,7 +990,7 @@ def test_bound_report_derives_nothing_again(monkeypatch):
             calls.append(_name)
             return _original(*args, **kwargs)
 
-        for module in (rkstab.bounds, rkstab.assembly):
+        for module in (rkstab.bounds, rkstab.assembly, rkstab.mesh):
             monkeypatch.setattr(module, name, counted, raising=False)
     compute_bound_report(mesh, elem, D, HRZ_DIAGONAL, dof_cap=0, system=system)
     assert calls == []

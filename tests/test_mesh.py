@@ -352,7 +352,7 @@ def test_patches_p2_edge_dofs():
     mesh = structured_triangular(2, 2)
     elem = build_reference_element(2, 2)
     numbering = number_dofs(mesh, elem)
-    incidence, _ = build_patches(mesh, elem, numbering)
+    incidence, _ = build_patches(mesh, elem)
     edge_dofs = range(mesh.n_vertices, mesh.n_vertices + numbering.n_edge_dofs)
     sizes = {len(patch_elements(incidence, dof)) for dof in edge_dofs}
     assert sizes == {1, 2}  # boundary edges vs interior edges
@@ -686,7 +686,7 @@ def test_vectorised_geometry_matches_element_oracle(tmp_path, kind, m):
         assert same_bits(geometry.volume[e], np.linalg.det(jac) / math.factorial(d))
         assert same_bits(geometry.offset[e], coords[0])
 
-    incidence, volumes = build_patches(mesh, elem, numbering)
+    incidence, volumes = build_patches(mesh, elem)
     assert incidence.shape == (n_dofs, mesh.n_elements)
     assert incidence.has_sorted_indices
     for i in range(n_dofs):
