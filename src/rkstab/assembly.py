@@ -23,8 +23,11 @@ read; under the consistent policy it is M-tilde.
 
 l2_project solves its one system in M with no factorisation: a Chebyshev
 iteration on the Jacobi-scaled M, over the reference element's interval and
-for a step count fixed in advance.  symmetric_lu is for the eigensolve and
-the stepper, which solve with one matrix hundreds of times.
+for a step count fixed in advance.  surrogate_solver is for the eigensolve and
+the stepper, which solve with one matrix hundreds of times: it divides by a
+diagonal, factors a narrow band (every 1D mass) by banded Cholesky, and any
+other matrix by one symmetric_lu, and it refuses a matrix that is not
+positive definite.
 
 The element stiffness matrices come from one blocked kernel that runs every
 sum in one fixed order: the order numpy 2.4's four-operand einsum takes for
@@ -46,6 +49,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .mesh import (
     AffineGeometry,
@@ -370,10 +374,24 @@ def _is_diagonal(matrix: sp.csr_array) -> bool:
 
 
 def surrogate_solver(matrix: sp.csr_array) -> Callable[[np.ndarray], np.ndarray]:
-    """Apply-inverse for an SPD surrogate mass; exact division when diagonal.
+    """Apply-inverse for a symmetric positive definite surrogate mass.
 
-    Otherwise the solve of one symmetric_lu, whose diagonal pivots are
-    stable for an SPD matrix.
+    A diagonal is divided exactly.  Any other matrix is renumbered by
+    reverse Cuthill-McKee.  If its band b then fills its band storage,
+    (b + 1) n <= 2 nnz, as timestepping._product_storage asks of DIA
+    storage, it is factored once by LAPACK's banded Cholesky dpbtrf, from
+    its upper triangle, and each solve is one dpbtrs.  Every 1D mass meets
+    the rule, with b at most the element order.  The rule exists because
+    SuperLU makes separate BLAS calls for each of its supernodes, which at
+    1D P3 span two columns: there its solve took 3-4x as long as dpbtrs.
+    A 2D mass keeps the solve of one symmetric_lu unless its mesh is a thin
+    strip: at 64x64 P2, b is 501 against a limit of 21.
+
+    Both factorisations raise ValueError unless every pivot is positive, so
+    an indefinite or singular matrix never gets a solve.  On the SuperLU
+    path that reads U, which took 7-15% of the factorisation time at 64x64
+    and 128x128 P2, and SuperLU then keeps its CSC copies of L and U for as
+    long as the solve lives (104 MB at 128x128 P2).
     """
     if _is_diagonal(matrix):
         diag = matrix.diagonal()
@@ -381,7 +399,39 @@ def surrogate_solver(matrix: sp.csr_array) -> Callable[[np.ndarray], np.ndarray]
             raise ValueError("surrogate mass diagonal must be positive")
         inv = 1.0 / diag
         return lambda b: inv * b
-    return symmetric_lu(matrix).solve
+    # csgraph loads here only: a diagonal surrogate never needs it
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    if not matrix.has_canonical_format:
+        matrix = matrix.copy()
+        matrix.sum_duplicates()
+    n = matrix.shape[0]
+    order = reverse_cuthill_mckee(matrix, symmetric_mode=True).astype(np.intp)
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+    rows = position[np.repeat(np.arange(n), np.diff(matrix.indptr))]
+    cols = position[matrix.indices]
+    band = int(np.abs(rows - cols).max())
+    if (band + 1) * n <= 2 * matrix.nnz:
+        upper = rows <= cols
+        storage = np.zeros((band + 1, n))
+        storage[band + rows[upper] - cols[upper], cols[upper]] = matrix.data[upper]
+        factor, info = dpbtrf(storage, overwrite_ab=True)
+        if info != 0:
+            raise ValueError(f"surrogate mass is not positive definite (Cholesky info {info})")
+
+        def banded_solve(b: np.ndarray) -> np.ndarray:
+            x, _ = dpbtrs(factor, b[order], overwrite_b=True)
+            return x[position]
+
+        return banded_solve
+    try:
+        lu = symmetric_lu(matrix)
+    except RuntimeError as error:  # SuperLU's "Factor is exactly singular"
+        raise ValueError(f"surrogate mass is not positive definite ({error})") from error
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0)):
+        raise ValueError("surrogate mass is not positive definite (a pivot is not positive)")
+    return lu.solve
 
 
 def symmetric_lu(matrix: sp.csr_array) -> spla.SuperLU:

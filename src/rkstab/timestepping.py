@@ -10,7 +10,9 @@ stability polynomial: U_{n+1} = R(-tau * M-tilde^-1 A) U_n.  The stepper
 exploits that directly (Horner evaluation, one operator application per
 stage), which matches the classical stage-by-stage update up to roundoff.
 tau * M-tilde^-1 is set up once per run: folded into a scaled copy of the
-stiffness for a diagonal surrogate, one sparse LU factorization otherwise.
+stiffness for a diagonal surrogate, otherwise one factorization by
+assembly.surrogate_solver (banded Cholesky for a narrow band, as every 1D
+mass has, SuperLU for a 2D mass).
 The first stage of each step reuses the stiffness product the energy norm
 of the previous step already took, so an s-stage step costs s stiffness
 products and one mass product, norm monitoring included.
@@ -278,8 +280,9 @@ def _stage_maps(
     The first may overwrite its argument.  A diagonal surrogate folds tau/m
     into a copy of the stiffness, so a stage is a single sparse product, in
     the storage _product_storage picks for that pattern: DIA for P1, CSR
-    otherwise, with the same bytes either way.  Any other surrogate keeps one
-    sparse LU.
+    otherwise, with the same bytes either way.  Any other surrogate keeps the
+    one factorization surrogate_solver makes, and a stage is a product with
+    A and a solve.
     """
     solve = surrogate_solver(system.surrogate_mass)
     stiffness = system.stiffness

@@ -33,6 +33,7 @@ from rkstab.assembly import (
     element_alignment_factor,
     l2_project,
     surrogate_reference_matrix,
+    surrogate_solver,
 )
 from rkstab.mesh import (
     MeshStructureError,
@@ -45,7 +46,12 @@ from rkstab.mesh import (
     structured_triangular,
     uniform_interval,
 )
-from rkstab.bounds import compute_bound_report, verify_matrix_inequalities, zhudu_bound
+from rkstab.bounds import (
+    compute_bound_report,
+    lambda_max_with_vector,
+    verify_matrix_inequalities,
+    zhudu_bound,
+)
 from rkstab.cli import main
 from rkstab.reference import build_reference_element, simplex_quadrature, tabulate_gradients
 from rkstab.timestepping import integrate, rk_scheme, stable_timestep
@@ -252,6 +258,63 @@ def test_surrogate_is_diagonal_flag():
     assert stored_zero.nnz == 3
     assert not _is_diagonal(stored_zero)
     assert _is_diagonal(sp.csr_array(([2.0, 3.0], [0, 1], [0, 1, 2]), shape=(2, 2)))
+
+
+def refuse_superlu(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a narrow-band surrogate reached SuperLU")
+
+    monkeypatch.setattr(assembly, "symmetric_lu", refused)
+    monkeypatch.setattr(spla, "splu", refused)
+
+
+BANDED_MASSES = {
+    **{f"1d-p{m}-n{n}": (lambda m=m, n=n: (uniform_interval(n), 1, m)) for m in (1, 2, 3) for n in (9, 250)},
+    "2d-p2-8x2": lambda: (structured_triangular(8, 2), 2, 2),
+}
+
+
+@pytest.mark.parametrize("case", BANDED_MASSES)
+def test_narrow_band_surrogate_solve_matches_superlu(monkeypatch, case):
+    """A consistent mass whose reverse Cuthill-McKee band meets the fill rule
+    is solved by banded Cholesky, never SuperLU, to 1e-14 of SuperLU's solve."""
+    mesh, d, m = BANDED_MASSES[case]()
+    system = assemble_system(mesh, build_reference_element(d, m), identity(d), CONSISTENT)
+    rhs = np.random.default_rng(5).standard_normal((system.n_dofs, 2))
+    oracle = assembly.symmetric_lu(system.surrogate_mass).solve(rhs)
+    refuse_superlu(monkeypatch)
+    solve = surrogate_solver(system.surrogate_mass)
+    for b, x in zip(rhs.T, oracle.T):
+        assert np.abs(solve(b) - x).max() <= 1e-14 * np.abs(x).max()
+    assert np.abs(solve(rhs) - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+
+def test_wide_band_surrogate_keeps_superlu(monkeypatch):
+    """A 16x16 P2 consistent mass has a band of 65: one SuperLU factor."""
+    mesh = random_perturbed(16, 16, 0.01, seed=1)
+    system = assemble_system(mesh, build_reference_element(2, 2), identity(2), CONSISTENT)
+    factored = []
+    original = assembly.symmetric_lu
+
+    def counted(matrix):
+        factored.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(assembly, "symmetric_lu", counted)
+    solve = surrogate_solver(system.surrogate_mass)
+    assert len(factored) == 1 and factored[0] is system.surrogate_mass
+    b = np.ones(system.n_dofs)
+    assert np.allclose(system.surrogate_mass @ solve(b), b, rtol=0, atol=1e-12)
+
+
+def test_1d_p3_consistent_eigensolve_and_integrate_never_reach_superlu(monkeypatch):
+    system = assemble_system(uniform_interval(40), build_reference_element(1, 3), identity(1),
+                             CONSISTENT)
+    refuse_superlu(monkeypatch)
+    lam, vec = lambda_max_with_vector(system.stiffness, system.surrogate_mass)
+    scheme = rk_scheme("classic_rk4")
+    trace = integrate(system, scheme, scheme.real_stability_boundary / lam, 5, vec)
+    assert np.all(np.isfinite(trace.l2_norms)) and trace.n_steps == 5
 
 
 def test_alignment_factor_1d():

@@ -418,10 +418,30 @@ def test_lambda_max_identical_across_blas_threads():
 
 
 def test_non_spd_pencil_rejected():
+    """A pencil matrix that is not positive definite raises ValueError, never a
+    wrong value: A or a diagonal surrogate with a negative entry, and
+    surrogates with a positive diagonal on both factorising paths (a band that
+    banded Cholesky takes, and an arrow that SuperLU takes, indefinite or
+    exactly singular)."""
     bad = sp.csr_array(sp.diags_array([[-1.0, 1.0]], offsets=[0]))
     eye = sp.csr_array(sp.eye_array(2))
     with pytest.raises(ValueError):
         lambda_max_generalized(bad, eye)
+    with pytest.raises(ValueError):
+        lambda_max_generalized(eye, bad)
+    # eigenvalues -1, 1 and 3; an LU solve without the pivot-sign check gives lambda 22.08
+    banded = sp.csr_array(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    # eigenvalues 1 -+ sqrt(19) and 1; its band of 9 or more fails the fill rule
+    arrow = np.eye(20)
+    arrow[0, 1:] = arrow[1:, 0] = 1.0
+    singular = arrow.copy()
+    singular[0, 0] = 19.0  # its last pivot is exactly 0
+    laplacian = lambda n: sp.csr_array(sp.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1],
+                                                      shape=(n, n)))
+    for surrogate in (banded, sp.csr_array(arrow), sp.csr_array(singular)):
+        assert np.linalg.eigvalsh(surrogate.toarray())[0] < 1e-12 < surrogate.diagonal().min()
+        with pytest.raises(ValueError, match="not positive definite"):
+            lambda_max_generalized(laplacian(surrogate.shape[0]), surrogate)
 
 
 def test_diag_ratio_bounds_1d_lumped():
