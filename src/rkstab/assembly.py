@@ -8,7 +8,8 @@ multiple.  A diagonal reference matrix (HRZ lumping, node quadrature)
 assembles to a diagonal, summed per DOF by one bincount.  Stiffness integrals
 are evaluated by quadrature after pulling the diffusion tensor back to the
 reference cell, at points where DiffusionField.on samples D once; the system
-keeps those samples, and every bound reads D from them.  A callable D, like
+keeps those samples and G = F'^-1 D F'^-T at each, which A integrated, and
+every bound reads D through them.  A callable D, like
 l2_project's function, is called once per point by one helper, whose values
 stream into one array: the first value fixes the shape of all of them, and
 no per-point list is kept.
@@ -29,12 +30,12 @@ diagonal, factors a narrow band (every 1D mass) by banded Cholesky, and any
 other matrix by one symmetric_lu, and it refuses a matrix that is not
 positive definite.
 
-The element stiffness matrices come from one blocked kernel that runs every
-sum in one fixed order: the order numpy 2.4's four-operand einsum takes for
-the same contraction.  So A keeps the bytes, and the stored nonzero count,
-that the einsum form gave, and they no longer depend on how a numpy version
-iterates inside einsum.  The element axis is innermost and blocked, so each
-numpy call works on thousands of contiguous values: about 0.06 s at
+The element stiffness matrices come from _metric's G and one blocked kernel,
+which run every sum in one fixed order: the order numpy 2.4's einsum takes
+for the same contractions.  So A keeps the bytes, and the stored nonzero
+count, that the einsum form gave, and they no longer depend on how a numpy
+version iterates inside einsum.  The element axis is innermost and blocked,
+so each numpy call works on thousands of contiguous values: about 0.06 s at
 128x128 P2 (32,768 triangles), against 0.8 s for the einsum.
 """
 
@@ -76,7 +77,6 @@ __all__ = [
     "assemble_mass",
     "assemble_stiffness",
     "assemble_system",
-    "element_alignment_factor",
     "l2_project",
     "POLICY_KINDS",
     "CONSISTENT",
@@ -97,10 +97,11 @@ class NonSPDDiffusionError(ValueError):
 class DiffusionField:
     """Diffusion tensor D(x): a constant matrix or a callable of position, not both.
 
-    A constant matrix is checked to be SPD once, here; a callable's values
-    are checked where the stiffness assembly integrates them.  `on` gives
-    the values on the elements.  For callables, `degree` declares a
-    polynomial-degree proxy used to pick the stiffness quadrature order.
+    A constant matrix is kept as a read-only float copy, checked to be SPD
+    once, here; a callable's values are checked where the stiffness assembly
+    integrates them.  `on` gives the values on the elements.  For callables,
+    `degree` declares a polynomial-degree proxy used to pick the stiffness
+    quadrature order.
     """
 
     matrix: np.ndarray | None = None
@@ -111,6 +112,9 @@ class DiffusionField:
         if (self.matrix is None) == (self.func is None):
             raise ValueError("a diffusion field needs exactly one of matrix and func")
         if self.matrix is not None:
+            matrix = np.array(self.matrix, dtype=float)
+            matrix.flags.writeable = False
+            object.__setattr__(self, "matrix", matrix)
             if self.matrix.shape not in ((1, 1), (2, 2)):
                 raise ValueError(f"diffusion matrix must be 1x1 or 2x2, got shape {self.matrix.shape}")
             kinds = [kind for kind, bad in _spd_defects(self.matrix).items() if bad]
@@ -298,9 +302,10 @@ class AssembledSystem:
 
     mesh, elem, diffusion and policy are what it was assembled from, and
     every bound reads them here, D through diffusion_samples: the read-only
-    (E, Q, d, d) values A integrated, (1, 1, d, d) for a constant.  dof_map
-    lists the full DOFs that survived the Dirichlet cut, in the order of the
-    reduced rows.  surrogate_lambda_min and _max are the extreme eigenvalues
+    (E, Q, d, d) values A integrated, (1, 1, d, d) for a constant; and
+    through metric: G = F'^-1 D F'^-T at each, as _metric returns it, the
+    tensor A integrated.  dof_map lists the full DOFs that survived the
+    Dirichlet cut, in the order of the reduced rows.  surrogate_lambda_min and _max are the extreme eigenvalues
     of the surrogate reference matrix.
     patch_incidence is the free-DOF-by-element patch incidence P, and
     patch_volumes is P @ |K|.  mass, the consistent M, is built on first read.
@@ -312,6 +317,7 @@ class AssembledSystem:
     elem: ReferenceElement
     diffusion: DiffusionField
     diffusion_samples: np.ndarray
+    metric: np.ndarray
     policy: SurrogatePolicy
     dof_map: np.ndarray
     surrogate_lambda_min: float
@@ -510,23 +516,37 @@ def _stiffness_quadrature(
 _STIFFNESS_BLOCK = 4096
 
 
+def _metric(inv_jacobian: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """G = F'^-1 D F'^-T at the samples of D, as a read-only (E, Q, d, d) view,
+    (E, 1, d, d) for a constant D, of one contiguous (Q, d, d, E) block, stored
+    as inv_jacobian is.  Its sums run in the order _element_stiffness states."""
+    inv = inv_jacobian.transpose(1, 2, 0)                          # inv[a, b] over elements
+    tensors = samples.transpose(1, 2, 3, 0)                        # D[t, b, k] over elements
+    d, _, n_elements = inv.shape
+    metric = np.zeros((tensors.shape[0], d, d, n_elements))
+    for a, c, b in np.ndindex(d, d, d):
+        terms = [(inv[a, b] * tensors[:, b, k]) * inv[c, k] for k in range(d)]
+        metric[:, a, c] += functools.reduce(np.add, terms)
+    metric.flags.writeable = False
+    return metric.transpose(3, 0, 1, 2)
+
+
 def _element_stiffness(
-    inv_jac: np.ndarray,
-    tensors: np.ndarray,
+    metric: np.ndarray,
     wts: np.ndarray,
     grads: np.ndarray,
     volume: np.ndarray,
 ) -> np.ndarray:
     """Symmetrized element stiffness matrices, shape (E, eta, eta).
 
-    K_e = |K| sum_q w_q G_q^T (F'^-1 D_q F'^-T) G_q, with G the (Q, eta, d)
-    reference gradients and tensors the samples D[t, :, :, e] of shape
-    (Q, d, d, E), or (1, d, d, 1) for a constant D.  Every sum runs in the
-    order numpy's einsum takes for "eab,bc,edc->ead" and
-    "q,qia,eab,qjb->eij", with inv = F'^-1 and c[q, i, a] = w_q G[q, i, a]:
+    K_e = |K| sum_q w_q g_q^T G_q g_q, with g the (Q, eta, d) reference
+    gradients and G the metric of _metric, (E, Q, d, d) or (E, 1, d, d) for
+    a constant D.  _metric and this kernel run every sum in the order numpy's
+    einsum takes for "eab,bc,edc->ead" and "q,qia,eab,qjb->eij", with
+    inv = F'^-1 and c[q, i, a] = w_q g[q, i, a]:
 
-        geo[t, a, c] = sum_b ( sum_k (inv[a, b] D[t, b, k]) inv[c, k] )
-        K[i, j]      = sum_q ( sum_(a,b) (c[q, i, a] geo[q, a, b]) G[q, j, b] )
+        G[t, a, c] = sum_b ( sum_k (inv[a, b] D[t, b, k]) inv[c, k] )
+        K[i, j]    = sum_q ( sum_(a,b) (c[q, i, a] G[q, a, b]) g[q, j, b] )
 
     with (a, b) in lexicographic order.  The outer sums start from +0, as
     einsum's do.  The inner ones start from their first term where einsum
@@ -534,14 +554,9 @@ def _element_stiffness(
     to the outer sum drops.  K is then scaled by |K| and symmetrized as
     0.5 (K + K^T), one block of elements at a time, element axis innermost.
     """
-    n_elements = inv_jac.shape[0]
+    n_elements = metric.shape[0]
     n_q, eta, d = grads.shape
-    inv = np.ascontiguousarray(inv_jac.transpose(1, 2, 0))        # inv[a, b] over elements
-    geo = np.zeros((tensors.shape[0], d, d, n_elements))
-    for a, c, b in np.ndindex(d, d, d):
-        terms = [(inv[a, b] * tensors[:, b, k]) * inv[c, k] for k in range(d)]
-        geo[:, a, c] += functools.reduce(np.add, terms)
-
+    geo = metric.transpose(1, 2, 3, 0)                             # G[t, a, b] over elements
     weighted = wts[:, None, None] * grads                          # c[q, i, a]
     pairs = list(np.ndindex(d, d))
     grad_values = grads.tolist()
@@ -570,12 +585,13 @@ def assemble_stiffness(
     mesh: SimplicialMesh,
     elem: ReferenceElement,
     diffusion: DiffusionField,
-) -> tuple[sp.csr_array, np.ndarray]:
+) -> tuple[sp.csr_array, np.ndarray, np.ndarray]:
     """Assemble the stiffness matrix for the diffusion field.
 
-    Element integrals are |K| sum_q w_q grad_i^T (F'^-1 D F'^-T) grad_j with
-    reference-cell quadrature; the result is symmetrized exactly.  Returns A
-    and the SPD-checked samples of D it integrated, from DiffusionField.on.
+    Element integrals are |K| sum_q w_q grad_i^T G_q grad_j with
+    reference-cell quadrature, G = F'^-1 D F'^-T; the result is symmetrized
+    exactly.  Returns A, the SPD-checked samples of D it integrated, from
+    DiffusionField.on, and the G it integrated, from _metric.
     """
     numbering = mesh.numbering(elem)
     geometry = mesh.geometry
@@ -583,10 +599,9 @@ def assemble_stiffness(
     grads = elem.quad_grads if pts is elem.quad_points else tabulate_gradients(elem, pts)
     tensors = diffusion.on(geometry, pts)
     _check_spd_samples(tensors)
-    local = _element_stiffness(
-        geometry.inv_jacobian, tensors.transpose(1, 2, 3, 0), wts, grads, geometry.volume
-    )
-    return _scatter(local, numbering.element_dofs, numbering.n_dofs), tensors
+    metric = _metric(geometry.inv_jacobian, tensors)
+    local = _element_stiffness(metric, wts, grads, geometry.volume)
+    return _scatter(local, numbering.element_dofs, numbering.n_dofs), tensors, metric
 
 
 def assemble_system(
@@ -605,7 +620,7 @@ def assemble_system(
     mesh.geometry  # built first: a degenerate element is the first problem
     numbering = mesh.numbering(elem)
     free = free_dofs(numbering, elem.order)
-    stiffness, samples = assemble_stiffness(mesh, elem, diffusion)
+    stiffness, samples, metric = assemble_stiffness(mesh, elem, diffusion)
     surrogate, ref = assemble_mass(mesh, elem, policy)
     eigenvalues = np.linalg.eigvalsh(ref)
     incidence, patch_volumes = build_patches(mesh, elem)
@@ -616,6 +631,7 @@ def assemble_system(
         elem=elem,
         diffusion=diffusion,
         diffusion_samples=samples,
+        metric=metric,
         policy=policy,
         dof_map=free,
         surrogate_lambda_min=float(eigenvalues[0]),
@@ -638,63 +654,6 @@ def apply_dirichlet(matrix: sp.csr_array, free: np.ndarray) -> sp.csr_array:
     out = matrix[free][:, free]
     out.sort_indices()
     return out
-
-
-def _pulled_back_norm(inv: np.ndarray, tensor: np.ndarray | None = None) -> np.ndarray:
-    """|| inv T inv^T ||_2 over broadcast stacks of 1x1 or 2x2 matrices.
-
-    tensor=None stands for the identity, so the product is inv inv^T.  The
-    entries of the product are formed directly from the entry arrays of inv
-    and T, in the order (inv T) inv^T, each sum of two products accumulated
-    in place; the norm is the larger modulus of the two closed-form
-    eigenvalues of that (symmetric) product.  The entry arrays of a
-    geometry's inv_jacobian are contiguous, so every pass runs at array speed.
-    """
-    if inv.shape[-1] == 1:
-        pulled = inv[..., 0, 0] if tensor is None else inv[..., 0, 0] * tensor[..., 0, 0]
-        return np.abs(pulled * inv[..., 0, 0])
-    a, b, c, d = inv[..., 0, 0], inv[..., 0, 1], inv[..., 1, 0], inv[..., 1, 1]
-
-    def pair(u, s, v, t):
-        """u s + v t, as a new array."""
-        out = u * s
-        out += v * t
-        return out
-
-    if tensor is None:
-        x00, x01, x10, x11 = a, b, c, d
-    else:
-        t00, t01, t10, t11 = tensor[..., 0, 0], tensor[..., 0, 1], tensor[..., 1, 0], tensor[..., 1, 1]
-        x00, x01 = pair(a, t00, b, t10), pair(a, t01, b, t11)
-        x10, x11 = pair(c, t00, d, t10), pair(c, t01, d, t11)
-    p00, p01 = pair(x00, a, x01, b), pair(x00, c, x01, d)
-    p10, p11 = pair(x10, a, x11, b), pair(x10, c, x11, d)
-    half_sum = p00 + p11
-    half_sum *= 0.5
-    half_diff = np.subtract(p00, p11, out=p00)
-    half_diff *= 0.5
-    radius = np.multiply(half_diff, half_diff, out=half_diff)
-    radius += np.multiply(p01, p10, out=p01)
-    np.sqrt(radius, out=radius)
-    upper = np.abs(np.add(half_sum, radius, out=p11), out=p11)
-    lower = np.abs(np.subtract(half_sum, radius, out=radius), out=radius)
-    return np.maximum(upper, lower, out=upper)
-
-
-def element_alignment_factor(system: AssembledSystem) -> np.ndarray:
-    """max_q || G_q ||_2, G_q = F'^-1 D(x_q) F'^-T, for every element.
-
-    x_q are the images of the stiffness quadrature points, where the system
-    sampled D, and A integrates these same G_q.  So with g_q = grad v-hat,
-    v^T A_K v = |K| sum_q w_q g_q^T G_q g_q <= |K| max_q ||G_q|| sum_q w_q |g_q|^2
-    = |K| max_q ||G_q|| times the integral of |grad v-hat|^2 over K-hat: the
-    weights are positive and the rule is exact to degree 2(m - 1).  The rest
-    of the geometric bound's proof is unchanged, and no other point is
-    needed.  Exact for constant diffusion.  The norms are the closed form of
-    _pulled_back_norm, a few elementwise passes with no stacked matmul.
-    """
-    inv = system.mesh.geometry.inv_jacobian
-    return _pulled_back_norm(inv[:, None], system.diffusion_samples).max(axis=1)
 
 
 def _chebyshev_steps(lo: float, hi: float) -> int:

@@ -38,9 +38,7 @@ from .assembly import (
     AssembledSystem,
     DiffusionField,
     SurrogatePolicy,
-    _pulled_back_norm,
     assemble_system,
-    element_alignment_factor,
     surrogate_solver,
     symmetric_lu,
 )
@@ -57,6 +55,7 @@ __all__ = [
     "lambda_max_with_vector",
     "diag_ratio_bounds",
     "is_m_matrix",
+    "element_alignment_factor",
     "geometric_bound",
     "zhudu_bound",
     "verify_matrix_inequalities",
@@ -301,6 +300,45 @@ def is_m_matrix(matrix: sp.csr_array) -> bool:
     if positive > matrix.shape[0] or positive > np.count_nonzero(matrix.diagonal() > cut):
         return False
     return bool(np.all(matrix @ np.ones(matrix.shape[1]) >= -cut))
+
+
+def _symmetric_norm(entries: list[np.ndarray]) -> np.ndarray:
+    """||P||_2 = |s| + r of symmetric 1x1 or 2x2 matrices P with eigenvalues s +- r,
+    s = (p00 + p11)/2 and r = sqrt(((p00 - p11)/2)^2 + p01 p10), from their
+    entry arrays in row-major order, which it reads and never writes."""
+    if len(entries) == 1:
+        return np.abs(entries[0])
+    p00, p01, p10, p11 = entries
+    half_sum, radius = p00 + p11, p00 - p11  # every later pass runs in place
+    half_sum *= 0.5
+    radius *= 0.5
+    radius *= radius
+    radius += p01 * p10
+    return np.add(np.abs(half_sum, out=half_sum), np.sqrt(radius, out=radius), out=radius)
+
+
+def _pulled_back_norm(inv: np.ndarray) -> np.ndarray:
+    """||inv inv^T||_2 over a stack (..., d, d) of 1x1 or 2x2 matrices inv."""
+    if inv.shape[-1] == 1:
+        return np.abs(inv[..., 0, 0] * inv[..., 0, 0])
+    a, b, c, d = inv[..., 0, 0], inv[..., 0, 1], inv[..., 1, 0], inv[..., 1, 1]
+    return _symmetric_norm([a * a + b * b, a * c + b * d, c * a + d * b, c * c + d * d])
+
+
+def element_alignment_factor(system: AssembledSystem) -> np.ndarray:
+    """max_q || G_q ||_2 for every element, G_q = F'^-1 D(x_q) F'^-T the system's metric.
+
+    x_q are the images of the stiffness quadrature points, where the system
+    sampled D, and A integrates these same G_q.  So with g_q = grad v-hat,
+    v^T A_K v = |K| sum_q w_q g_q^T G_q g_q <= |K| max_q ||G_q|| sum_q w_q |g_q|^2
+    = |K| max_q ||G_q|| times the integral of |grad v-hat|^2 over K-hat: the
+    weights are positive and the rule is exact to degree 2(m - 1).  The rest
+    of the geometric bound's proof is unchanged, and no other point is
+    needed.  Exact for constant diffusion.
+    """
+    metric = system.metric
+    d = metric.shape[-1]
+    return _symmetric_norm([metric[..., a, c] for a, c in np.ndindex(d, d)]).max(axis=1)
 
 
 def geometric_bound(system: AssembledSystem) -> float:

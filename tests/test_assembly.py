@@ -24,13 +24,12 @@ from rkstab.assembly import (
     SurrogatePolicy,
     _chebyshev_steps,
     _is_diagonal,
-    _pulled_back_norm,
+    _metric,
     _scatter,
     _stiffness_quadrature,
     assemble_mass,
     assemble_stiffness,
     assemble_system,
-    element_alignment_factor,
     l2_project,
     surrogate_reference_matrix,
     surrogate_solver,
@@ -47,7 +46,10 @@ from rkstab.mesh import (
     uniform_interval,
 )
 from rkstab.bounds import (
+    _pulled_back_norm,
+    _symmetric_norm,
     compute_bound_report,
+    element_alignment_factor,
     lambda_max_with_vector,
     verify_matrix_inequalities,
     zhudu_bound,
@@ -130,8 +132,8 @@ def test_stiffness_single_triangle_hand_values():
 def test_stiffness_scales_linearly_in_diffusion():
     mesh = structured_triangular(2, 3)
     elem = build_reference_element(2, 2)
-    A1, _ = assemble_stiffness(mesh, elem, identity(2))
-    A7, _ = assemble_stiffness(mesh, elem, DiffusionField.constant(7.0 * np.eye(2)))
+    A1 = assemble_stiffness(mesh, elem, identity(2))[0]
+    A7 = assemble_stiffness(mesh, elem, DiffusionField.constant(7.0 * np.eye(2)))[0]
     scale = np.abs(A1.toarray()).max()
     np.testing.assert_allclose(
         A7.toarray(), 7.0 * A1.toarray(), rtol=0, atol=1e-13 * scale
@@ -147,7 +149,7 @@ def test_stiffness_row_sums_vanish_unreduced(d, m, make):
     """Constants lie in the kernel of the pure-Neumann operator."""
     mesh = make()
     elem = build_reference_element(d, m)
-    A, _ = assemble_stiffness(mesh, elem, identity(d))
+    A = assemble_stiffness(mesh, elem, identity(d))[0]
     row_sums = np.asarray(A.sum(axis=1)).ravel()
     norm = sp.linalg.norm(A, np.inf)
     assert np.max(np.abs(row_sums)) < 1e-11 * norm
@@ -157,7 +159,7 @@ def test_stiffness_symmetric():
     mesh = random_perturbed(4, 4, 0.05, seed=3)
     elem = build_reference_element(2, 2)
     D = DiffusionField.rotated_anisotropic(np.pi / 6, (1.0, 100.0))
-    A, _ = assemble_stiffness(mesh, elem, D)
+    A = assemble_stiffness(mesh, elem, D)[0]
     assert (A - A.T).count_nonzero() == 0
 
 
@@ -464,21 +466,51 @@ def random_spd_stack(rng, shape, d):
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("case", ["identity", "per_element", "constant", "samples"])
 def test_pulled_back_norm_matches_matmul_oracle(d, case):
-    """The closed form against np.linalg.norm(inv @ T @ inv^T, 2) on random
-    stacks: the identity (tensor=None), one tensor per element, the (E, 1)
-    by (1, 1) broadcast of a constant D, and (E, P) samples of a callable D."""
+    """The closed forms against np.linalg.norm(inv @ T @ inv^T, 2) on random
+    stacks: _pulled_back_norm for the identity, and the closed-form norm of
+    _metric's G for one tensor per element, the (E, 1) by (1, 1) broadcast
+    of a constant D, and (E, P) samples of a callable D."""
     rng = np.random.default_rng(7 + d)
     n_elements, n_points = 50, 4
     inv = rng.standard_normal((n_elements, d, d)) * rng.uniform(0.1, 100.0, (n_elements, 1, 1))
     shapes = {"per_element": (n_elements,), "constant": (1, 1), "samples": (n_elements, n_points)}
-    if case in ("constant", "samples"):
-        inv = inv[:, None]
+    stacked = inv[:, None] if case in ("constant", "samples") else inv
     tensor = None if case == "identity" else random_spd_stack(rng, shapes[case], d)
-    pulled = inv @ (np.eye(d) if tensor is None else tensor) @ np.swapaxes(inv, -1, -2)
+    pulled = stacked @ (np.eye(d) if tensor is None else tensor) @ np.swapaxes(stacked, -1, -2)
     expected = np.linalg.norm(pulled, 2, axis=(-2, -1))
-    norms = _pulled_back_norm(inv, tensor)
+    if tensor is None:
+        norms = _pulled_back_norm(inv)
+    else:
+        metric = _metric(inv, tensor[:, None] if case == "per_element" else tensor)
+        norms = _symmetric_norm([metric[..., a, b] for a, b in np.ndindex(d, d)])
+        norms = norms.reshape(expected.shape)
     assert norms.shape == expected.shape
     np.testing.assert_allclose(norms, expected, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("mesh, field", [
+    (mesh, field) for mesh in ORACLE_MESHES for field in ("constant", "callable_deg2")
+])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_system_metric_is_the_pulled_back_tensor(mesh, field, order):
+    """The system's metric is F'^-1 D_q F'^-T at its samples D_q, to 1e-15 of
+    the entries' scale |F'^-1| |D_q| |F'^-1|^T, stored as inv_jacobian is:
+    one read-only view of a contiguous (Q, d, d, E) block."""
+    mesh = ORACLE_MESHES[mesh]()
+    diffusion = ORACLE_FIELDS[mesh.dimension][field]
+    elem = build_reference_element(mesh.dimension, order)
+    system = assemble_system(mesh, elem, diffusion)
+    samples = system.diffusion_samples
+    metric = system.metric
+    d, n_points = mesh.dimension, samples.shape[1]
+    assert metric.shape == (mesh.n_elements, n_points, d, d)
+    assert metric.transpose(1, 2, 3, 0).flags.c_contiguous
+    with pytest.raises(ValueError, match="read-only"):
+        metric[...] = 0
+    inv = mesh.geometry.inv_jacobian[:, None]
+    oracle = inv @ samples @ inv.transpose(0, 1, 3, 2)
+    scale = np.abs(inv) @ np.abs(samples) @ np.abs(inv).transpose(0, 1, 3, 2)
+    assert np.all(np.abs(metric - oracle) <= 1e-15 * scale)
 
 
 def stiffness_oracle(mesh, elem, diffusion):
@@ -564,7 +596,7 @@ def test_stiffness_matches_loop_oracle_bytes(mesh, field, order):
     diffusion = ORACLE_FIELDS[mesh.dimension][field]
     elem = build_reference_element(mesh.dimension, order)
     numbering = number_dofs(mesh, elem)
-    A, _ = assemble_stiffness(mesh, elem, diffusion)
+    A = assemble_stiffness(mesh, elem, diffusion)[0]
     oracle = _scatter(stiffness_oracle(mesh, elem, diffusion), numbering.element_dofs,
                       numbering.n_dofs)
     for name in ("indptr", "indices", "data"):
@@ -585,7 +617,7 @@ def test_stiffness_nnz_where_sums_cancel(mesh, diffusion, order, nnz, structural
     mesh = mesh()
     elem = build_reference_element(2, order)
     numbering = number_dofs(mesh, elem)
-    A, _ = assemble_stiffness(mesh, elem, diffusion)
+    A = assemble_stiffness(mesh, elem, diffusion)[0]
     ones = np.ones((len(mesh.elements), elem.node_count, elem.node_count))
     assert A.nnz == nnz
     assert _scatter(ones, numbering.element_dofs, numbering.n_dofs).nnz == structural
@@ -653,7 +685,7 @@ def test_lemma3_diagonal_bound(D, order):
     numbering = number_dofs(mesh, elem)
     geometry = build_affine_maps(mesh)
     incidence, _ = build_patches(mesh, elem)
-    A, _ = assemble_stiffness(mesh, elem, D)
+    A = assemble_stiffness(mesh, elem, D)[0]
     align = element_alignment_factor(assemble_system(mesh, elem, D))
     diag = A.diagonal()
     for i in range(numbering.n_dofs):
@@ -930,6 +962,32 @@ def test_system_diffusion_samples_are_read_only(kind):
         np.testing.assert_array_equal(field.matrix, before[0, 0])
 
 
+def test_a_constant_diffusion_keeps_its_own_copy():
+    """A write to the caller's array after assembly moves no report byte, and
+    a write to field.matrix raises.  The field used to keep a writable view
+    of the array: setting D_11 = 1e6 here raised the comparison bound
+    4.19e3 -> 4.19e7 and the geometric bound 4.34e4 -> 4.32e8, while A, and
+    so lambda_max, stayed as assembled."""
+    mesh = structured_triangular(4, 4)
+    elem = build_reference_element(2, 1)
+    arr = np.diag([1.0, 100.0])
+    field = DiffusionField.constant(arr)
+    system = assemble_system(mesh, elem, field, HRZ_DIAGONAL)
+
+    def report():
+        return compute_bound_report(mesh, elem, field, HRZ_DIAGONAL, dof_cap=0,
+                                    system=system).csv_row()
+
+    before = report()
+    arr[1, 1] = 1e6
+    assert report() == before
+    with pytest.raises(ValueError, match="read-only"):
+        field.matrix[1, 1] = 1e6
+    identity_field = DiffusionField(matrix=[[1, 0], [0, 1]])
+    assert identity_field.matrix.dtype == np.float64
+    np.testing.assert_array_equal(identity_field.matrix, np.eye(2))
+
+
 @pytest.mark.parametrize("kwargs", [{}, {"matrix": np.eye(2), "func": swirl}],
                          ids=["neither", "both"])
 def test_diffusion_field_holds_exactly_one_of_matrix_and_func(kwargs):
@@ -1138,7 +1196,7 @@ def _old_system_parts(mesh, elem, diffusion):
     list."""
     numbering = number_dofs(mesh, elem)
     free = np.setdiff1d(np.arange(numbering.n_dofs), numbering.dirichlet_dofs)
-    stiffness, _ = assemble_stiffness(mesh, elem, diffusion)
+    stiffness = assemble_stiffness(mesh, elem, diffusion)[0]
     incidence, volumes = build_patches(mesh, elem)
     return _old_cut(stiffness, free), incidence[free], volumes[free], free
 

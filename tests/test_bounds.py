@@ -25,7 +25,6 @@ from rkstab.assembly import (
     SurrogateAxiomError,
     assemble_mass,
     assemble_system,
-    element_alignment_factor,
 )
 from rkstab.bounds import (
     BOUND_CSV_FIELDS,
@@ -34,6 +33,7 @@ from rkstab.bounds import (
     InequalityViolation,
     compute_bound_report,
     diag_ratio_bounds,
+    element_alignment_factor,
     geometric_bound,
     is_m_matrix,
     lambda_max_generalized,
@@ -846,28 +846,29 @@ PINNED_CASES = {
 }
 # float.hex() of upper_geometric and upper_zhudu, and the SHA-256 of the
 # alignment factors' bytes.  The structured meshes have exact zeros in
-# inv_jacobian.  zhudu_bound's identity (tensor=None) passes their signs on
-# where products by 1 and 0 would not, and its bits must still match.
+# inv_jacobian.  zhudu_bound forms F'^-1 F'^-T from inv_jacobian alone, with
+# no product by an identity's 1 and 0 to change their signs, and its bits
+# must still match.  The alignment factors read the system's metric.
 PINNED_BITS = {
     "perturbed16-p2-rotated": ("0x1.fe5077da1f792p+27", "0x1.9b4e4a73510e9p+17",
-        "1c447c6eef9f1d7c3c52d63d3c66687e8e80847874a624a6203587afc93c2ecf"),
+        "4ec6585f06977658a4163ed7a3a71b21cb1816ccd9417f0de9cde6c4f3c871f8"),
     "structured6-p1-identity": ("0x1.a81f1b07628d5p+12", "0x1.78ff3478579a2p+6",
         "71dc9fcbb28298a83d39faf474b05cf0a204f2aeb563c773c2444bb9225cc0c3"),
     "structured6-p1-rotated": ("0x1.28a0f39b7179bp+19", "0x1.268760fe04707p+13",
-        "9fee124ca79a71676ae657d022b99a0933df7c0425765d095c3abc073322cfc4"),
+        "cf1f05806aa62580812d2c5312c01cca3a762a07223bdb23cfe6091cd96c636d"),
     "structured6-p2-identity": ("0x1.1bebac2eadbc3p+17", "0x1.78ff3478579a2p+6",
         "71dc9fcbb28298a83d39faf474b05cf0a204f2aeb563c773c2444bb9225cc0c3"),
     "structured6-p2-rotated": ("0x1.8d254840bf383p+23", "0x1.268760fe04707p+13",
-        "9fee124ca79a71676ae657d022b99a0933df7c0425765d095c3abc073322cfc4"),
+        "cf1f05806aa62580812d2c5312c01cca3a762a07223bdb23cfe6091cd96c636d"),
     "structured6-p3-identity": ("0x1.a19fd4d340f87p+20", "0x1.78ff3478579a2p+6",
         "71dc9fcbb28298a83d39faf474b05cf0a204f2aeb563c773c2444bb9225cc0c3"),
     "structured6-p3-rotated": ("0x1.457a0e4378f96p+27", "0x1.268760fe04707p+13",
-        "9fee124ca79a71676ae657d022b99a0933df7c0425765d095c3abc073322cfc4"),
+        "cf1f05806aa62580812d2c5312c01cca3a762a07223bdb23cfe6091cd96c636d"),
     "interval9-p3-identity": ("0x1.1beb803c51607p+16", "0x1.4400000000007p+6",
         "468b2c5f0b8de6b15e80ed9ddd97797ea8731bbac6762c169f3b7a71d5b3078c"),
     # a callable D, which both bounds read at the stiffness quadrature points only
     "perturbed6-p2-swirl-deg2": ("0x1.b4fb7d2a1a02cp+24", "0x1.2e16f8d11e588p+15",
-        "a11c1fe87112cf62278a07ee8cf804c3f00ba75811854c3eb31dff0c6713e5bb"),
+        "40d7461d695e17ad546d34754c1fc20f84ae15ec905c5c129f2f25ce04f3fca9"),
 }
 
 
@@ -993,18 +994,19 @@ def test_cross_policy_sandwich():
 
 
 def test_bound_report_derives_nothing_again(monkeypatch):
-    """Given a system, the report reads its geometry, numbering, patches and
-    surrogate spectrum instead of building any of them a second time."""
+    """Given a system, the report reads its geometry, numbering, patches,
+    surrogate spectrum and metric G instead of building any of them a second
+    time; the one assemble_system forms G once."""
     mesh = random_perturbed(4, 4, 0.05, seed=5)
     elem = build_reference_element(2, 2)
     D = DiffusionField.rotated_anisotropic(np.pi / 6, (1.0, 100.0))
-    system = assemble_system(mesh, elem, D, HRZ_DIAGONAL)
     calls = []
     for name, original in [
         ("build_patches", rkstab.mesh.build_patches),
         ("build_affine_maps", rkstab.mesh.build_affine_maps),
         ("number_dofs", rkstab.mesh.number_dofs),
         ("surrogate_reference_matrix", rkstab.assembly.surrogate_reference_matrix),
+        ("_metric", rkstab.assembly._metric),
     ]:
         def counted(*args, _name=name, _original=original, **kwargs):
             calls.append(_name)
@@ -1012,6 +1014,9 @@ def test_bound_report_derives_nothing_again(monkeypatch):
 
         for module in (rkstab.bounds, rkstab.assembly, rkstab.mesh):
             monkeypatch.setattr(module, name, counted, raising=False)
+    system = assemble_system(mesh, elem, D, HRZ_DIAGONAL)
+    assert calls.count("_metric") == 1
+    calls.clear()
     compute_bound_report(mesh, elem, D, HRZ_DIAGONAL, dof_cap=0, system=system)
     assert calls == []
 

@@ -953,6 +953,13 @@ OUTPUT_CONTRACT = {
         "bounds.csv": "d6d2995bdfa18ec68c7b73e94b0bfc6eca70acce98bca1ddddbceb9e544d418f",
         "bounds.json": "aa76587dcaefb5b710d13a11e060a10c6b268717542e6fd30f603a22a1262d6f",
     },
+    # certify-p2-128's system: 65,025 DOFs, 32,768 closed-form alignment norms
+    ("bounds", "--mesh", "random_perturbed:nx=128,ny=128,amplitude=0.0015625,seed=1",
+     "--order", "2", "--diffusion", "rotated_anisotropic:angle=0.5235987755982988,k1=1,k2=100",
+     "--policy", "hrz_diagonal", "--dof-cap", "1"): {
+        "bounds.csv": "3372fff0c7b16d01ea9b6403e19f68318024beccc96b8ca05f1382a60133317d",
+        "bounds.json": "6be1900c104df1c8d186bd7f98807a1ec5fc512cad7f6d558ba921d8cc17f496",
+    },
     ("sweep", "--mesh", "stretched:nx=4,ny=4,ratio=1", "--order", "2", "--diffusion", "aligned",
      "--sweep-axis", "ratio", "--sweep-values", "1,10,100", "--dof-cap", "1",
      "--workers", "2"): {
@@ -966,7 +973,8 @@ OUTPUT_CONTRACT = {
 }
 
 
-@pytest.mark.parametrize("argv", OUTPUT_CONTRACT, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", OUTPUT_CONTRACT,
+                         ids=lambda argv: argv[0] + ("-128" if "nx=128" in argv[2] else ""))
 def test_output_files_keep_their_bytes(capsys, tmp_path, argv):
     code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
     assert code == 0, err
