@@ -25,7 +25,8 @@ read; under the consistent policy it is M-tilde.
 l2_project solves its one system in M with no factorisation: a Chebyshev
 iteration on the Jacobi-scaled M, over the reference element's interval and
 for a step count fixed in advance.  surrogate_solver is for the eigensolve and
-the stepper, which solve with one matrix hundreds of times: it divides by a
+the stepper, which solve with one matrix hundreds of times and share the one
+solve each system builds (AssembledSystem.surrogate_solve): it divides by a
 diagonal, factors a narrow band (every 1D mass) by banded Cholesky, and any
 other matrix by one symmetric_lu, and it refuses a matrix that is not
 positive definite.
@@ -44,7 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -93,7 +94,7 @@ class NonSPDDiffusionError(ValueError):
     """The diffusion tensor failed the SPD check at some sample point."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiffusionField:
     """Diffusion tensor D(x): a constant matrix or a callable of position, not both.
 
@@ -101,7 +102,8 @@ class DiffusionField:
     once, here; a callable's values are checked where the stiffness assembly
     integrates them.  `on` gives the values on the elements.  For callables,
     `degree` declares a polynomial-degree proxy used to pick the stiffness
-    quadrature order.
+    quadrature order.  Two fields are equal only when they are one object,
+    and a field hashes by identity.
     """
 
     matrix: np.ndarray | None = None
@@ -296,7 +298,7 @@ def surrogate_reference_matrix(elem: ReferenceElement, policy: SurrogatePolicy) 
     return ref
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssembledSystem:
     """Dirichlet-reduced sparse system M, A, and surrogate M-tilde.
 
@@ -308,7 +310,10 @@ class AssembledSystem:
     Dirichlet cut, in the order of the reduced rows.  surrogate_lambda_min and _max are the extreme eigenvalues
     of the surrogate reference matrix.
     patch_incidence is the free-DOF-by-element patch incidence P, and
-    patch_volumes is P @ |K|.  mass, the consistent M, is built on first read.
+    patch_volumes is P @ |K|.  mass, the consistent M, and surrogate_solve
+    are built on first read; _lanczos_runs holds the eigensolve's converged
+    forward run for each seed, filled by rkstab.bounds.  A system carries
+    these caches, so it is equal only to itself and hashes by identity.
     """
 
     stiffness: sp.csr_array
@@ -325,6 +330,7 @@ class AssembledSystem:
     numbering: DofNumbering
     patch_incidence: sp.csr_array
     patch_volumes: np.ndarray
+    _lanczos_runs: dict[int, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @functools.cached_property
     def mass(self) -> sp.csr_array:
@@ -337,6 +343,14 @@ class AssembledSystem:
             return self.surrogate_mass
         full, _ = assemble_mass(self.mesh, self.elem, CONSISTENT)
         return apply_dirichlet(full, self.dof_map)
+
+    @functools.cached_property
+    def surrogate_solve(self) -> Callable[[np.ndarray], np.ndarray]:
+        """surrogate_solver(surrogate_mass), built on first read: the one
+        factorisation of M-tilde that the eigensolve and the stepper share.
+        A SuperLU factor, with its copies of L and U, lives as long as the system.
+        """
+        return surrogate_solver(self.surrogate_mass)
 
     @property
     def n_dofs(self) -> int:

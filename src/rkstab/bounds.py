@@ -9,7 +9,9 @@ Jacobian norm) is reported alongside for anisotropy studies.
 The exact eigenvalue comes from one three-term Lanczos recurrence for
 Mt^-1 A in the Mt inner product, for every surrogate: one A @ q and one
 surrogate solve per step, no restarts, no reorthogonalization, and a Ritz
-residual test on a growing schedule; a replay rebuilds the eigenvector (see
+residual test on a growing schedule.  A system makes this forward run once
+per seed, with its own surrogate solve, and keeps it: the report reads the
+value from it, and a replay of it rebuilds the eigenvector (see
 lambda_max_with_vector).  Each matrix inequality behind the bounds is
 decided by the inertia of one sparse symmetric LU, no eigensolve: a pass
 holds up to a backward error far below its tolerance, and a failure
@@ -100,6 +102,7 @@ class InequalityViolation(AssertionError):
 # growing gap makes about 24 checks per decade of steps, for at most 10%
 # more steps than checking every step.
 _CHECK_EVERY = 10
+_MAX_OPS = 10000  # applications of A a forward run may make, the one a failure makes included
 _RITZ_TOL = 1e-10  # converged: Ritz residual bound beta_k+1 |s_k| <= _RITZ_TOL * theta
 _INEQUALITY_TOL = 1e-10  # the shift of lhs - rhs, relative to the operands' norm
 
@@ -154,17 +157,17 @@ def _lanczos(A: sp.csr_array, solve: Callable, v0: np.ndarray):
 def _top_ritz_pair(
     A: sp.csr_array,
     surrogate: sp.csr_array,
+    solve: Callable,
     max_ops: int,
     seed: int,
-    replay: bool,
-) -> tuple[float, np.ndarray, Callable, np.ndarray]:
-    """Converged top Ritz value theta, its T eigenvector s, solve and v0.
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Converged top Ritz value theta, its T eigenvector s, and the start v0.
 
-    The residual test runs on the schedule of _CHECK_EVERY, at the last step
-    allowed, and whenever beta falls below _RITZ_TOL times the largest alpha:
-    then it passes, since theta >= alpha_j and |s_k| <= 1.  Steps are capped
-    so that max_ops applications of A cover the run, the replay of every step
-    when replay is set, and the one application a failure makes.
+    solve applies surrogate^-1.  The residual test runs on the schedule of
+    _CHECK_EVERY, at the last step allowed, and whenever beta falls below
+    _RITZ_TOL times the largest alpha: then it passes, since theta >= alpha_j
+    and |s_k| <= 1.  Steps are capped at max_ops - 1, so that max_ops
+    applications of A cover the run and the one application a failure makes.
     """
     n = A.shape[0]
     if A.shape != surrogate.shape:
@@ -173,11 +176,10 @@ def _top_ritz_pair(
     diag_m = surrogate.diagonal()
     if np.any(diag_m <= 0) or np.any(diag_a <= 0):
         raise ValueError("pencil matrices must have positive diagonals")
-    solve = surrogate_solver(surrogate)
     top = int(np.argmax(diag_a / diag_m))
     v0 = np.random.default_rng(seed).standard_normal(n)
     v0[top] += 1.0
-    max_steps = max(max_ops // 2 if replay else max_ops - 1, 0)
+    max_steps = max(max_ops - 1, 0)
     alphas, betas = np.empty(max_steps), np.empty(max_steps)
     largest, next_check = 0.0, _CHECK_EVERY
     steps = itertools.islice(_lanczos(A, solve, v0), max_steps)
@@ -188,7 +190,7 @@ def _top_ritz_pair(
             next_check = k + max(_CHECK_EVERY, k // 10)
             theta, s = _tridiagonal_top_pair(alphas[:k], betas[:k - 1])
             if beta * abs(s[-1]) <= _RITZ_TOL * theta:
-                return theta, s, solve, v0
+                return theta, s, v0
     # No Ritz value met the tolerance.  Report the Rayleigh quotient of the
     # unit vector at the largest diagonal ratio, a true lower bound.
     theta = float(diag_a[top] / diag_m[top])
@@ -204,35 +206,41 @@ def _top_ritz_pair(
     )
 
 
-def lambda_max_with_vector(
-    A: sp.csr_array,
-    surrogate: sp.csr_array,
-    max_ops: int = 10000,
-    seed: int = DEFAULT_SEED,
-) -> tuple[float, np.ndarray]:
-    """Largest pencil eigenvalue and its eigenvector (surrogate-normalized).
+def _forward_run(system: AssembledSystem, seed: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """The system's converged forward run from seed, made on the first request
+    for that seed with the system's surrogate_solve and _MAX_OPS - 1 steps."""
+    if seed not in system._lanczos_runs:
+        system._lanczos_runs[seed] = _top_ritz_pair(system.stiffness, system.surrogate_mass,
+                                                    system.surrogate_solve, _MAX_OPS, seed)
+    return system._lanczos_runs[seed]
+
+
+def lambda_max_with_vector(system: AssembledSystem, seed: int = DEFAULT_SEED) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue of the system's pencil (A, M-tilde) and its
+    eigenvector (surrogate-normalized).
 
     The plain three-term Lanczos recurrence for Mt^-1 A in the Mt inner
     product, without restarts or reorthogonalization (Paige 1980; Parlett,
     The Symmetric Eigenvalue Problem, 1998), which finds the top Ritz value
-    reliably.  Each step applies A once (as A @ q) and the surrogate solver
-    once; M-tilde itself is never applied.  The start vector is
-    Mt^-1 v0, with v0 seeded deterministically and boosted toward the
+    reliably.  Each step applies A once (as A @ q) and the system's
+    surrogate_solve once; M-tilde itself is never applied.  The start vector
+    is Mt^-1 v0, with v0 drawn from default_rng(seed) and boosted toward the
     largest diagonal ratio.  At steps 10, 20, ..., 100, and after that
     every k // 10 steps, the top eigenpair (theta, s) of the tridiagonal T_k
     is computed, and the run stops when the Ritz residual bound
     beta_k+1 |s_k| is at most _RITZ_TOL * theta, or when beta vanishes (an
     invariant subspace, which covers a single DOF).  A k-step solve makes
     about 10 + 24 log10(k / 100) checks, for at most 10% more steps than a
-    check at every step would take.
+    check at every step would take.  The run may take _MAX_OPS - 1 steps.
+    The system keeps it, once per seed, and compute_bound_report reads its
+    value from the same run: at one seed they share it.
 
     The eigenvector x = sum_j s_j q_j is rebuilt by replaying the same
     deterministic recurrence, which regenerates the q_j bit for bit, while
     Mt x = sum_j s_j p_j is accumulated alongside, so normalizing
-    x^T Mt x = 1 needs no product with Mt.  The sign is fixed so that the
-    entry of x largest in magnitude is positive.  No more than max_ops
-    applications of A are made, the replay included, so the forward run
-    gets half of them.
+    x^T Mt x = 1 needs no product with Mt.  The replay applies A as often as
+    the run did.  The sign is fixed so that the entry of x largest in
+    magnitude is positive.
 
     Raises ConvergenceError when no Ritz value meets the tolerance within
     the cap.  The error carries the Rayleigh quotient A_ii / Mt_ii of the
@@ -240,10 +248,10 @@ def lambda_max_with_vector(
     lambda_max, together with its relative residual
     ||A x - theta Mt x||_{Mt^-1} / (theta ||x||_Mt).
     """
-    theta, s, solve, v0 = _top_ritz_pair(A, surrogate, max_ops, seed, replay=True)
-    x = np.zeros(A.shape[0])
+    theta, s, v0 = _forward_run(system, seed)
+    x = np.zeros(system.n_dofs)
     mx = np.zeros_like(x)
-    for s_j, (q, p, _, _) in zip(s, _lanczos(A, solve, v0)):
+    for s_j, (q, p, _, _) in zip(s, _lanczos(system.stiffness, system.surrogate_solve, v0)):
         x += s_j * q
         mx += s_j * p
     x /= math.sqrt(x @ mx)
@@ -255,14 +263,15 @@ def lambda_max_with_vector(
 def lambda_max_generalized(
     A: sp.csr_array,
     surrogate: sp.csr_array,
-    max_ops: int = 10000,
+    max_ops: int = _MAX_OPS,
     seed: int = DEFAULT_SEED,
 ) -> float:
     """Largest eigenvalue of the pencil (A, M-tilde); see lambda_max_with_vector.
 
-    Runs the same recurrence without the replay, so up to max_ops - 1 steps.
+    Runs the same recurrence for up to max_ops - 1 steps, with a solve of
+    its own from surrogate_solver, and keeps nothing.
     """
-    return _top_ritz_pair(A, surrogate, max_ops, seed, replay=False)[0]
+    return _top_ritz_pair(A, surrogate, surrogate_solver(surrogate), max_ops, seed)[0]
 
 
 def diag_ratio_bounds(system: AssembledSystem) -> tuple[float, float]:
@@ -489,9 +498,10 @@ def compute_bound_report(
     and an equal policy, or ValueError.  Every field is read from the system
     (its inputs, geometry, patches and surrogate spectrum); nothing is rebuilt.
 
-    The exact eigenvalue, and with it the sandwich check, is skipped
-    (reported as None) when the reduced system exceeds dof_cap degrees of
-    freedom.
+    The exact eigenvalue is the value of the system's forward run from seed,
+    which lambda_max_with_vector replays.  It, and with it the sandwich
+    check, is skipped (reported as None) when the reduced system exceeds
+    dof_cap degrees of freedom.
     """
     if system is None:
         system = assemble_system(mesh, elem, diffusion, policy)
@@ -505,7 +515,7 @@ def compute_bound_report(
     refined = 2.0 * system.kappa_surrogate * lower if m_matrix else None
     lam = sandwich = None
     if system.n_dofs <= dof_cap:
-        lam = lambda_max_generalized(system.stiffness, system.surrogate_mass, seed=seed)
+        lam = _forward_run(system, seed)[0]
         slack = 1.0 + 1e-9  # roundoff allowance of the sandwich check
         sandwich = lower <= lam * slack and lam <= upper * slack
     return BoundReport(

@@ -10,9 +10,9 @@ stability polynomial: U_{n+1} = R(-tau * M-tilde^-1 A) U_n.  The stepper
 exploits that directly (Horner evaluation, one operator application per
 stage), which matches the classical stage-by-stage update up to roundoff.
 tau * M-tilde^-1 is set up once per run: folded into a scaled copy of the
-stiffness for a diagonal surrogate, otherwise one factorization by
-assembly.surrogate_solver (banded Cholesky for a narrow band, as every 1D
-mass has, SuperLU for a 2D mass).
+stiffness for a diagonal surrogate, otherwise the system's one factorization,
+AssembledSystem.surrogate_solve (banded Cholesky for a narrow band, as every
+1D mass has, SuperLU for a 2D mass), which the eigensolve shares.
 The first stage of each step reuses the stiffness product the energy norm
 of the previous step already took, so an s-stage step costs s stiffness
 products and one mass product, norm monitoring included.
@@ -44,7 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import AssembledSystem, surrogate_solver
+from .assembly import AssembledSystem
 from .bounds import BoundReport, csv_cell, lambda_max_with_vector
 from .reference import ReferenceElement
 
@@ -280,22 +280,20 @@ def _stage_maps(
     The first may overwrite its argument.  A diagonal surrogate folds tau/m
     into a copy of the stiffness, so a stage is a single sparse product, in
     the storage _product_storage picks for that pattern: DIA for P1, CSR
-    otherwise, with the same bytes either way.  Any other surrogate keeps the
-    one factorization surrogate_solver makes, and a stage is a product with
-    A and a solve.
+    otherwise, with the same bytes either way.  Any other surrogate uses the
+    system's surrogate_solve, and a stage is a product with A and a solve.
     """
-    solve = surrogate_solver(system.surrogate_mass)
     stiffness = system.stiffness
     if system.surrogate_is_diagonal:
         # the constant vector tau through M-tilde^-1 is the diagonal of tau M-tilde^-1
-        scale = solve(np.full(system.n_dofs, tau))
+        scale = system.surrogate_solve(np.full(system.n_dofs, tau))
         stage = stiffness.tocsr(copy=True)
         stage.data *= np.repeat(scale, np.diff(stage.indptr))
         stage = _product_storage(stage)
         return (lambda w: np.multiply(scale, w, out=w)), (lambda v: stage @ v)
 
     def scaled_solve(w: np.ndarray) -> np.ndarray:
-        x = solve(w)
+        x = system.surrogate_solve(w)
         x *= tau
         return x
 
@@ -394,9 +392,12 @@ def top_mode_initial_condition(system: AssembledSystem, seed: int = 0) -> np.nda
     on the top mode even after floating-point roundoff in downstream
     arithmetic; its norm is 1e-3 times the eigenvector's, so the returned
     vector still points almost exactly along the most unstable direction.
-    seed sets the noise only: the eigensolve always starts from DEFAULT_SEED.
+    seed sets the noise only: the eigenvector is lambda_max_with_vector's,
+    whose forward run starts from DEFAULT_SEED and takes at most 9,999
+    Lanczos steps.  When the report ran from DEFAULT_SEED too, that run is
+    the report's own, replayed rather than run again.
     """
-    _, vec = lambda_max_with_vector(system.stiffness, system.surrogate_mass)
+    _, vec = lambda_max_with_vector(system)
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(vec.size)
     noise *= 1e-3 * np.linalg.norm(vec) / np.linalg.norm(noise)

@@ -313,7 +313,7 @@ def test_1d_p3_consistent_eigensolve_and_integrate_never_reach_superlu(monkeypat
     system = assemble_system(uniform_interval(40), build_reference_element(1, 3), identity(1),
                              CONSISTENT)
     refuse_superlu(monkeypatch)
-    lam, vec = lambda_max_with_vector(system.stiffness, system.surrogate_mass)
+    lam, vec = lambda_max_with_vector(system)
     scheme = rk_scheme("classic_rk4")
     trace = integrate(system, scheme, scheme.real_stability_boundary / lam, 5, vec)
     assert np.all(np.isfinite(trace.l2_norms)) and trace.n_steps == 5
@@ -817,6 +817,41 @@ def test_one_numbering_per_mesh_and_order(monkeypatch):
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
         np.testing.assert_array_equal(array, before)
+
+
+def test_system_and_diffusion_compare_by_identity():
+    # A field holding an array, and a system holding caches, are equal only
+    # to themselves; before, == raised ValueError on the field's matrix and
+    # hash() raised TypeError on both.
+    field, twin_field = DiffusionField.constant(np.eye(2)), DiffusionField.constant(np.eye(2))
+    system = assemble_system(structured_triangular(2, 2), build_reference_element(2, 1),
+                             field, CONSISTENT)
+    twin = dataclasses.replace(system)
+    assert field == field and field != twin_field
+    assert system == system and system != twin
+    keys = {field: "field", twin_field: "twin field", system: "system", twin: "twin"}
+    assert [keys[k] for k in (field, twin_field, system, twin)] == list(keys.values())
+
+
+def test_system_builds_one_surrogate_solve(monkeypatch):
+    """The eigensolve and the stepper read one surrogate_solve; a replaced
+    system starts without it."""
+    calls = []
+    original = assembly.surrogate_solver
+
+    def counted(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(assembly, "surrogate_solver", counted)
+    system = assemble_system(random_perturbed(4, 4, 0.02, seed=1), build_reference_element(2, 2),
+                             identity(2), CONSISTENT)
+    lam, vec = lambda_max_with_vector(system)
+    integrate(system, rk_scheme("heun2"), 1.0 / lam, 3, vec)
+    assert system.surrogate_solve is system.surrogate_solve
+    assert len(calls) == 1 and calls[0] is system.surrogate_mass
+    dataclasses.replace(system).surrogate_solve
+    assert len(calls) == 2
 
 
 def test_scalar_diffusion_requires_dimension():

@@ -296,15 +296,20 @@ def small_2d_p2(policy):
     return assemble_system(structured_triangular(8, 8), elem, D, policy)
 
 
+def solver_args(solver, system):
+    """lambda_max_with_vector reads the system; lambda_max_generalized its matrices."""
+    return (system,) if solver is lambda_max_with_vector else (system.stiffness, system.surrogate_mass)
+
+
 @pytest.mark.parametrize("solver", [lambda_max_generalized, lambda_max_with_vector],
                          ids=lambda f: f.__name__)
 @pytest.mark.parametrize("policy", [HRZ_DIAGONAL, CONSISTENT], ids=lambda p: p.kind)
 def test_eigensolve_never_applies_the_surrogate(policy, solver):
     system = small_2d_p2(policy)
-    surrogate = CountingCSR(system.surrogate_mass)
-    result = solver(system.stiffness, surrogate)
-    assert surrogate.applications == 0
-    plain = solver(system.stiffness, system.surrogate_mass)
+    counted = dataclasses.replace(system, surrogate_mass=CountingCSR(system.surrogate_mass))
+    result = solver(*solver_args(solver, counted))
+    assert counted.surrogate_mass.applications == 0
+    plain = solver(*solver_args(solver, system))
     flat = lambda r: np.hstack(r if isinstance(r, tuple) else [r])
     assert np.array_equal(flat(result), flat(plain))
 
@@ -319,18 +324,22 @@ def test_diagonal_surrogate_eigensolve_keeps_the_operator_count():
     assert stiffness.applications < 61
 
 
-def test_eigenvector_replay_counts_towards_max_ops():
-    # The value takes 60 applications of A and the replay that rebuilds the
-    # eigenvector repeats all 60, so 100 are enough for the value alone only.
+def test_report_and_eigenvector_share_one_forward_run():
+    # The report's value takes 60 applications of A.  The eigenvector reads
+    # the same forward run and only replays its 60 steps, as often as it is asked.
     system = small_2d_p2(HRZ_DIAGONAL)
-    stiffness = CountingCSR(system.stiffness)
-    lam, _ = lambda_max_with_vector(stiffness, system.surrogate_mass)
-    assert stiffness.applications == 120
-    assert lam == lambda_max_generalized(system.stiffness, system.surrogate_mass, max_ops=100)
-    stiffness = CountingCSR(system.stiffness)
-    with pytest.raises(ConvergenceError):
-        lambda_max_with_vector(stiffness, system.surrogate_mass, max_ops=100)
-    assert 0 < stiffness.applications <= 100
+    counted = dataclasses.replace(system, stiffness=CountingCSR(system.stiffness))
+    report = compute_bound_report(counted.mesh, counted.elem, counted.diffusion,
+                                  counted.policy, system=counted)
+    assert counted.stiffness.applications == 60
+    lam, x = lambda_max_with_vector(counted)
+    assert counted.stiffness.applications == 60 + 60
+    assert lam == report.lambda_max_exact
+    assert lam == lambda_max_generalized(system.stiffness, system.surrogate_mass)
+    again, y = lambda_max_with_vector(counted)
+    assert counted.stiffness.applications == 60 + 60 + 60
+    assert again == lam and x.tobytes() == y.tobytes()
+    assert list(counted._lanczos_runs) == [rkstab.bounds.DEFAULT_SEED]
 
 
 @pytest.mark.parametrize("policy", [HRZ_DIAGONAL, CONSISTENT], ids=lambda p: p.kind)
@@ -338,8 +347,7 @@ def test_eigenvector_sign_is_fixed(policy):
     # The seed changes the start vector's sign pattern; the returned vector's
     # largest entry in magnitude is positive whatever the seed.
     system = small_2d_p2(policy)
-    A, Mt = system.stiffness, system.surrogate_mass
-    vectors = [lambda_max_with_vector(A, Mt, seed=seed)[1] for seed in range(6)]
+    vectors = [lambda_max_with_vector(system, seed=seed)[1] for seed in range(6)]
     for x in vectors:
         assert x[np.argmax(np.abs(x))] > 0
         assert np.allclose(x, vectors[0], rtol=0, atol=1e-6 * np.max(np.abs(x)))
@@ -375,7 +383,7 @@ def test_lambda_max_with_vector_is_an_eigenpair(d, m, policy, seed):
         D = DiffusionField.rotated_anisotropic(rng.uniform(0, np.pi), (1.0, rng.uniform(1, 100)))
     system = assemble_system(mesh, elem, D, policy)
     assert 2 <= system.n_dofs <= 200
-    assert_top_eigenpair(system.stiffness, system.surrogate_mass)
+    assert_top_eigenpair(system)
 
 
 @pytest.mark.parametrize("policy", [CONSISTENT, HRZ_DIAGONAL, NODE_QUADRATURE],
@@ -384,11 +392,12 @@ def test_lambda_max_with_vector_is_an_eigenpair_on_one_dof(policy):
     system = assemble_system(uniform_interval(2), build_reference_element(1, 1),
                              identity(1), policy)
     assert system.n_dofs == 1
-    assert_top_eigenpair(system.stiffness, system.surrogate_mass)
+    assert_top_eigenpair(system)
 
 
-def assert_top_eigenpair(A, Mt):
-    lam, x = lambda_max_with_vector(A, Mt)
+def assert_top_eigenpair(system):
+    lam, x = lambda_max_with_vector(system)
+    A, Mt = system.stiffness, system.surrogate_mass
     dense = lambda_max_dense(A, Mt)
     assert abs(lam - dense) <= 1e-10 * dense
     assert abs(x @ (Mt @ x) - 1.0) <= 1e-12

@@ -15,8 +15,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import rkstab
+import rkstab.assembly
+import rkstab.bounds
 from rkstab import cli
 from rkstab.cli import main
 
@@ -942,10 +945,23 @@ def test_readme_commands_run(capsys, tmp_path, argv):
     assert code == 0, err
 
 
-# The SHA-256 of every file each run writes.  None of the runs eigensolves
-# (--dof-cap 1, and integrate's step comes from the diagonal ratio), and every
-# diffusion is constant, so these bytes must hold whenever the bounds or the
-# assembly are reorganised without a stated change of output.
+# Two top-mode runs whose step and initial state come from the exact eigensolve:
+# the report's forward Lanczos run, its replay and the stepper share one solve
+# with the consistent mass, SuperLU's in 2D (961 DOFs) and banded Cholesky's in
+# 1D (599 DOFs).
+TOP_MODE_2D = ("integrate", "--mesh", "random_perturbed:nx=16,ny=16,amplitude=0.01,seed=1",
+               "--order", "2", "--diffusion", "rotated_anisotropic:angle=0.5,k1=1,k2=100",
+               "--policy", "consistent", "--initial", "top_mode", "--bound-source", "exact",
+               "--scheme", "classic_rk4", "--steps", "20")
+TOP_MODE_1D = ("integrate", "--mesh", "uniform_interval:n=200", "--order", "3",
+               "--policy", "consistent", "--initial", "top_mode", "--bound-source", "exact",
+               "--scheme", "classic_rk4", "--steps", "20")
+
+# The SHA-256 of every file each run writes.  The first four skip the
+# eigensolve (--dof-cap 1, and integrate's step comes from the diagonal ratio);
+# the top-mode runs eigensolve.  Every diffusion is constant, so these bytes
+# must hold whenever the bounds, the eigensolve or the assembly are reorganised
+# without a stated change of output.
 OUTPUT_CONTRACT = {
     ("bounds", "--mesh", "random_perturbed:nx=16,ny=16,amplitude=0.01,seed=1", "--order", "2",
      "--diffusion", "rotated_anisotropic:angle=0.5,k1=1,k2=100", "--policy", "hrz_diagonal",
@@ -970,14 +986,52 @@ OUTPUT_CONTRACT = {
         "summary.json": "eaf71747d30ced9b202adff3c17f657478bbe20780be17784f4bb082ef13b216",
         "trace.csv": "704f0946a6030cd3ffe87fea356e68fac9fd0b31f7e79afef193929b6bed46fb",
     },
+    TOP_MODE_2D: {
+        "summary.json": "38c2ccaa4154c78e7b54afa4544a064ecc81fd7b9faf02b43aa9be4632617755",
+        "trace.csv": "905c1b53e8d650ca133f2502796a5a41f7db06c98ea97a4fc5bca58357dff212",
+    },
+    TOP_MODE_1D: {
+        "summary.json": "29cb3224581fdc9943a2ae19967e58ef4ba306c803047e6ee4458f6652bcafc7",
+        "trace.csv": "4ba27163e5a1325255353153292e90013e09d1a883b143fa1eea4045d919f7f4",
+    },
 }
 
 
-@pytest.mark.parametrize("argv", OUTPUT_CONTRACT,
-                         ids=lambda argv: argv[0] + ("-128" if "nx=128" in argv[2] else ""))
+TOP_MODE_IDS = {TOP_MODE_2D: "integrate-top-mode-2d", TOP_MODE_1D: "integrate-top-mode-1d"}
+
+
+@pytest.mark.parametrize("argv", OUTPUT_CONTRACT, ids=lambda argv: TOP_MODE_IDS.get(
+    argv, argv[0] + ("-128" if "nx=128" in argv[2] else "")))
 def test_output_files_keep_their_bytes(capsys, tmp_path, argv):
     code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
     assert code == 0, err
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in sorted(tmp_path.iterdir())}
     assert written == OUTPUT_CONTRACT[argv]
+
+
+@pytest.mark.parametrize("argv", [TOP_MODE_2D, TOP_MODE_1D], ids=["2d-p2", "1d-p3"])
+def test_top_mode_run_factors_once_and_runs_lanczos_forward_once(capsys, tmp_path,
+                                                                 monkeypatch, argv):
+    """One exact-step top-mode run factors the consistent mass once, SuperLU
+    in 2D and banded Cholesky in 1D, and starts the Lanczos recurrence twice:
+    the report's forward run, then the eigenvector's replay of it."""
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(rkstab.assembly, "symmetric_lu")
+    counted(rkstab.assembly, "dpbtrf")
+    counted(rkstab.bounds, "_lanczos")
+    counted(spla, "splu")
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == 0, err
+    factor = ["symmetric_lu", "splu"] if argv is TOP_MODE_2D else ["dpbtrf"]
+    assert sorted(calls) == sorted(factor + ["_lanczos", "_lanczos"])
