@@ -24,12 +24,14 @@ read; under the consistent policy it is M-tilde.
 
 l2_project solves its one system in M with no factorisation: a Chebyshev
 iteration on the Jacobi-scaled M, over the reference element's interval and
-for a step count fixed in advance.  surrogate_solver is for the eigensolve and
-the stepper, which solve with one matrix hundreds of times and share the one
-solve each system builds (AssembledSystem.surrogate_solve): it divides by a
-diagonal, factors a narrow band (every 1D mass) by banded Cholesky, and any
-other matrix by one symmetric_lu, and it refuses a matrix that is not
-positive definite.
+for a step count fixed in advance.  surrogate_solver is for the stepper and the
+Lanczos eigensolve of a pencil with a wide band, which solve with one matrix
+hundreds of times and share the one solve each system builds
+(AssembledSystem.surrogate_solve): it divides by a diagonal, factors a narrow
+band (every 1D mass) by banded Cholesky, and any other matrix by one
+symmetric_lu, and it refuses a matrix that is not positive definite.
+band_renumbering holds the one band rule, which the solve and the banded
+eigensolve of rkstab.bounds share.
 
 The element stiffness matrices come from _metric's G and one blocked kernel,
 which run every sum in one fixed order: the order numpy 2.4's einsum takes
@@ -311,8 +313,10 @@ class AssembledSystem:
     of the surrogate reference matrix.
     patch_incidence is the free-DOF-by-element patch incidence P, and
     patch_volumes is P @ |K|.  mass, the consistent M, and surrogate_solve
-    are built on first read; _lanczos_runs holds the eigensolve's converged
-    forward run for each seed, filled by rkstab.bounds.  A system carries
+    are built on first read; _eigensolves holds what rkstab.bounds computed
+    for the exact eigenpair: under None the banded top of a pencil that
+    meets the band rule (None if it fails it), and under each seed the
+    converged forward Lanczos run of one that fails it.  A system carries
     these caches, so it is equal only to itself and hashes by identity.
     """
 
@@ -330,7 +334,7 @@ class AssembledSystem:
     numbering: DofNumbering
     patch_incidence: sp.csr_array
     patch_volumes: np.ndarray
-    _lanczos_runs: dict[int, tuple] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _eigensolves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @functools.cached_property
     def mass(self) -> sp.csr_array:
@@ -393,19 +397,90 @@ def _is_diagonal(matrix: sp.csr_array) -> bool:
     return bool(np.array_equal(matrix.indices, rows))
 
 
+def _canonical(matrix: sp.csr_array) -> sp.csr_array:
+    """matrix itself if canonical (sorted, no duplicates), else a summed copy."""
+    if matrix.has_canonical_format:
+        return matrix
+    matrix = matrix.copy()
+    matrix.sum_duplicates()
+    return matrix
+
+
+def _renumbered_entries(matrix: sp.csr_array, position: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The new row and column numbers of every stored entry of matrix."""
+    return np.repeat(position, np.diff(matrix.indptr)), position[matrix.indices]
+
+
+def band_renumbering(*matrices: sp.csr_array) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """A reverse Cuthill-McKee renumbering of the union pattern of symmetric
+    matrices of one shape, if it gives them a narrow band; else None.
+
+    Returns (order, position, b): order[k] is the row numbered k, position
+    its inverse, and b the band, the largest |position[i] - position[j]|
+    over the stored entries (explicit zeros included) of any of the
+    matrices.  The band is narrow when it fills its band storage,
+    (b + 1) n <= 2 nnz with nnz the union's, as timestepping._product_storage
+    asks of DIA storage; the rule is decided before any band storage is
+    allocated.  Every 1D pencil meets it, with b at most the element order;
+    a 2D one only on a small or thin mesh.  The union matters: _scatter
+    drops exact zeros, so a stiffness can store fewer entries than its
+    mass, and a band of its pattern alone would cut mass entries off.  A
+    diagonal matrix never widens the band, so it joins the union only when
+    every matrix is diagonal.
+    """
+    # csgraph loads here only: a run with a diagonal surrogate and no eigensolve never needs it
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    wide = [m for m in matrices if not _is_diagonal(m)] or matrices[:1]
+    patterns = [sp.csr_array((np.ones(m.nnz, dtype=np.int8), m.indices, m.indptr), shape=m.shape)
+                for m in map(_canonical, wide)]
+    union = sum(patterns[1:], patterns[0])
+    n = union.shape[0]
+    order = reverse_cuthill_mckee(union, symmetric_mode=True).astype(np.intp)
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+    rows, cols = _renumbered_entries(union, position)
+    band = int(np.abs(rows - cols).max())
+    if (band + 1) * n > 2 * union.nnz:
+        return None
+    return order, position, band
+
+
+def upper_band_storage(matrix: sp.csr_array, renumbering: tuple[np.ndarray, np.ndarray, int]) -> np.ndarray:
+    """The upper triangle of matrix, renumbered by band_renumbering, in
+    LAPACK's upper band storage: the (b + 1, n) array, Fortran-ordered so
+    dpbtrf overwrites it in place, whose entry [b + i - j, j] is M_ij, i <= j."""
+    _, position, band = renumbering
+    matrix = _canonical(matrix)
+    rows, cols = _renumbered_entries(matrix, position)
+    upper = rows <= cols
+    storage = np.zeros((band + 1, matrix.shape[0]), order="F")
+    storage[band + rows[upper] - cols[upper], cols[upper]] = matrix.data[upper]
+    return storage
+
+
+def surrogate_cholesky(storage: np.ndarray) -> np.ndarray:
+    """dpbtrf's upper Cholesky factor of a surrogate's band storage, which it
+    overwrites; ValueError unless every pivot is positive."""
+    factor, info = dpbtrf(storage, overwrite_ab=True)
+    if info != 0:
+        raise ValueError(f"surrogate mass is not positive definite (Cholesky info {info})")
+    return factor
+
+
 def surrogate_solver(matrix: sp.csr_array) -> Callable[[np.ndarray], np.ndarray]:
     """Apply-inverse for a symmetric positive definite surrogate mass.
 
-    A diagonal is divided exactly.  Any other matrix is renumbered by
-    reverse Cuthill-McKee.  If its band b then fills its band storage,
-    (b + 1) n <= 2 nnz, as timestepping._product_storage asks of DIA
-    storage, it is factored once by LAPACK's banded Cholesky dpbtrf, from
-    its upper triangle, and each solve is one dpbtrs.  Every 1D mass meets
-    the rule, with b at most the element order.  The rule exists because
-    SuperLU makes separate BLAS calls for each of its supernodes, which at
-    1D P3 span two columns: there its solve took 3-4x as long as dpbtrs.
-    A 2D mass keeps the solve of one symmetric_lu unless its mesh is a thin
-    strip: at 64x64 P2, b is 501 against a limit of 21.
+    A diagonal is divided exactly.  A matrix with a narrow band after
+    band_renumbering (every 1D mass) is factored once by LAPACK's banded
+    Cholesky dpbtrf, from its upper triangle, and each solve is one dpbtrs.
+    The rule exists because SuperLU makes separate BLAS calls for each of
+    its supernodes, which at 1D P3 span two columns: there its solve took
+    3-4x as long as dpbtrs.  A 2D mass keeps the solve of one symmetric_lu
+    unless its mesh is small or a thin strip: at 64x64 P2, b is 501 against
+    a limit of 21.  The exact eigensolve of a pencil whose union pattern is
+    narrow needs no solve (rkstab.bounds), so of a 1D system only
+    integrate's stages solve with the surrogate.
 
     Both factorisations raise ValueError unless every pivot is positive, so
     an indefinite or singular matrix never gets a solve.  On the SuperLU
@@ -419,26 +494,11 @@ def surrogate_solver(matrix: sp.csr_array) -> Callable[[np.ndarray], np.ndarray]
             raise ValueError("surrogate mass diagonal must be positive")
         inv = 1.0 / diag
         return lambda b: inv * b
-    # csgraph loads here only: a diagonal surrogate never needs it
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-    if not matrix.has_canonical_format:
-        matrix = matrix.copy()
-        matrix.sum_duplicates()
-    n = matrix.shape[0]
-    order = reverse_cuthill_mckee(matrix, symmetric_mode=True).astype(np.intp)
-    position = np.empty(n, dtype=np.intp)
-    position[order] = np.arange(n)
-    rows = position[np.repeat(np.arange(n), np.diff(matrix.indptr))]
-    cols = position[matrix.indices]
-    band = int(np.abs(rows - cols).max())
-    if (band + 1) * n <= 2 * matrix.nnz:
-        upper = rows <= cols
-        storage = np.zeros((band + 1, n))
-        storage[band + rows[upper] - cols[upper], cols[upper]] = matrix.data[upper]
-        factor, info = dpbtrf(storage, overwrite_ab=True)
-        if info != 0:
-            raise ValueError(f"surrogate mass is not positive definite (Cholesky info {info})")
+    matrix = _canonical(matrix)
+    renumbering = band_renumbering(matrix)
+    if renumbering is not None:
+        order, position, _ = renumbering
+        factor = surrogate_cholesky(upper_band_storage(matrix, renumbering))
 
         def banded_solve(b: np.ndarray) -> np.ndarray:
             x, _ = dpbtrs(factor, b[order], overwrite_b=True)

@@ -6,13 +6,17 @@ upper end through patch volumes and element alignment factors, and the
 comparison bound (largest diffusion eigenvalue times the squared inverse
 Jacobian norm) is reported alongside for anisotropy studies.
 
-The exact eigenvalue comes from one three-term Lanczos recurrence for
-Mt^-1 A in the Mt inner product, for every surrogate: one A @ q and one
+The exact eigenvalue of a pencil whose union pattern renumbers to a narrow
+band (assembly.band_renumbering: every 1D system, and small or thin 2D
+ones) comes from bisection on the banded Cholesky of sigma Mt - A, to one
+ulp, and its eigenvector from inverse iteration with the last factor; no
+product with A is made.  Every other pencil runs one three-term Lanczos
+recurrence for Mt^-1 A in the Mt inner product: one A @ q and one
 surrogate solve per step, no restarts, no reorthogonalization, and a Ritz
-residual test on a growing schedule.  A system makes this forward run once
-per seed, with its own surrogate solve, and keeps it: the report reads the
-value from it, and a replay of it rebuilds the eigenvector (see
-lambda_max_with_vector).  Each matrix inequality behind the bounds is
+residual test on a growing schedule.  A system computes the banded value
+once, or makes the forward Lanczos run once per seed with its own
+surrogate solve, and keeps it: the report reads the value from it, and so
+does lambda_max_with_vector.  Each matrix inequality behind the bounds is
 decided by the inertia of one sparse symmetric LU, no eigensolve: a pass
 holds up to a backward error far below its tolerance, and a failure
 carries a witness vector.
@@ -34,15 +38,18 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import daxpy
-from scipy.linalg.lapack import dstebz, dstein
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dstebz, dstein
 
 from .assembly import (
     AssembledSystem,
     DiffusionField,
     SurrogatePolicy,
     assemble_system,
+    band_renumbering,
+    surrogate_cholesky,
     surrogate_solver,
     symmetric_lu,
+    upper_band_storage,
 )
 from .mesh import SimplicialMesh
 from .reference import ReferenceElement
@@ -105,6 +112,7 @@ _CHECK_EVERY = 10
 _MAX_OPS = 10000  # applications of A a forward run may make, the one a failure makes included
 _RITZ_TOL = 1e-10  # converged: Ritz residual bound beta_k+1 |s_k| <= _RITZ_TOL * theta
 _INEQUALITY_TOL = 1e-10  # the shift of lhs - rhs, relative to the operands' norm
+_INVERSE_SOLVES = 3  # inverse-iteration solves behind a banded pencil's eigenvector
 
 
 def _tridiagonal_top_pair(alphas: np.ndarray, betas: np.ndarray) -> tuple[float, np.ndarray]:
@@ -154,6 +162,102 @@ def _lanczos(A: sp.csr_array, solve: Callable, v0: np.ndarray):
         q, p, p_prev = w, u, p
 
 
+def _pencil_diagonals(A: sp.csr_array, surrogate: sp.csr_array) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonals of A and Mt, after checking that the shapes match, that
+    every entry is finite (OpenBLAS's dpbtrf completes on a NaN) and that
+    both diagonals are positive (ValueError otherwise)."""
+    if A.shape != surrogate.shape:
+        raise ValueError(f"shape mismatch: {A.shape} vs {surrogate.shape}")
+    if not (np.isfinite(A.data).all() and np.isfinite(surrogate.data).all()):
+        raise ValueError("pencil matrices must have finite entries")
+    diag_a = A.diagonal()
+    diag_m = surrogate.diagonal()
+    if np.any(diag_m <= 0) or np.any(diag_a <= 0):
+        raise ValueError("pencil matrices must have positive diagonals")
+    return diag_a, diag_m
+
+
+def _start_vector(diag_a: np.ndarray, diag_m: np.ndarray, seed: int) -> np.ndarray:
+    """Every eigensolve's seeded start: a Gaussian from default_rng(seed),
+    boosted by 1 at the largest diagonal ratio."""
+    v0 = np.random.default_rng(seed).standard_normal(diag_a.size)
+    v0[np.argmax(diag_a / diag_m)] += 1.0
+    return v0
+
+
+def _banded_top(A: sp.csr_array, surrogate: sp.csr_array) -> tuple | None:
+    """lambda_max of a pencil whose union pattern has a narrow band, by
+    bisection on banded Cholesky; None for a pencil that fails the band rule.
+
+    The pencil's eigenvalues above sigma are the negative eigenvalues of
+    sigma Mt - A (Sylvester's law of inertia; spectrum slicing, Parlett,
+    The Symmetric Eigenvalue Problem, 1998), so LAPACK's dpbtrf factors it
+    exactly when sigma is above lambda_max.  One dpbtrf of Mt refuses a
+    surrogate that is not positive definite (ValueError), so that a large
+    enough sigma factors.  The bracket starts at max_i A_ii / Mt_ii, a
+    Rayleigh quotient and so at most lambda_max, and doubles its upper end
+    until dpbtrf succeeds there.  Bisection then halves it until its ends
+    are adjacent floats, about 52 factorisations in all, each O(n b^2).
+    The upper end is returned: a certified upper bound on lambda_max, in
+    that a Cholesky that completes is exact for sigma Mt - A + E with E of
+    the order of the unit roundoff times |sigma Mt - A| (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, Thm 10.3).  It depends on
+    no seed, and it needs no product with A.
+
+    Returns (sigma, factor, order, position): factor is dpbtrf's factor of
+    sigma Mt - A in the renumbering (order, position) of band_renumbering.
+    Below a band of 32 dpbtrf runs unblocked code, with no BLAS-3 call
+    whose order could follow the thread count.  Above it, it calls blocked
+    BLAS-3 code: a strip of band 35 gave the same bytes at 1 and 2 OpenBLAS
+    threads, but took 5-15x as long at 2.
+    """
+    diag_a, diag_m = _pencil_diagonals(A, surrogate)
+    renumbering = band_renumbering(A, surrogate)
+    if renumbering is None:
+        return None
+    stiffness = upper_band_storage(A, renumbering)
+    mass = upper_band_storage(surrogate, renumbering)
+    surrogate_cholesky(mass.copy(order="F"))
+
+    def cholesky(sigma: float) -> np.ndarray | None:
+        factor, info = dpbtrf(sigma * mass - stiffness, overwrite_ab=True)
+        return None if info else factor
+
+    lower = upper = float(np.max(diag_a / diag_m))
+    factor = None
+    while factor is None:
+        lower, upper = upper, 2.0 * upper
+        factor = cholesky(upper)
+    while lower < (middle := 0.5 * (lower + upper)) < upper:
+        trial = cholesky(middle)
+        if trial is None:
+            lower = middle
+        else:
+            upper, factor = middle, trial
+    return upper, factor, renumbering[0], renumbering[1]
+
+
+def _banded_vector(banded: tuple, surrogate: sp.csr_array, v0: np.ndarray) -> np.ndarray:
+    """The top eigenvector of a banded pencil, Mt-normalized, by inverse
+    iteration: _INVERSE_SOLVES solves x <- (sigma Mt - A)^-1 Mt x with
+    _banded_top's factor, the first from (sigma Mt - A)^-1 v0.  sigma is
+    within a few ulps of lambda_max, so each solve multiplies the top mode
+    by far more than any other (by (sigma - lambda_2) / (sigma - lambda_max)
+    relative to the next one).  After each solve x is scaled to
+    x^T Mt x = 1, a fixed-order einsum, not a BLAS dot whose order can
+    follow the thread count."""
+    _, factor, order, position = banded
+    mx = v0
+    for _ in range(_INVERSE_SOLVES):
+        x, _ = dpbtrs(factor, mx[order], overwrite_b=True)
+        x = x[position]
+        mx = surrogate @ x
+        scale = 1.0 / math.sqrt(np.einsum("i,i->", x, mx))
+        x *= scale
+        mx *= scale
+    return x
+
+
 def _top_ritz_pair(
     A: sp.csr_array,
     surrogate: sp.csr_array,
@@ -170,15 +274,9 @@ def _top_ritz_pair(
     applications of A cover the run and the one application a failure makes.
     """
     n = A.shape[0]
-    if A.shape != surrogate.shape:
-        raise ValueError(f"shape mismatch: {A.shape} vs {surrogate.shape}")
-    diag_a = A.diagonal()
-    diag_m = surrogate.diagonal()
-    if np.any(diag_m <= 0) or np.any(diag_a <= 0):
-        raise ValueError("pencil matrices must have positive diagonals")
+    diag_a, diag_m = _pencil_diagonals(A, surrogate)
     top = int(np.argmax(diag_a / diag_m))
-    v0 = np.random.default_rng(seed).standard_normal(n)
-    v0[top] += 1.0
+    v0 = _start_vector(diag_a, diag_m, seed)
     max_steps = max(max_ops - 1, 0)
     alphas, betas = np.empty(max_steps), np.empty(max_steps)
     largest, next_check = 0.0, _CHECK_EVERY
@@ -206,41 +304,60 @@ def _top_ritz_pair(
     )
 
 
+def _banded_run(system: AssembledSystem) -> tuple | None:
+    """The system's _banded_top, or None when its pencil fails the band rule:
+    decided, and computed, on the first request, whatever the seed."""
+    if None not in system._eigensolves:
+        system._eigensolves[None] = _banded_top(system.stiffness, system.surrogate_mass)
+    return system._eigensolves[None]
+
+
 def _forward_run(system: AssembledSystem, seed: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """The system's converged forward run from seed, made on the first request
-    for that seed with the system's surrogate_solve and _MAX_OPS - 1 steps."""
-    if seed not in system._lanczos_runs:
-        system._lanczos_runs[seed] = _top_ritz_pair(system.stiffness, system.surrogate_mass,
-                                                    system.surrogate_solve, _MAX_OPS, seed)
-    return system._lanczos_runs[seed]
+    """The converged forward Lanczos run from seed of a system whose pencil
+    fails the band rule, made on the first request for that seed with the
+    system's surrogate_solve and _MAX_OPS - 1 steps."""
+    if seed not in system._eigensolves:
+        system._eigensolves[seed] = _top_ritz_pair(system.stiffness, system.surrogate_mass,
+                                                   system.surrogate_solve, _MAX_OPS, seed)
+    return system._eigensolves[seed]
 
 
 def lambda_max_with_vector(system: AssembledSystem, seed: int = DEFAULT_SEED) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of the system's pencil (A, M-tilde) and its
     eigenvector (surrogate-normalized).
 
-    The plain three-term Lanczos recurrence for Mt^-1 A in the Mt inner
-    product, without restarts or reorthogonalization (Paige 1980; Parlett,
-    The Symmetric Eigenvalue Problem, 1998), which finds the top Ritz value
-    reliably.  Each step applies A once (as A @ q) and the system's
-    surrogate_solve once; M-tilde itself is never applied.  The start vector
-    is Mt^-1 v0, with v0 drawn from default_rng(seed) and boosted toward the
-    largest diagonal ratio.  At steps 10, 20, ..., 100, and after that
-    every k // 10 steps, the top eigenpair (theta, s) of the tridiagonal T_k
-    is computed, and the run stops when the Ritz residual bound
-    beta_k+1 |s_k| is at most _RITZ_TOL * theta, or when beta vanishes (an
-    invariant subspace, which covers a single DOF).  A k-step solve makes
-    about 10 + 24 log10(k / 100) checks, for at most 10% more steps than a
-    check at every step would take.  The run may take _MAX_OPS - 1 steps.
-    The system keeps it, once per seed, and compute_bound_report reads its
-    value from the same run: at one seed they share it.
+    A pencil whose union pattern renumbers to a narrow band (see
+    assembly.band_renumbering; every 1D system) takes _banded_top's value:
+    the upper end of a one-ulp bracket found by bisection, a shift sigma
+    at which a banded Cholesky of sigma Mt - A completes: a certified upper
+    end that no seed changes.  The system computes it once.  Its
+    eigenvector comes from _INVERSE_SOLVES inverse-iteration solves with
+    the factor at that value (_banded_vector), started from the seeded v0
+    below.  No product with A is made, so no ConvergenceError can arise.
+
+    Every other pencil runs the plain three-term Lanczos recurrence for
+    Mt^-1 A in the Mt inner product, without restarts or
+    reorthogonalization (Paige 1980; Parlett, The Symmetric Eigenvalue
+    Problem, 1998), which finds the top Ritz value reliably.  Each step
+    applies A once (as A @ q) and the system's surrogate_solve once;
+    M-tilde itself is never applied.  The start vector is Mt^-1 v0, with
+    v0 drawn from default_rng(seed) and boosted toward the largest diagonal
+    ratio.  At steps 10, 20, ..., 100, and after that every k // 10 steps,
+    the top eigenpair (theta, s) of the tridiagonal T_k is computed, and
+    the run stops when the Ritz residual bound beta_k+1 |s_k| is at most
+    _RITZ_TOL * theta, or when beta vanishes (an invariant subspace).  A
+    k-step solve makes about 10 + 24 log10(k / 100) checks, for at most 10%
+    more steps than a check at every step would take.  The run may take
+    _MAX_OPS - 1 steps.  The system keeps it, once per seed, and
+    compute_bound_report reads its value from the same run: at one seed
+    they share it.
 
     The eigenvector x = sum_j s_j q_j is rebuilt by replaying the same
     deterministic recurrence, which regenerates the q_j bit for bit, while
     Mt x = sum_j s_j p_j is accumulated alongside, so normalizing
     x^T Mt x = 1 needs no product with Mt.  The replay applies A as often as
-    the run did.  The sign is fixed so that the entry of x largest in
-    magnitude is positive.
+    the run did.  On either path the sign is fixed so that the entry of x
+    largest in magnitude is positive.
 
     Raises ConvergenceError when no Ritz value meets the tolerance within
     the cap.  The error carries the Rayleigh quotient A_ii / Mt_ii of the
@@ -248,13 +365,19 @@ def lambda_max_with_vector(system: AssembledSystem, seed: int = DEFAULT_SEED) ->
     lambda_max, together with its relative residual
     ||A x - theta Mt x||_{Mt^-1} / (theta ||x||_Mt).
     """
-    theta, s, v0 = _forward_run(system, seed)
-    x = np.zeros(system.n_dofs)
-    mx = np.zeros_like(x)
-    for s_j, (q, p, _, _) in zip(s, _lanczos(system.stiffness, system.surrogate_solve, v0)):
-        x += s_j * q
-        mx += s_j * p
-    x /= math.sqrt(x @ mx)
+    banded = _banded_run(system)
+    if banded is not None:
+        theta = banded[0]
+        x = _banded_vector(banded, system.surrogate_mass,
+                           _start_vector(system.diag_stiffness, system.diag_surrogate, seed))
+    else:
+        theta, s, v0 = _forward_run(system, seed)
+        x = np.zeros(system.n_dofs)
+        mx = np.zeros_like(x)
+        for s_j, (q, p, _, _) in zip(s, _lanczos(system.stiffness, system.surrogate_solve, v0)):
+            x += s_j * q
+            mx += s_j * p
+        x /= math.sqrt(x @ mx)
     if x[np.argmax(np.abs(x))] < 0:
         x = -x
     return theta, x
@@ -268,9 +391,15 @@ def lambda_max_generalized(
 ) -> float:
     """Largest eigenvalue of the pencil (A, M-tilde); see lambda_max_with_vector.
 
-    Runs the same recurrence for up to max_ops - 1 steps, with a solve of
-    its own from surrogate_solver, and keeps nothing.
+    A pencil that meets the band rule takes _banded_top's value, which
+    makes no product with A: max_ops and seed change nothing there, and no
+    ConvergenceError can arise.  Any other pencil runs the same Lanczos
+    recurrence for up to max_ops - 1 steps, with a solve of its own from
+    surrogate_solver.  Nothing is kept.
     """
+    banded = _banded_top(A, surrogate)
+    if banded is not None:
+        return banded[0]
     return _top_ritz_pair(A, surrogate, surrogate_solver(surrogate), max_ops, seed)[0]
 
 
@@ -498,8 +627,9 @@ def compute_bound_report(
     and an equal policy, or ValueError.  Every field is read from the system
     (its inputs, geometry, patches and surrogate spectrum); nothing is rebuilt.
 
-    The exact eigenvalue is the value of the system's forward run from seed,
-    which lambda_max_with_vector replays.  It, and with it the sandwich
+    The exact eigenvalue is lambda_max_with_vector's, read from the same
+    kept result: the banded value of a narrow-band pencil, whatever the
+    seed, or else the system's forward run from seed.  It, and with it the sandwich
     check, is skipped (reported as None) when the reduced system exceeds
     dof_cap degrees of freedom.
     """
@@ -515,7 +645,8 @@ def compute_bound_report(
     refined = 2.0 * system.kappa_surrogate * lower if m_matrix else None
     lam = sandwich = None
     if system.n_dofs <= dof_cap:
-        lam = _forward_run(system, seed)[0]
+        banded = _banded_run(system)
+        lam = banded[0] if banded is not None else _forward_run(system, seed)[0]
         slack = 1.0 + 1e-9  # roundoff allowance of the sandwich check
         sandwich = lower <= lam * slack and lam <= upper * slack
     return BoundReport(

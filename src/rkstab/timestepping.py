@@ -12,7 +12,7 @@ stage), which matches the classical stage-by-stage update up to roundoff.
 tau * M-tilde^-1 is set up once per run: folded into a scaled copy of the
 stiffness for a diagonal surrogate, otherwise the system's one factorization,
 AssembledSystem.surrogate_solve (banded Cholesky for a narrow band, as every
-1D mass has, SuperLU for a 2D mass), which the eigensolve shares.
+1D mass has, SuperLU for a 2D mass), which a Lanczos eigensolve shares.
 The first stage of each step reuses the stiffness product the energy norm
 of the previous step already took, so an s-stage step costs s stiffness
 products and one mass product, norm monitoring included.
@@ -393,9 +393,11 @@ def top_mode_initial_condition(system: AssembledSystem, seed: int = 0) -> np.nda
     arithmetic; its norm is 1e-3 times the eigenvector's, so the returned
     vector still points almost exactly along the most unstable direction.
     seed sets the noise only: the eigenvector is lambda_max_with_vector's,
-    whose forward run starts from DEFAULT_SEED and takes at most 9,999
-    Lanczos steps.  When the report ran from DEFAULT_SEED too, that run is
-    the report's own, replayed rather than run again.
+    started from DEFAULT_SEED.  A pencil that meets the band rule (every 1D
+    system) takes it from three inverse-iteration solves at the banded
+    value the report read too.  Any other pencil replays a forward Lanczos
+    run of at most 9,999 steps; when the report ran from DEFAULT_SEED too,
+    that run is the report's own, replayed rather than run again.
     """
     _, vec = lambda_max_with_vector(system)
     rng = np.random.default_rng(seed)

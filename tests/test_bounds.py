@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpbtrf
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from conftest import lambda_max_dense
@@ -25,6 +26,8 @@ from rkstab.assembly import (
     SurrogateAxiomError,
     assemble_mass,
     assemble_system,
+    band_renumbering,
+    upper_band_storage,
 )
 from rkstab.bounds import (
     BOUND_CSV_FIELDS,
@@ -139,7 +142,8 @@ def test_lambda_max_deterministic():
 
 
 def test_convergence_error_carries_best_estimate():
-    system, _ = lumped_1d_system(64)
+    # A 2D pencil: a 1D one takes the banded bisection, which cannot fail to converge.
+    system = small_2d_p2(HRZ_DIAGONAL)
     with pytest.raises(ConvergenceError) as info:
         lambda_max_generalized(system.stiffness, system.surrogate_mass, max_ops=3)
     err = info.value
@@ -170,12 +174,16 @@ def banded_lambda_max(A: sp.csr_array, diag_m: np.ndarray) -> float:
     return float(sla.eigvals_banded(band, select="i", select_range=(n - 1, n - 1))[0])
 
 
+def p3_hrz(n_cells):
+    """1D P3 HRZ on n_cells, and its top eigenvalue by the band-form oracle."""
+    system = assemble_system(uniform_interval(n_cells), build_reference_element(1, 3),
+                             identity(1), HRZ_DIAGONAL)
+    return system, banded_lambda_max(system.stiffness, system.diag_surrogate)
+
+
 @pytest.fixture(scope="module")
 def p3_hrz_1000():
-    mesh = uniform_interval(1000)
-    elem = build_reference_element(1, 3)
-    system = assemble_system(mesh, elem, identity(1), HRZ_DIAGONAL)
-    return system, banded_lambda_max(system.stiffness, system.diag_surrogate)
+    return p3_hrz(1000)
 
 
 def test_lambda_max_1d_p3_hrz_clustered_spectrum(p3_hrz_1000):
@@ -184,11 +192,33 @@ def test_lambda_max_1d_p3_hrz_clustered_spectrum(p3_hrz_1000):
     assert abs(lam - oracle) < 1e-10 * oracle
 
 
-def test_capped_solve_respects_max_ops(p3_hrz_1000):
-    system, oracle = p3_hrz_1000
-    stiffness = CountingCSR(system.stiffness)
+@pytest.fixture(scope="module")
+def coupled_p3_strip():
+    """A pencil that fails the band rule yet needs a long Lanczos run.
+
+    Five copies of the 1D P3 HRZ pencil (A1, M1) on 600 cells, coupled
+    across by c = 1e-6 times T = tridiag(-1, 2, -1): A = A1 x I + c M1 x T
+    and Mt = M1 x I, 8,995 DOFs.  Its eigenvalues are lambda_i(A1, M1) +
+    c tau_j, so it keeps the clustered top of the 1D pencil, while its union
+    pattern renumbers to a band of 15 against a limit of 12.  It stays below
+    the 10,000 entries at which OpenBLAS threads a dot.
+    """
+    one_d, _ = p3_hrz(600)
+    A1, M1 = one_d.stiffness, one_d.surrogate_mass
+    T = sp.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(5, 5))
+    c = 1e-6
+    A = sp.csr_array(sp.kron(A1, sp.eye_array(5)) + c * sp.kron(M1, T))
+    Mt = sp.csr_array(sp.kron(M1, sp.eye_array(5)))
+    assert band_renumbering(A, Mt) is None
+    tau_max = 2.0 + 2.0 * math.cos(math.pi / 6)
+    return A, Mt, banded_lambda_max(A1, M1.diagonal()) + c * tau_max
+
+
+def test_capped_solve_respects_max_ops(coupled_p3_strip):
+    A, Mt, oracle = coupled_p3_strip
+    stiffness = CountingCSR(A)
     with pytest.raises(ConvergenceError) as info:
-        lambda_max_generalized(stiffness, system.surrogate_mass, max_ops=500)
+        lambda_max_generalized(stiffness, Mt, max_ops=500)
     assert 0 < stiffness.applications <= 500
     err = info.value
     assert 0 < err.best_estimate <= oracle
@@ -216,30 +246,31 @@ def check_schedule(last: int) -> list[int]:
     return steps
 
 
-def test_long_solve_checks_on_a_growing_schedule(p3_hrz_1000, monkeypatch):
-    # With a check every 10 steps this solve made 210 checks and 2,100 A
-    # products.  The growing gap allows at most 10% more products.
-    system, oracle = p3_hrz_1000
+def test_long_solve_checks_on_a_growing_schedule(coupled_p3_strip, monkeypatch):
+    # The residual test first passes at step 1,266, so a check every 10
+    # steps would make 127 checks and 1,270 A products.  The growing gap
+    # makes 37 checks, up to step 1,273: at most 10% more products.
+    A, Mt, oracle = coupled_p3_strip
     steps = checked_steps(monkeypatch)
-    stiffness = CountingCSR(system.stiffness)
-    lam = lambda_max_generalized(stiffness, system.surrogate_mass)
+    stiffness = CountingCSR(A)
+    lam = lambda_max_generalized(stiffness, Mt)
     assert abs(lam - oracle) < 1e-10 * oracle
     assert len(steps) <= 45
-    assert stiffness.applications <= 2310
+    assert stiffness.applications <= 1397
     assert steps == check_schedule(stiffness.applications)
 
 
-def test_capped_solve_checks_its_last_step(p3_hrz_1000, monkeypatch):
-    # The run converges between the scheduled checks at 2,049 and 2,253
-    # steps, so a cap of 2,100 steps ends between them, past convergence.
-    system, oracle = p3_hrz_1000
+def test_capped_solve_checks_its_last_step(coupled_p3_strip, monkeypatch):
+    # The run converges at step 1,266, between the scheduled checks at 1,158
+    # and 1,273 steps, so a cap of 1,270 steps ends between them, past convergence.
+    A, Mt, oracle = coupled_p3_strip
     steps = checked_steps(monkeypatch)
-    stiffness = CountingCSR(system.stiffness)
-    lam = lambda_max_generalized(stiffness, system.surrogate_mass, max_ops=2101)
+    stiffness = CountingCSR(A)
+    lam = lambda_max_generalized(stiffness, Mt, max_ops=1271)
     assert abs(lam - oracle) < 1e-10 * oracle
-    assert stiffness.applications == 2100
-    assert 2100 not in check_schedule(2300)
-    assert steps == check_schedule(2100) + [2100]
+    assert stiffness.applications == 1270
+    assert 1270 not in check_schedule(1400)
+    assert steps == check_schedule(1270) + [1270]
 
 
 def top_pair_oracle(alphas, betas):
@@ -339,7 +370,7 @@ def test_report_and_eigenvector_share_one_forward_run():
     again, y = lambda_max_with_vector(counted)
     assert counted.stiffness.applications == 60 + 60 + 60
     assert again == lam and x.tobytes() == y.tobytes()
-    assert list(counted._lanczos_runs) == [rkstab.bounds.DEFAULT_SEED]
+    assert list(counted._eigensolves) == [None, rkstab.bounds.DEFAULT_SEED]
 
 
 @pytest.mark.parametrize("policy", [HRZ_DIAGONAL, CONSISTENT], ids=lambda p: p.kind)
@@ -406,6 +437,49 @@ def assert_top_eigenpair(system):
     assert math.sqrt(r @ np.linalg.solve(Mt.toarray(), r)) <= 1e-8 * lam
 
 
+def test_banded_lambda_max_identical_across_blas_threads():
+    """A 1D P3 consistent pencil (band 3, unblocked dpbtrf) and a strip whose
+    band is above 32, where dpbtrf calls blocked BLAS-3 code, give the same
+    bytes at 1 and 2 BLAS threads: the value, and the 1D eigenvector.
+
+    A triangle P3 strip meets the band rule only below a band of 32 (a 40x4
+    strip has band 42 against a limit of 28), so the strip is a tensor
+    product: 1D P3 consistent along it, and across it nine modes coupled by
+    the dense inverse of tridiag(-1, 2, -1).  Its top eigenvalue is the sum
+    of the two factors' tops.
+    """
+    script = (
+        "import hashlib, numpy as np, scipy.sparse as sp\n"
+        "from rkstab import *\n"
+        "from rkstab.assembly import CONSISTENT, band_renumbering\n"
+        "s = assemble_system(uniform_interval(1000), build_reference_element(1, 3),\n"
+        "                    DiffusionField.constant(np.eye(1)), CONSISTENT)\n"
+        "lam, x = lambda_max_with_vector(s)\n"
+        "print(lambda_max_generalized(s.stiffness, s.surrogate_mass).hex(), lam.hex(),\n"
+        "      hashlib.sha256(x.tobytes()).hexdigest())\n"
+        "s = assemble_system(uniform_interval(200), build_reference_element(1, 3),\n"
+        "                    DiffusionField.constant(np.eye(1)), CONSISTENT)\n"
+        "across = np.linalg.inv(2 * np.eye(9) - np.eye(9, k=1) - np.eye(9, k=-1))\n"
+        "A = sp.csr_array(sp.kron(s.stiffness, sp.eye_array(9))\n"
+        "                 + sp.kron(s.surrogate_mass, sp.csr_array(across)))\n"
+        "Mt = sp.csr_array(sp.kron(s.surrogate_mass, sp.eye_array(9)))\n"
+        "strip = lambda_max_generalized(A, Mt)\n"
+        "top = lambda_max_generalized(s.stiffness, s.surrogate_mass) + np.linalg.eigvalsh(across)[-1]\n"
+        "assert band_renumbering(A, Mt)[2] > 32 and abs(strip - top) <= 1e-13 * top\n"
+        "print(strip.hex())\n"
+    )
+    package_root = str(Path(rkstab.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=package_root,
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_lambda_max_identical_across_blas_threads():
     script = (
         "from rkstab import *\n"
@@ -451,6 +525,125 @@ def test_non_spd_pencil_rejected():
         assert np.linalg.eigvalsh(surrogate.toarray())[0] < 1e-12 < surrogate.diagonal().min()
         with pytest.raises(ValueError, match="not positive definite"):
             lambda_max_generalized(laplacian(surrogate.shape[0]), surrogate)
+
+
+def test_banded_pencil_refuses_an_indefinite_surrogate_with_one_factorisation(monkeypatch):
+    """The banded path factors Mt once and raises before any shift of the
+    bisection: no sigma is doubled toward overflow."""
+    calls = []
+    for module in (rkstab.assembly, rkstab.bounds):
+        def counted(*args, _module=module, _original=module.dpbtrf, **kwargs):
+            calls.append(_module.__name__)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "dpbtrf", counted)
+    A = sp.csr_array(sp.diags_array([-1.0, 2.0, -1.0], offsets=[-1, 0, 1], shape=(3, 3)))
+    surrogate = sp.csr_array(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    with pytest.raises(ValueError, match="not positive definite"):
+        lambda_max_generalized(A, surrogate)
+    assert calls == ["rkstab.assembly"]
+
+
+def test_pencil_with_a_non_finite_entry_raises():
+    # dpbtrf completes on a NaN, so without the check the banded pencil gave
+    # lambda 3.0 and the infinite one gave inf, silently.  The arrow pencil
+    # fails the band rule and runs Lanczos.
+    eye = sp.csr_array(sp.eye_array(3))
+    arrow = np.eye(20) * 4.0
+    arrow[0, 1:] = arrow[1:, 0] = 0.1
+    for value in (np.nan, np.inf):
+        A = sp.csr_array(np.array([[2.0, value, 0.0], [value, 2.0, -1.0], [0.0, -1.0, 2.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            lambda_max_generalized(A, eye)
+        with pytest.raises(ValueError, match="finite"):
+            lambda_max_generalized(eye, A)
+        wide = arrow.copy()
+        wide[5, 0] = wide[0, 5] = value
+        with pytest.raises(ValueError, match="finite"):
+            lambda_max_generalized(sp.csr_array(wide), sp.csr_array(sp.eye_array(20)))
+
+
+def banded_cases():
+    """Pencils that meet the band rule: 1D P1-P3 under three policies, and
+    structured 8x8 P1 with D = I, whose stiffness stores fewer entries than
+    its consistent mass."""
+    cases = {f"1d-p{m}-{policy.kind}": assemble_system(
+        uniform_interval(40), build_reference_element(1, m), identity(1), policy)
+        for m in (1, 2, 3) for policy in (CONSISTENT, HRZ_DIAGONAL, NODE_QUADRATURE)}
+    for policy in (CONSISTENT, HRZ_DIAGONAL):
+        cases[f"8x8-p1-{policy.kind}"] = assemble_system(
+            structured_triangular(8, 8), build_reference_element(2, 1), identity(2), policy)
+    return cases
+
+
+BANDED_CASES = banded_cases()
+
+
+def cholesky_succeeds(sigma, A, Mt):
+    renumbering = band_renumbering(A, Mt)
+    stiffness, mass = upper_band_storage(A, renumbering), upper_band_storage(Mt, renumbering)
+    return dpbtrf(sigma * mass - stiffness)[1] == 0
+
+
+@pytest.mark.parametrize("name", BANDED_CASES)
+def test_banded_bisection_returns_the_upper_end_of_a_one_ulp_bracket(name):
+    # dpbtrf of sigma Mt - A fails at the largest diagonal ratio, where the
+    # bracket starts, and at the float just below the returned value, and
+    # succeeds at the value itself, which is dense eigh's to a few ulps.
+    system = BANDED_CASES[name]
+    A, Mt = system.stiffness, system.surrogate_mass
+    assert band_renumbering(A, Mt) is not None
+    lam = lambda_max_generalized(A, Mt)
+    assert not cholesky_succeeds(float(np.max(A.diagonal() / Mt.diagonal())), A, Mt)
+    assert not cholesky_succeeds(np.nextafter(lam, 0.0), A, Mt)
+    assert cholesky_succeeds(lam, A, Mt)
+    dense = lambda_max_dense(A, Mt)
+    assert abs(lam - dense) <= 1e-14 * dense
+
+
+def test_banded_pencil_bands_the_union_pattern():
+    # With D = I the structured P1 stiffness sums its hypotenuse couplings
+    # to exact zeros, which assembly drops, so A stores fewer entries than
+    # the consistent mass.  Renumbered by A's pattern alone, some entry of
+    # Mt falls outside A's band; the union's band holds both.
+    system = BANDED_CASES["8x8-p1-consistent"]
+    A, Mt = system.stiffness, system.surrogate_mass
+    assert A.nnz < Mt.nnz
+    _, position, band = band_renumbering(A)
+    rows = position[np.repeat(np.arange(Mt.shape[0]), np.diff(Mt.indptr))]
+    assert np.abs(rows - position[Mt.indices]).max() > band
+    lam = lambda_max_generalized(A, Mt)
+    dense = lambda_max_dense(A, Mt)
+    assert abs(lam - dense) <= 1e-14 * dense
+
+
+def test_banded_lambda_max_matches_the_band_oracle_at_12k_dofs():
+    system, oracle = p3_hrz(4000)
+    assert system.n_dofs == 11999
+    lam = lambda_max_generalized(system.stiffness, system.surrogate_mass)
+    assert abs(lam - oracle) <= 1e-13 * oracle
+
+
+def test_banded_pencil_never_runs_lanczos_and_ignores_the_seed(monkeypatch):
+    def no_lanczos(*args):
+        raise AssertionError("a banded pencil ran Lanczos")
+
+    monkeypatch.setattr(rkstab.bounds, "_lanczos", no_lanczos)
+    mesh, elem = uniform_interval(60), build_reference_element(1, 3)
+    system = assemble_system(mesh, elem, identity(1), CONSISTENT)
+    counted = dataclasses.replace(system, stiffness=CountingCSR(system.stiffness))
+    values = {lambda_max_generalized(counted.stiffness, counted.surrogate_mass, seed=seed)
+              for seed in (0, 1, 7)}
+    values.add(lambda_max_generalized(counted.stiffness, counted.surrogate_mass, max_ops=1))
+    values.add(compute_bound_report(mesh, elem, counted.diffusion, CONSISTENT, seed=3,
+                                    system=counted).lambda_max_exact)
+    vectors = [lambda_max_with_vector(counted, seed=seed) for seed in (0, 1, 7)]
+    values.update(lam for lam, _ in vectors)
+    assert len(values) == 1
+    assert counted.stiffness.applications == 0
+    assert list(counted._eigensolves) == [None]
+    for _, x in vectors:
+        assert np.allclose(x, vectors[0][1], rtol=0, atol=1e-12 * np.max(np.abs(x)))
 
 
 def test_diag_ratio_bounds_1d_lumped():

@@ -945,10 +945,11 @@ def test_readme_commands_run(capsys, tmp_path, argv):
     assert code == 0, err
 
 
-# Two top-mode runs whose step and initial state come from the exact eigensolve:
-# the report's forward Lanczos run, its replay and the stepper share one solve
-# with the consistent mass, SuperLU's in 2D (961 DOFs) and banded Cholesky's in
-# 1D (599 DOFs).
+# Two top-mode runs whose step and initial state come from the exact eigensolve.
+# In 2D (961 DOFs) the report's forward Lanczos run, its replay and the stepper
+# share one SuperLU solve with the consistent mass.  In 1D (599 DOFs) the value
+# comes from bisection on banded Cholesky and the vector from inverse iteration,
+# and only the stepper solves with the mass.
 TOP_MODE_2D = ("integrate", "--mesh", "random_perturbed:nx=16,ny=16,amplitude=0.01,seed=1",
                "--order", "2", "--diffusion", "rotated_anisotropic:angle=0.5,k1=1,k2=100",
                "--policy", "consistent", "--initial", "top_mode", "--bound-source", "exact",
@@ -991,8 +992,8 @@ OUTPUT_CONTRACT = {
         "trace.csv": "905c1b53e8d650ca133f2502796a5a41f7db06c98ea97a4fc5bca58357dff212",
     },
     TOP_MODE_1D: {
-        "summary.json": "29cb3224581fdc9943a2ae19967e58ef4ba306c803047e6ee4458f6652bcafc7",
-        "trace.csv": "4ba27163e5a1325255353153292e90013e09d1a883b143fa1eea4045d919f7f4",
+        "summary.json": "4bf288be8c5f3663339fd5f737d693129671167259243e77a9b5611de7b99e0e",
+        "trace.csv": "a89e4431e77fa9fbe98394f7ded7b5427db178a1d972e29b86ced496664fce90",
     },
 }
 
@@ -1013,9 +1014,11 @@ def test_output_files_keep_their_bytes(capsys, tmp_path, argv):
 @pytest.mark.parametrize("argv", [TOP_MODE_2D, TOP_MODE_1D], ids=["2d-p2", "1d-p3"])
 def test_top_mode_run_factors_once_and_runs_lanczos_forward_once(capsys, tmp_path,
                                                                  monkeypatch, argv):
-    """One exact-step top-mode run factors the consistent mass once, SuperLU
-    in 2D and banded Cholesky in 1D, and starts the Lanczos recurrence twice:
-    the report's forward run, then the eigenvector's replay of it."""
+    """One exact-step top-mode run builds one solve with the consistent mass.
+    In 2D that is one SuperLU factorisation, and the Lanczos recurrence starts
+    twice: the report's forward run, then the eigenvector's replay of it.  The
+    1D pencil is banded: no Lanczos run and no SuperLU call, and the one solve
+    serves only the stepper."""
     calls = []
 
     def counted(module, name):
@@ -1027,11 +1030,11 @@ def test_top_mode_run_factors_once_and_runs_lanczos_forward_once(capsys, tmp_pat
 
         monkeypatch.setattr(module, name, wrapper)
 
+    counted(rkstab.assembly, "surrogate_solver")
     counted(rkstab.assembly, "symmetric_lu")
-    counted(rkstab.assembly, "dpbtrf")
     counted(rkstab.bounds, "_lanczos")
     counted(spla, "splu")
     code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
     assert code == 0, err
-    factor = ["symmetric_lu", "splu"] if argv is TOP_MODE_2D else ["dpbtrf"]
-    assert sorted(calls) == sorted(factor + ["_lanczos", "_lanczos"])
+    expected = (["symmetric_lu", "splu", "_lanczos", "_lanczos"] if argv is TOP_MODE_2D else [])
+    assert sorted(calls) == sorted(expected + ["surrogate_solver"])
