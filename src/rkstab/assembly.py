@@ -313,11 +313,10 @@ class AssembledSystem:
     of the surrogate reference matrix.
     patch_incidence is the free-DOF-by-element patch incidence P, and
     patch_volumes is P @ |K|.  mass, the consistent M, and surrogate_solve
-    are built on first read; _eigensolves holds what rkstab.bounds computed
-    for the exact eigenpair: under None the banded top of a pencil that
-    meets the band rule (None if it fails it), and under each seed the
-    converged forward Lanczos run of one that fails it.  A system carries
-    these caches, so it is equal only to itself and hashes by identity.
+    are built on first read; _eigensolution holds, once made, the one exact
+    eigensolve of the pencil that rkstab.bounds keeps: lambda_max and the
+    way to build its eigenvector.  A system carries these caches, so it is
+    equal only to itself and hashes by identity.
     """
 
     stiffness: sp.csr_array
@@ -334,7 +333,7 @@ class AssembledSystem:
     numbering: DofNumbering
     patch_incidence: sp.csr_array
     patch_volumes: np.ndarray
-    _eigensolves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _eigensolution: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @functools.cached_property
     def mass(self) -> sp.csr_array:

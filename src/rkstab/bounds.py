@@ -13,10 +13,10 @@ ulp, and its eigenvector from inverse iteration with the last factor; no
 product with A is made.  Every other pencil runs one three-term Lanczos
 recurrence for Mt^-1 A in the Mt inner product: one A @ q and one
 surrogate solve per step, no restarts, no reorthogonalization, and a Ritz
-residual test on a growing schedule.  A system computes the banded value
-once, or makes the forward Lanczos run once per seed with its own
-surrogate solve, and keeps it: the report reads the value from it, and so
-does lambda_max_with_vector.  Each matrix inequality behind the bounds is
+residual test on a growing schedule, from the one start vector that
+DEFAULT_SEED draws: the value belongs to the pencil alone.  A system makes
+its eigensolve once and keeps it, for the report's value and
+lambda_max_with_vector's vector.  Each matrix inequality behind the bounds is
 decided by the inertia of one sparse symmetric LU, no eigensolve: a pass
 holds up to a backward error far below its tolerance, and a failure
 carries a witness vector.
@@ -177,44 +177,40 @@ def _pencil_diagonals(A: sp.csr_array, surrogate: sp.csr_array) -> tuple[np.ndar
     return diag_a, diag_m
 
 
-def _start_vector(diag_a: np.ndarray, diag_m: np.ndarray, seed: int) -> np.ndarray:
-    """Every eigensolve's seeded start: a Gaussian from default_rng(seed),
-    boosted by 1 at the largest diagonal ratio."""
-    v0 = np.random.default_rng(seed).standard_normal(diag_a.size)
-    v0[np.argmax(diag_a / diag_m)] += 1.0
+def _start_vector(ratios: np.ndarray) -> np.ndarray:
+    """Every eigensolve's start: a Gaussian from default_rng(DEFAULT_SEED),
+    boosted by 1 at the largest diagonal ratio A_ii / Mt_ii."""
+    v0 = np.random.default_rng(DEFAULT_SEED).standard_normal(ratios.size)
+    v0[np.argmax(ratios)] += 1.0
     return v0
 
 
-def _banded_top(A: sp.csr_array, surrogate: sp.csr_array) -> tuple | None:
-    """lambda_max of a pencil whose union pattern has a narrow band, by
-    bisection on banded Cholesky; None for a pencil that fails the band rule.
+def _banded_top(A: sp.csr_array, surrogate: sp.csr_array, renumbering: tuple,
+                lower: float) -> tuple[float, np.ndarray]:
+    """lambda_max of a pencil whose union pattern meets the band rule under
+    renumbering, by bisection on banded Cholesky from lower, a Rayleigh
+    quotient (max_i A_ii / Mt_ii) and so at most lambda_max.
 
     The pencil's eigenvalues above sigma are the negative eigenvalues of
     sigma Mt - A (Sylvester's law of inertia; spectrum slicing, Parlett,
     The Symmetric Eigenvalue Problem, 1998), so LAPACK's dpbtrf factors it
     exactly when sigma is above lambda_max.  One dpbtrf of Mt refuses a
     surrogate that is not positive definite (ValueError), so that a large
-    enough sigma factors.  The bracket starts at max_i A_ii / Mt_ii, a
-    Rayleigh quotient and so at most lambda_max, and doubles its upper end
-    until dpbtrf succeeds there.  Bisection then halves it until its ends
+    enough sigma factors.  The bracket's upper end doubles from lower until
+    dpbtrf succeeds there.  Bisection then halves it until its ends
     are adjacent floats, about 52 factorisations in all, each O(n b^2).
     The upper end is returned: a certified upper bound on lambda_max, in
     that a Cholesky that completes is exact for sigma Mt - A + E with E of
     the order of the unit roundoff times |sigma Mt - A| (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2002, Thm 10.3).  It depends on
-    no seed, and it needs no product with A.
+    and Stability of Numerical Algorithms, 2002, Thm 10.3).  It needs no
+    start vector and no product with A.
 
-    Returns (sigma, factor, order, position): factor is dpbtrf's factor of
-    sigma Mt - A in the renumbering (order, position) of band_renumbering.
-    Below a band of 32 dpbtrf runs unblocked code, with no BLAS-3 call
-    whose order could follow the thread count.  Above it, it calls blocked
-    BLAS-3 code: a strip of band 35 gave the same bytes at 1 and 2 OpenBLAS
-    threads, but took 5-15x as long at 2.
+    Returns (sigma, factor): factor is dpbtrf's factor of sigma Mt - A in
+    the renumbering.  Below a band of 32 dpbtrf runs unblocked code, with
+    no BLAS-3 call whose order could follow the thread count.  Above it, it
+    calls blocked BLAS-3 code: a strip of band 35 gave the same bytes at 1
+    and 2 OpenBLAS threads, but took 5-15x as long at 2.
     """
-    diag_a, diag_m = _pencil_diagonals(A, surrogate)
-    renumbering = band_renumbering(A, surrogate)
-    if renumbering is None:
-        return None
     stiffness = upper_band_storage(A, renumbering)
     mass = upper_band_storage(surrogate, renumbering)
     surrogate_cholesky(mass.copy(order="F"))
@@ -223,8 +219,7 @@ def _banded_top(A: sp.csr_array, surrogate: sp.csr_array) -> tuple | None:
         factor, info = dpbtrf(sigma * mass - stiffness, overwrite_ab=True)
         return None if info else factor
 
-    lower = upper = float(np.max(diag_a / diag_m))
-    factor = None
+    upper, factor = lower, None
     while factor is None:
         lower, upper = upper, 2.0 * upper
         factor = cholesky(upper)
@@ -234,10 +229,11 @@ def _banded_top(A: sp.csr_array, surrogate: sp.csr_array) -> tuple | None:
             lower = middle
         else:
             upper, factor = middle, trial
-    return upper, factor, renumbering[0], renumbering[1]
+    return upper, factor
 
 
-def _banded_vector(banded: tuple, surrogate: sp.csr_array, v0: np.ndarray) -> np.ndarray:
+def _banded_vector(factor: np.ndarray, renumbering: tuple, surrogate: sp.csr_array,
+                   v0: np.ndarray) -> np.ndarray:
     """The top eigenvector of a banded pencil, Mt-normalized, by inverse
     iteration: _INVERSE_SOLVES solves x <- (sigma Mt - A)^-1 Mt x with
     _banded_top's factor, the first from (sigma Mt - A)^-1 v0.  sigma is
@@ -246,7 +242,7 @@ def _banded_vector(banded: tuple, surrogate: sp.csr_array, v0: np.ndarray) -> np
     relative to the next one).  After each solve x is scaled to
     x^T Mt x = 1, a fixed-order einsum, not a BLAS dot whose order can
     follow the thread count."""
-    _, factor, order, position = banded
+    order, position, _ = renumbering
     mx = v0
     for _ in range(_INVERSE_SOLVES):
         x, _ = dpbtrs(factor, mx[order], overwrite_b=True)
@@ -258,26 +254,18 @@ def _banded_vector(banded: tuple, surrogate: sp.csr_array, v0: np.ndarray) -> np
     return x
 
 
-def _top_ritz_pair(
-    A: sp.csr_array,
-    surrogate: sp.csr_array,
-    solve: Callable,
-    max_ops: int,
-    seed: int,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Converged top Ritz value theta, its T eigenvector s, and the start v0.
+def _top_ritz_pair(A: sp.csr_array, surrogate: sp.csr_array, solve: Callable, v0: np.ndarray,
+                   ratios: np.ndarray, diag_m: np.ndarray) -> tuple[float, np.ndarray]:
+    """Converged top Ritz value theta and its T eigenvector s, from v0.
 
-    solve applies surrogate^-1.  The residual test runs on the schedule of
-    _CHECK_EVERY, at the last step allowed, and whenever beta falls below
-    _RITZ_TOL times the largest alpha: then it passes, since theta >= alpha_j
-    and |s_k| <= 1.  Steps are capped at max_ops - 1, so that max_ops
-    applications of A cover the run and the one application a failure makes.
+    solve applies surrogate^-1, and ratios are A_ii / Mt_ii.  The residual
+    test runs on the schedule of _CHECK_EVERY, at the last step allowed, and
+    whenever beta falls below _RITZ_TOL times the largest alpha: then it
+    passes, since theta >= alpha_j and |s_k| <= 1.  Steps are capped at
+    _MAX_OPS - 1, so that _MAX_OPS applications of A cover the run and the
+    one application a failure makes.
     """
-    n = A.shape[0]
-    diag_a, diag_m = _pencil_diagonals(A, surrogate)
-    top = int(np.argmax(diag_a / diag_m))
-    v0 = _start_vector(diag_a, diag_m, seed)
-    max_steps = max(max_ops - 1, 0)
+    max_steps = max(_MAX_OPS - 1, 0)
     alphas, betas = np.empty(max_steps), np.empty(max_steps)
     largest, next_check = 0.0, _CHECK_EVERY
     steps = itertools.islice(_lanczos(A, solve, v0), max_steps)
@@ -288,52 +276,77 @@ def _top_ritz_pair(
             next_check = k + max(_CHECK_EVERY, k // 10)
             theta, s = _tridiagonal_top_pair(alphas[:k], betas[:k - 1])
             if beta * abs(s[-1]) <= _RITZ_TOL * theta:
-                return theta, s, v0
+                return theta, s
     # No Ritz value met the tolerance.  Report the Rayleigh quotient of the
     # unit vector at the largest diagonal ratio, a true lower bound.
-    theta = float(diag_a[top] / diag_m[top])
-    e = np.zeros(n)
+    top = int(np.argmax(ratios))
+    theta = float(ratios[top])
+    e = np.zeros(ratios.size)
     e[top] = 1.0
     r = A @ e - theta * (surrogate @ e)
     residual = float(np.sqrt(r @ solve(r) / diag_m[top])) / theta
     raise ConvergenceError(
-        f"no convergence within {max_ops} operator applications "
+        f"no convergence within {_MAX_OPS} operator applications "
         f"(diagonal-ratio estimate {theta:.17g}, residual {residual:.3e})",
         best_estimate=theta,
         residual=residual,
     )
 
 
-def _banded_run(system: AssembledSystem) -> tuple | None:
-    """The system's _banded_top, or None when its pencil fails the band rule:
-    decided, and computed, on the first request, whatever the seed."""
-    if None not in system._eigensolves:
-        system._eigensolves[None] = _banded_top(system.stiffness, system.surrogate_mass)
-    return system._eigensolves[None]
+def _replayed_vector(A: sp.csr_array, solve: Callable, s: np.ndarray, v0: np.ndarray) -> np.ndarray:
+    """x = sum_j s_j q_j, Mt-normalized, by replaying the Lanczos run from v0.
+
+    The recurrence is deterministic, so the replay regenerates the q_j bit
+    for bit, while Mt x = sum_j s_j p_j is accumulated alongside: normalizing
+    x^T Mt x = 1 needs no product with Mt.  It applies A once per entry of s.
+    """
+    x = np.zeros(v0.size)
+    mx = np.zeros_like(x)
+    for s_j, (q, p, _, _) in zip(s, _lanczos(A, solve, v0)):
+        x += s_j * q
+        mx += s_j * p
+    x /= math.sqrt(x @ mx)
+    return x
 
 
-def _forward_run(system: AssembledSystem, seed: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """The converged forward Lanczos run from seed of a system whose pencil
-    fails the band rule, made on the first request for that seed with the
-    system's surrogate_solve and _MAX_OPS - 1 steps."""
-    if seed not in system._eigensolves:
-        system._eigensolves[seed] = _top_ritz_pair(system.stiffness, system.surrogate_mass,
-                                                   system.surrogate_solve, _MAX_OPS, seed)
-    return system._eigensolves[seed]
+def _eigensolve(A: sp.csr_array, surrogate: sp.csr_array,
+                solver: Callable[[], Callable]) -> tuple[float, Callable[[], np.ndarray]]:
+    """lambda_max of the pencil (A, Mt) and a function that builds its
+    eigenvector, after one check of the pencil: _banded_top's value and
+    _banded_vector's inverse iteration where band_renumbering admits the
+    union pattern, else _top_ritz_pair's run with the solve that solver()
+    returns, and _replayed_vector's replay of that run."""
+    diag_a, diag_m = _pencil_diagonals(A, surrogate)
+    ratios = diag_a / diag_m
+    renumbering = band_renumbering(A, surrogate)
+    if renumbering is not None:
+        sigma, factor = _banded_top(A, surrogate, renumbering, float(np.max(ratios)))
+        return sigma, lambda: _banded_vector(factor, renumbering, surrogate, _start_vector(ratios))
+    v0, solve = _start_vector(ratios), solver()
+    theta, s = _top_ritz_pair(A, surrogate, solve, v0, ratios, diag_m)
+    return theta, lambda: _replayed_vector(A, solve, s, v0)
 
 
-def lambda_max_with_vector(system: AssembledSystem, seed: int = DEFAULT_SEED) -> tuple[float, np.ndarray]:
+def _system_eigensolve(system: AssembledSystem) -> tuple[float, Callable[[], np.ndarray]]:
+    """The system's _eigensolve, with its surrogate_solve: made on the first
+    request and kept, so the report and the eigenvector share it."""
+    if not system._eigensolution:
+        system._eigensolution.append(_eigensolve(system.stiffness, system.surrogate_mass,
+                                                 lambda: system.surrogate_solve))
+    return system._eigensolution[0]
+
+
+def lambda_max_with_vector(system: AssembledSystem) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of the system's pencil (A, M-tilde) and its
     eigenvector (surrogate-normalized).
 
     A pencil whose union pattern renumbers to a narrow band (see
     assembly.band_renumbering; every 1D system) takes _banded_top's value:
     the upper end of a one-ulp bracket found by bisection, a shift sigma
-    at which a banded Cholesky of sigma Mt - A completes: a certified upper
-    end that no seed changes.  The system computes it once.  Its
-    eigenvector comes from _INVERSE_SOLVES inverse-iteration solves with
-    the factor at that value (_banded_vector), started from the seeded v0
-    below.  No product with A is made, so no ConvergenceError can arise.
+    at which a banded Cholesky of sigma Mt - A completes, and so a
+    certified upper end.  Its eigenvector comes from _INVERSE_SOLVES
+    inverse-iteration solves with the factor at that value (_banded_vector).
+    No product with A is made, so no ConvergenceError can arise.
 
     Every other pencil runs the plain three-term Lanczos recurrence for
     Mt^-1 A in the Mt inner product, without restarts or
@@ -341,23 +354,19 @@ def lambda_max_with_vector(system: AssembledSystem, seed: int = DEFAULT_SEED) ->
     Problem, 1998), which finds the top Ritz value reliably.  Each step
     applies A once (as A @ q) and the system's surrogate_solve once;
     M-tilde itself is never applied.  The start vector is Mt^-1 v0, with
-    v0 drawn from default_rng(seed) and boosted toward the largest diagonal
-    ratio.  At steps 10, 20, ..., 100, and after that every k // 10 steps,
-    the top eigenpair (theta, s) of the tridiagonal T_k is computed, and
-    the run stops when the Ritz residual bound beta_k+1 |s_k| is at most
+    v0 drawn from default_rng(DEFAULT_SEED) and boosted toward the largest
+    diagonal ratio.  At steps 10, 20, ..., 100, and after that every k // 10
+    steps, the top eigenpair (theta, s) of the tridiagonal T_k is computed,
+    and the run stops when the Ritz residual bound beta_k+1 |s_k| is at most
     _RITZ_TOL * theta, or when beta vanishes (an invariant subspace).  A
     k-step solve makes about 10 + 24 log10(k / 100) checks, for at most 10%
     more steps than a check at every step would take.  The run may take
-    _MAX_OPS - 1 steps.  The system keeps it, once per seed, and
-    compute_bound_report reads its value from the same run: at one seed
-    they share it.
+    _MAX_OPS - 1 steps.  Its eigenvector is rebuilt by replaying the run
+    (_replayed_vector), which applies A as often as the run did.
 
-    The eigenvector x = sum_j s_j q_j is rebuilt by replaying the same
-    deterministic recurrence, which regenerates the q_j bit for bit, while
-    Mt x = sum_j s_j p_j is accumulated alongside, so normalizing
-    x^T Mt x = 1 needs no product with Mt.  The replay applies A as often as
-    the run did.  On either path the sign is fixed so that the entry of x
-    largest in magnitude is positive.
+    Either way the system keeps the one result, so compute_bound_report
+    reads its value from the same solve.  The sign of the vector is fixed
+    so that its entry largest in magnitude is positive.
 
     Raises ConvergenceError when no Ritz value meets the tolerance within
     the cap.  The error carries the Rayleigh quotient A_ii / Mt_ii of the
@@ -365,42 +374,21 @@ def lambda_max_with_vector(system: AssembledSystem, seed: int = DEFAULT_SEED) ->
     lambda_max, together with its relative residual
     ||A x - theta Mt x||_{Mt^-1} / (theta ||x||_Mt).
     """
-    banded = _banded_run(system)
-    if banded is not None:
-        theta = banded[0]
-        x = _banded_vector(banded, system.surrogate_mass,
-                           _start_vector(system.diag_stiffness, system.diag_surrogate, seed))
-    else:
-        theta, s, v0 = _forward_run(system, seed)
-        x = np.zeros(system.n_dofs)
-        mx = np.zeros_like(x)
-        for s_j, (q, p, _, _) in zip(s, _lanczos(system.stiffness, system.surrogate_solve, v0)):
-            x += s_j * q
-            mx += s_j * p
-        x /= math.sqrt(x @ mx)
+    theta, vector = _system_eigensolve(system)
+    x = vector()
     if x[np.argmax(np.abs(x))] < 0:
         x = -x
     return theta, x
 
 
-def lambda_max_generalized(
-    A: sp.csr_array,
-    surrogate: sp.csr_array,
-    max_ops: int = _MAX_OPS,
-    seed: int = DEFAULT_SEED,
-) -> float:
+def lambda_max_generalized(A: sp.csr_array, surrogate: sp.csr_array) -> float:
     """Largest eigenvalue of the pencil (A, M-tilde); see lambda_max_with_vector.
 
-    A pencil that meets the band rule takes _banded_top's value, which
-    makes no product with A: max_ops and seed change nothing there, and no
-    ConvergenceError can arise.  Any other pencil runs the same Lanczos
-    recurrence for up to max_ops - 1 steps, with a solve of its own from
-    surrogate_solver.  Nothing is kept.
+    The same eigensolve, on bare matrices: a pencil that fails the band rule
+    runs Lanczos with a solve of its own from surrogate_solver.  Nothing is
+    kept.
     """
-    banded = _banded_top(A, surrogate)
-    if banded is not None:
-        return banded[0]
-    return _top_ritz_pair(A, surrogate, surrogate_solver(surrogate), max_ops, seed)[0]
+    return _eigensolve(A, surrogate, lambda: surrogate_solver(surrogate))[0]
 
 
 def diag_ratio_bounds(system: AssembledSystem) -> tuple[float, float]:
@@ -618,7 +606,6 @@ def compute_bound_report(
     diffusion: DiffusionField,
     policy: SurrogatePolicy,
     dof_cap: int = DEFAULT_DOF_CAP,
-    seed: int = DEFAULT_SEED,
     system: AssembledSystem | None = None,
 ) -> BoundReport:
     """Assemble (unless given a system) and evaluate every bound expression.
@@ -627,11 +614,10 @@ def compute_bound_report(
     and an equal policy, or ValueError.  Every field is read from the system
     (its inputs, geometry, patches and surrogate spectrum); nothing is rebuilt.
 
-    The exact eigenvalue is lambda_max_with_vector's, read from the same
-    kept result: the banded value of a narrow-band pencil, whatever the
-    seed, or else the system's forward run from seed.  It, and with it the sandwich
-    check, is skipped (reported as None) when the reduced system exceeds
-    dof_cap degrees of freedom.
+    The exact eigenvalue is lambda_max_with_vector's, read from the one
+    eigensolve the system keeps.  It, and with it the sandwich check, is
+    skipped (reported as None) when the reduced system exceeds dof_cap
+    degrees of freedom.
     """
     if system is None:
         system = assemble_system(mesh, elem, diffusion, policy)
@@ -645,8 +631,7 @@ def compute_bound_report(
     refined = 2.0 * system.kappa_surrogate * lower if m_matrix else None
     lam = sandwich = None
     if system.n_dofs <= dof_cap:
-        banded = _banded_run(system)
-        lam = banded[0] if banded is not None else _forward_run(system, seed)[0]
+        lam = _system_eigensolve(system)[0]
         slack = 1.0 + 1e-9  # roundoff allowance of the sandwich check
         sandwich = lower <= lam * slack and lam <= upper * slack
     return BoundReport(

@@ -373,9 +373,10 @@ def check_mesh_spec(spec: MeshSpec) -> None:
 
     Every range check of the generators is here, and each generator runs
     it, so a spec that passes builds: element counts of at least 1, a known
-    pattern, a positive aspect ratio, and a perturbation amplitude in
-    [0, 1 / (2 (nx + ny))) (see random_perturbed).  It builds nothing, so a
-    config can be checked before any mesh is made.
+    pattern, a positive aspect ratio, a perturbation amplitude in
+    [0, 1 / (2 (nx + ny))) (see random_perturbed) and a seed of at least 0,
+    which numpy's default_rng needs.  It builds nothing, so a config can be
+    checked before any mesh is made.
     """
     if spec.kind not in MESH_KINDS:
         raise ValueError(f"unknown mesh kind {spec.kind!r}")
@@ -395,6 +396,8 @@ def check_mesh_spec(spec: MeshSpec) -> None:
             raise ValueError(
                 f"perturbation amplitude {spec.amplitude} must lie in [0, {limit})"
             )
+        if not spec.seed >= 0:
+            raise ValueError(f"perturbation seed must be at least 0, got seed={spec.seed}")
 
 
 def uniform_interval(n: int) -> SimplicialMesh:

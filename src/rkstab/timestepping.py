@@ -393,11 +393,10 @@ def top_mode_initial_condition(system: AssembledSystem, seed: int = 0) -> np.nda
     arithmetic; its norm is 1e-3 times the eigenvector's, so the returned
     vector still points almost exactly along the most unstable direction.
     seed sets the noise only: the eigenvector is lambda_max_with_vector's,
-    started from DEFAULT_SEED.  A pencil that meets the band rule (every 1D
-    system) takes it from three inverse-iteration solves at the banded
-    value the report read too.  Any other pencil replays a forward Lanczos
-    run of at most 9,999 steps; when the report ran from DEFAULT_SEED too,
-    that run is the report's own, replayed rather than run again.
+    from the one eigensolve the system keeps, whose value the report read
+    too.  A pencil that meets the band rule (every 1D system) takes it from
+    three inverse-iteration solves; any other pencil replays that forward
+    Lanczos run rather than running it again.
     """
     _, vec = lambda_max_with_vector(system)
     rng = np.random.default_rng(seed)

@@ -136,16 +136,17 @@ def test_lambda_max_matches_dense_oracle_at_benchmark_size(policy):
 
 def test_lambda_max_deterministic():
     system, _ = lumped_1d_system(32)
-    a = lambda_max_generalized(system.stiffness, system.surrogate_mass, seed=7)
-    b = lambda_max_generalized(system.stiffness, system.surrogate_mass, seed=7)
+    a = lambda_max_generalized(system.stiffness, system.surrogate_mass)
+    b = lambda_max_generalized(system.stiffness, system.surrogate_mass)
     assert a == b
 
 
-def test_convergence_error_carries_best_estimate():
+def test_convergence_error_carries_best_estimate(monkeypatch):
     # A 2D pencil: a 1D one takes the banded bisection, which cannot fail to converge.
     system = small_2d_p2(HRZ_DIAGONAL)
+    monkeypatch.setattr(rkstab.bounds, "_MAX_OPS", 3)
     with pytest.raises(ConvergenceError) as info:
-        lambda_max_generalized(system.stiffness, system.surrogate_mass, max_ops=3)
+        lambda_max_generalized(system.stiffness, system.surrogate_mass)
     err = info.value
     assert err.best_estimate > 0
     assert np.isfinite(err.residual)
@@ -214,11 +215,12 @@ def coupled_p3_strip():
     return A, Mt, banded_lambda_max(A1, M1.diagonal()) + c * tau_max
 
 
-def test_capped_solve_respects_max_ops(coupled_p3_strip):
+def test_capped_solve_respects_max_ops(coupled_p3_strip, monkeypatch):
     A, Mt, oracle = coupled_p3_strip
     stiffness = CountingCSR(A)
+    monkeypatch.setattr(rkstab.bounds, "_MAX_OPS", 500)
     with pytest.raises(ConvergenceError) as info:
-        lambda_max_generalized(stiffness, Mt, max_ops=500)
+        lambda_max_generalized(stiffness, Mt)
     assert 0 < stiffness.applications <= 500
     err = info.value
     assert 0 < err.best_estimate <= oracle
@@ -266,7 +268,8 @@ def test_capped_solve_checks_its_last_step(coupled_p3_strip, monkeypatch):
     A, Mt, oracle = coupled_p3_strip
     steps = checked_steps(monkeypatch)
     stiffness = CountingCSR(A)
-    lam = lambda_max_generalized(stiffness, Mt, max_ops=1271)
+    monkeypatch.setattr(rkstab.bounds, "_MAX_OPS", 1271)
+    lam = lambda_max_generalized(stiffness, Mt)
     assert abs(lam - oracle) < 1e-10 * oracle
     assert stiffness.applications == 1270
     assert 1270 not in check_schedule(1400)
@@ -355,9 +358,15 @@ def test_diagonal_surrogate_eigensolve_keeps_the_operator_count():
     assert stiffness.applications < 61
 
 
-def test_report_and_eigenvector_share_one_forward_run():
+def test_report_and_eigenvector_share_one_forward_run(monkeypatch):
     # The report's value takes 60 applications of A.  The eigenvector reads
-    # the same forward run and only replays its 60 steps, as often as it is asked.
+    # the same forward run and only replays its 60 steps, as often as it is
+    # asked.  Each eigensolve, the system's and lambda_max_generalized's,
+    # checks the pencil once.
+    checks = []
+    pencil_diagonals = rkstab.bounds._pencil_diagonals
+    monkeypatch.setattr(rkstab.bounds, "_pencil_diagonals",
+                        lambda *pencil: checks.append(pencil) or pencil_diagonals(*pencil))
     system = small_2d_p2(HRZ_DIAGONAL)
     counted = dataclasses.replace(system, stiffness=CountingCSR(system.stiffness))
     report = compute_bound_report(counted.mesh, counted.elem, counted.diffusion,
@@ -370,15 +379,36 @@ def test_report_and_eigenvector_share_one_forward_run():
     again, y = lambda_max_with_vector(counted)
     assert counted.stiffness.applications == 60 + 60 + 60
     assert again == lam and x.tobytes() == y.tobytes()
-    assert list(counted._eigensolves) == [None, rkstab.bounds.DEFAULT_SEED]
+    assert len(counted._eigensolution) == 1
+    assert len(checks) == 2
+
+
+def seeded_start(seed):
+    """A _start_vector that draws from default_rng(seed), boosted as the
+    eigensolve's own start is."""
+    def start(ratios):
+        v0 = np.random.default_rng(seed).standard_normal(ratios.size)
+        v0[np.argmax(ratios)] += 1.0
+        return v0
+
+    return start
+
+
+def from_each_start(system, seeds, monkeypatch):
+    """lambda_max_with_vector of a fresh copy of system from each seeded start."""
+    pairs = []
+    for seed in seeds:
+        monkeypatch.setattr(rkstab.bounds, "_start_vector", seeded_start(seed))
+        pairs.append(lambda_max_with_vector(dataclasses.replace(system)))
+    return pairs
 
 
 @pytest.mark.parametrize("policy", [HRZ_DIAGONAL, CONSISTENT], ids=lambda p: p.kind)
-def test_eigenvector_sign_is_fixed(policy):
+def test_eigenvector_sign_is_fixed(policy, monkeypatch):
     # The seed changes the start vector's sign pattern; the returned vector's
-    # largest entry in magnitude is positive whatever the seed.
+    # largest entry in magnitude is positive whatever the start.
     system = small_2d_p2(policy)
-    vectors = [lambda_max_with_vector(system, seed=seed)[1] for seed in range(6)]
+    vectors = [x for _, x in from_each_start(system, range(6), monkeypatch)]
     for x in vectors:
         assert x[np.argmax(np.abs(x))] > 0
         assert np.allclose(x, vectors[0], rtol=0, atol=1e-6 * np.max(np.abs(x)))
@@ -628,20 +658,22 @@ def test_banded_pencil_never_runs_lanczos_and_ignores_the_seed(monkeypatch):
     def no_lanczos(*args):
         raise AssertionError("a banded pencil ran Lanczos")
 
+    # The start vector, whatever seed draws it, and the Lanczos cap move
+    # neither the value nor, beyond roundoff, the vector.
     monkeypatch.setattr(rkstab.bounds, "_lanczos", no_lanczos)
+    monkeypatch.setattr(rkstab.bounds, "_MAX_OPS", 1)
     mesh, elem = uniform_interval(60), build_reference_element(1, 3)
     system = assemble_system(mesh, elem, identity(1), CONSISTENT)
     counted = dataclasses.replace(system, stiffness=CountingCSR(system.stiffness))
-    values = {lambda_max_generalized(counted.stiffness, counted.surrogate_mass, seed=seed)
-              for seed in (0, 1, 7)}
-    values.add(lambda_max_generalized(counted.stiffness, counted.surrogate_mass, max_ops=1))
-    values.add(compute_bound_report(mesh, elem, counted.diffusion, CONSISTENT, seed=3,
-                                    system=counted).lambda_max_exact)
-    vectors = [lambda_max_with_vector(counted, seed=seed) for seed in (0, 1, 7)]
+    values = {lambda_max_generalized(counted.stiffness, counted.surrogate_mass),
+              compute_bound_report(mesh, elem, counted.diffusion, CONSISTENT,
+                                   system=counted).lambda_max_exact}
+    vectors = [lambda_max_with_vector(counted)]
+    assert len(counted._eigensolution) == 1
+    vectors += from_each_start(counted, (0, 1, 7), monkeypatch)
     values.update(lam for lam, _ in vectors)
     assert len(values) == 1
     assert counted.stiffness.applications == 0
-    assert list(counted._eigensolves) == [None]
     for _, x in vectors:
         assert np.allclose(x, vectors[0][1], rtol=0, atol=1e-12 * np.max(np.abs(x)))
 

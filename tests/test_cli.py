@@ -127,6 +127,7 @@ BAD_CONFIGS = {
     "bool_steps.json": {"mesh": MESH_1D, "steps": True},
     "bool_order.json": {"mesh": MESH_1D, "order": True},
     "bool_seed.json": {"mesh": MESH_1D, "seed": False},
+    "negative_seed.json": {"mesh": MESH_1D, "seed": -2},
     "bool_dof_cap.json": {"mesh": MESH_1D, "dof_cap": True},
     "bool_workers.json": {"mesh": MESH_1D, "workers": True, "sweep_axis": "n",
                           "sweep_values": [3]},
@@ -383,6 +384,13 @@ class TestConfigErrors:
         ["sweep", "--config", "{tmp}/str_n.json"],
         ["integrate", "--config", "{tmp}/bool_tableau.json"],
         ["integrate", "--config", "{tmp}/list_bound_source.json"],
+        # a negative seed, which numpy's default_rng refuses with a ValueError:
+        # the run's, in a config file and as a flag, and a perturbed mesh spec's
+        ["integrate", "--config", "{tmp}/negative_seed.json"],
+        ["integrate", "--mesh", "uniform_interval:n=4", "--initial", "random", "--steps", "1",
+         "--seed", "-1"],
+        *([command, "--mesh", "random_perturbed:nx=4,ny=4,amplitude=0.01,seed=-1"]
+          for command in ("bounds", "validate", "mesh-gen")),
     ])
     def test_input_errors_exit_2(self, capsys, tmp_path, argv):
         for name, config in BAD_CONFIGS.items():
@@ -1011,14 +1019,16 @@ def test_output_files_keep_their_bytes(capsys, tmp_path, argv):
     assert written == OUTPUT_CONTRACT[argv]
 
 
-@pytest.mark.parametrize("argv", [TOP_MODE_2D, TOP_MODE_1D], ids=["2d-p2", "1d-p3"])
+@pytest.mark.parametrize("argv", [TOP_MODE_2D, TOP_MODE_2D + ("--seed", "7"), TOP_MODE_1D],
+                         ids=["2d-p2", "2d-p2-seed7", "1d-p3"])
 def test_top_mode_run_factors_once_and_runs_lanczos_forward_once(capsys, tmp_path,
                                                                  monkeypatch, argv):
     """One exact-step top-mode run builds one solve with the consistent mass.
     In 2D that is one SuperLU factorisation, and the Lanczos recurrence starts
-    twice: the report's forward run, then the eigenvector's replay of it.  The
-    1D pencil is banded: no Lanczos run and no SuperLU call, and the one solve
-    serves only the stepper."""
+    twice: the report's forward run, then the eigenvector's replay of it, at
+    any --seed, which seeds only the top mode's noise, so the exact value is
+    the default seed's.  The 1D pencil is banded: no Lanczos run and no
+    SuperLU call, and the one solve serves only the stepper."""
     calls = []
 
     def counted(module, name):
@@ -1036,5 +1046,12 @@ def test_top_mode_run_factors_once_and_runs_lanczos_forward_once(capsys, tmp_pat
     counted(spla, "splu")
     code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path))
     assert code == 0, err
-    expected = (["symmetric_lu", "splu", "_lanczos", "_lanczos"] if argv is TOP_MODE_2D else [])
+    expected = (["symmetric_lu", "splu", "_lanczos", "_lanczos"] if argv[2] == TOP_MODE_2D[2]
+                else [])
     assert sorted(calls) == sorted(expected + ["surrogate_solver"])
+    if "--seed" in argv:
+        monkeypatch.undo()
+        code, _, err = run_cli(capsys, *TOP_MODE_2D, "--out", str(tmp_path / "default"))
+        assert code == 0, err
+        read = lambda path: json.loads((path / "summary.json").read_text())["lambda_max_exact"]
+        assert read(tmp_path) == read(tmp_path / "default")

@@ -169,6 +169,8 @@ def test_generator_validation_errors():
         structured_triangular(0, 3)
     with pytest.raises(ValueError):
         random_perturbed(4, 4, 0.125, seed=0)  # amplitude = h/2, twice the limit
+    with pytest.raises(ValueError, match="seed=-1"):  # the spec's check, not default_rng's
+        random_perturbed(4, 4, 0.01, seed=-1)
     with pytest.raises(ValueError):
         generate_mesh(MeshSpec(kind="hexes"))
 
