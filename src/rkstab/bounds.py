@@ -4,7 +4,9 @@ The diagonal-ratio bounds sandwich lambda_max between max_i A_ii/Mt_ii and
 eta * kappa(Mt_ref) times that maximum; the geometric bound re-expresses the
 upper end through patch volumes and element alignment factors, and the
 comparison bound (largest diffusion eigenvalue times the squared inverse
-Jacobian norm) is reported alongside for anisotropy studies.
+Jacobian norm) is reported alongside for anisotropy studies.  The matrix
+inequalities behind the bounds hold element by element, so the package
+computes the bounds and leaves checking the inequalities to its tests.
 
 The exact eigenvalue of a pencil whose union pattern renumbers to a narrow
 band (assembly.band_renumbering: every 1D system, and small or thin 2D
@@ -16,10 +18,7 @@ surrogate solve per step, no restarts, no reorthogonalization, and a Ritz
 residual test on a growing schedule, from the one start vector that
 DEFAULT_SEED draws: the value belongs to the pencil alone.  A system makes
 its eigensolve once and keeps it, for the report's value and
-lambda_max_with_vector's vector.  Each matrix inequality behind the bounds is
-decided by the inertia of one sparse symmetric LU, no eigensolve: a pass
-holds up to a backward error far below its tolerance, and a failure
-carries a witness vector.
+lambda_max_with_vector's vector.
 
 A BoundReport holds every expression for one configuration, with the mesh's
 dimension and element count first and the diagonal-ratio sandwich check
@@ -36,7 +35,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg.blas import daxpy
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dstebz, dstein
 
@@ -48,7 +46,6 @@ from .assembly import (
     band_renumbering,
     surrogate_cholesky,
     surrogate_solver,
-    symmetric_lu,
     upper_band_storage,
 )
 from .mesh import SimplicialMesh
@@ -57,7 +54,6 @@ from .reference import ReferenceElement
 __all__ = [
     "BoundReport",
     "ConvergenceError",
-    "InequalityViolation",
     "DEFAULT_SEED",
     "DEFAULT_DOF_CAP",
     "lambda_max_generalized",
@@ -67,7 +63,6 @@ __all__ = [
     "element_alignment_factor",
     "geometric_bound",
     "zhudu_bound",
-    "verify_matrix_inequalities",
     "compute_bound_report",
     "BOUND_CSV_FIELDS",
     "csv_cell",
@@ -90,19 +85,6 @@ class ConvergenceError(RuntimeError):
         return type(self), (self.args[0], self.best_estimate, self.residual)
 
 
-class InequalityViolation(AssertionError):
-    """A matrix inequality failed; carries the margin and a witness vector."""
-
-    def __init__(self, name: str, margin: float, witness: np.ndarray):
-        super().__init__(f"{name} violated: margin {margin:.3e}")
-        self.name = name
-        self.margin = margin
-        self.witness = witness
-
-    def __reduce__(self):
-        return type(self), (self.name, self.margin, self.witness)
-
-
 # Convergence checks run at steps 10, 20, ..., 100 and then after gaps of
 # max(_CHECK_EVERY, k // 10) steps.  A check bisects the whole T_k, so on a
 # fixed gap the checks of a long run cost as much as its A products; the
@@ -111,7 +93,6 @@ class InequalityViolation(AssertionError):
 _CHECK_EVERY = 10
 _MAX_OPS = 10000  # applications of A a forward run may make, the one a failure makes included
 _RITZ_TOL = 1e-10  # converged: Ritz residual bound beta_k+1 |s_k| <= _RITZ_TOL * theta
-_INEQUALITY_TOL = 1e-10  # the shift of lhs - rhs, relative to the operands' norm
 _INVERSE_SOLVES = 3  # inverse-iteration solves behind a banded pencil's eigenvector
 
 
@@ -491,63 +472,6 @@ def zhudu_bound(system: AssembledSystem) -> float:
     jacobian_part = _pulled_back_norm(system.mesh.geometry.inv_jacobian)
     lam_d = np.linalg.eigvalsh(system.diffusion_samples)[..., -1].max(axis=1)
     return float(np.max(lam_d * jacobian_part, initial=0.0))
-
-
-def _negative_direction(matrix: sp.csr_array) -> np.ndarray | None:
-    """x with x^T B x < 0 for the symmetric B = matrix, or None if B is PD.
-
-    With diagonal pivots symmetric_lu gives P B P^T = L D L^T, and B has as
-    many negative eigenvalues as D has negative entries (Sylvester's law of
-    inertia).  For the first, d_k, x = P^T L^-T e_k gives x^T B x = d_k.  A
-    pivot off the diagonal (perm_r != perm_c) leaves the inertia unread.
-    """
-    lu = symmetric_lu(matrix)
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise np.linalg.LinAlgError("off-diagonal pivot: the inertia cannot be read")
-    negative = lu.U.diagonal() < 0
-    if not negative.any():
-        return None
-    e_k = np.eye(1, matrix.shape[0], int(np.argmax(negative)))[0]  # the first negative pivot
-    return spla.spsolve_triangular(lu.L.T, e_k, lower=False, unit_diagonal=True)[lu.perm_r]
-
-
-def verify_matrix_inequalities(system: AssembledSystem) -> list[str]:
-    """Check the structural matrix inequalities lhs >= rhs behind the bounds:
-      * diagonal domination: eta * diag(A) >= A,
-      * patch-volume sandwich: surrogate_lambda_min * W <= Mt <=
-        surrogate_lambda_max * W with W = diag(patch volumes),
-      * diagonal sandwich: kappa^-1 * diag(Mt) <= Mt <= kappa * diag(Mt).
-
-    With tol = _INEQUALITY_TOL, a check passes when B = lhs - rhs +
-    tol*scale*I, scale the larger operand's infinity norm, has no negative
-    pivot in one symmetric_lu.  That is a Cholesky in disguise, exact for
-    B + E with |E_ij| <= gamma_(c+1) (B_ii B_jj)^(1/2), c the largest column
-    count of L (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
-    Thm 10.3).  So a pass shows lambda_min(lhs - rhs) >= -(tol + c^2 u)
-    scale, u the unit roundoff; c^2 u is 1e-11 at 64x64 P2.  A failure raises InequalityViolation with the
-    witness x of the first negative pivot and the margin x^T (lhs - rhs) x /
-    (scale x^T x), in [lambda_min / scale, -tol).  Returns the check names.
-    """
-    A = system.stiffness
-    surrogate = system.surrogate_mass
-    W = sp.diags_array(system.patch_volumes, format="csr")
-    diag_m = sp.diags_array(surrogate.diagonal(), format="csr")
-    kappa = system.kappa_surrogate
-    checks = {
-        "diagonal_domination": (system.elem.node_count * sp.diags_array(A.diagonal(), format="csr"), A),
-        "patch_volume_lower": (surrogate, system.surrogate_lambda_min * W),
-        "patch_volume_upper": (system.surrogate_lambda_max * W, surrogate),
-        "diagonal_sandwich_lower": (surrogate, (1.0 / kappa) * diag_m),
-        "diagonal_sandwich_upper": (kappa * diag_m, surrogate),
-    }
-    for name, (lhs, rhs) in checks.items():
-        scale = max(spla.norm(lhs, np.inf), spla.norm(rhs, np.inf))
-        diff = lhs - rhs
-        witness = _negative_direction(diff + _INEQUALITY_TOL * scale * sp.eye_array(system.n_dofs))
-        if witness is not None:
-            margin = float(witness @ (diff @ witness)) / (scale * float(witness @ witness))
-            raise InequalityViolation(name, margin, witness)
-    return list(checks)
 
 
 @dataclass(frozen=True)

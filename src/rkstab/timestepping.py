@@ -191,6 +191,8 @@ def scheme_from_tableau(
     s = b.size
     if a.shape != (s, s):
         raise ValueError(f"tableau shape mismatch: A is {a.shape}, b has {s} weights")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("tableau has a non-finite entry")
     if np.any(np.abs(np.triu(a)) > 0):
         raise ValueError("tableau is not explicit: A has entries on or above the diagonal")
     coeffs = [1.0]
@@ -320,14 +322,16 @@ def integrate(
     Raises BlowUpError (with step index and partial trace) as soon as a
     norm is non-finite or exceeds 1e100.
     """
-    if tau <= 0:
-        raise ValueError(f"step size must be positive, got {tau}")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"step size must be positive and finite, got {tau}")
     if n_steps < 0:
         raise ValueError(f"step count must be nonnegative, got {n_steps}")
     u = np.array(u0, dtype=float)
     n = system.n_dofs
     if u.shape != (n,):
         raise ValueError(f"initial vector has shape {u.shape}, expected ({n},)")
+    if not np.isfinite(u).all():
+        raise ValueError("initial vector has a non-finite entry")
 
     mass = _product_storage(system.mass)
     stiffness = _product_storage(system.stiffness)

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import lambda_max_dense, record_acceptance_line
+from conftest import lambda_max_dense, record_acceptance_line, verify_matrix_inequalities
 
 from rkstab.assembly import (
     CONSISTENT,
@@ -27,7 +27,6 @@ from rkstab.bounds import (
     compute_bound_report,
     geometric_bound,
     lambda_max_generalized,
-    verify_matrix_inequalities,
     zhudu_bound,
 )
 from rkstab.cli import main as cli_main

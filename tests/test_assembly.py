@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import lambda_max_dense
+from conftest import lambda_max_dense, verify_matrix_inequalities
 
 import rkstab.mesh
 from rkstab import assembly
@@ -51,7 +51,6 @@ from rkstab.bounds import (
     compute_bound_report,
     element_alignment_factor,
     lambda_max_with_vector,
-    verify_matrix_inequalities,
     zhudu_bound,
 )
 from rkstab.cli import main

@@ -14,7 +14,12 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from conftest import lambda_max_dense
+from conftest import (
+    InequalityViolation,
+    _negative_direction,
+    lambda_max_dense,
+    verify_matrix_inequalities,
+)
 
 import rkstab
 import rkstab.bounds
@@ -33,7 +38,6 @@ from rkstab.bounds import (
     BOUND_CSV_FIELDS,
     BoundReport,
     ConvergenceError,
-    InequalityViolation,
     compute_bound_report,
     diag_ratio_bounds,
     element_alignment_factor,
@@ -41,7 +45,6 @@ from rkstab.bounds import (
     is_m_matrix,
     lambda_max_generalized,
     lambda_max_with_vector,
-    verify_matrix_inequalities,
     zhudu_bound,
 )
 from rkstab.mesh import (
@@ -1198,7 +1201,7 @@ def test_sparse_path_finds_violation_random_forms_miss():
 def test_inertia_count_refuses_an_off_diagonal_pivot():
     """A zero diagonal forces an off-diagonal pivot, which leaves the inertia unread."""
     with pytest.raises(np.linalg.LinAlgError, match="off-diagonal pivot"):
-        rkstab.bounds._negative_direction(sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        _negative_direction(sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]])))
 
 
 def test_matrix_inequality_violation_reported():

@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from conftest import InequalityViolation
+
 import rkstab
 import rkstab.assembly
 import rkstab.bounds
@@ -755,7 +757,7 @@ def _fields(error) -> dict:
 
 @pytest.mark.parametrize("error", [
     rkstab.ConvergenceError("no convergence", best_estimate=2.5, residual=1e-3),
-    rkstab.InequalityViolation("M <= kappa M~", -0.25, np.arange(3.0)),
+    InequalityViolation("M <= kappa M~", -0.25, np.arange(3.0)),
     rkstab.BlowUpError(
         "blow-up detected at step 2",
         step=2,

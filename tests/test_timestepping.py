@@ -145,6 +145,12 @@ class TestSchemes:
         with pytest.raises(ValueError, match="shape mismatch"):
             scheme_from_tableau(np.zeros((3, 3)), [0.5, 0.5])
 
+    @pytest.mark.parametrize("a,b", [([[math.nan]], [1.0]), ([[0.0, 0.0], [math.inf, 0.0]], [0.5, 0.5])],
+                             ids=["nan-diagonal", "inf-below-diagonal"])
+    def test_tableau_must_be_finite(self, a, b):
+        with pytest.raises(ValueError, match="non-finite"):
+            scheme_from_tableau(a, b)
+
 
 class TestStableTimestep:
     def test_diag_ratio_step_is_half_h_squared_for_lumped_p1(self):
@@ -281,6 +287,12 @@ class TestIntegrate:
         u0 = np.zeros(system.n_dofs)
         with pytest.raises(ValueError, match="positive"):
             integrate(system, scheme, 0.0, 1, u0)
+        with pytest.raises(ValueError, match="positive"):
+            integrate(system, scheme, float("nan"), 3, u0)
+        with pytest.raises(ValueError, match="positive"):
+            integrate(system, scheme, math.inf, 3, u0)
+        with pytest.raises(ValueError, match="non-finite"):
+            integrate(system, scheme, 1e-3, 1, np.full(system.n_dofs, np.nan))
         with pytest.raises(ValueError, match="nonnegative"):
             integrate(system, scheme, 1e-3, -1, u0)
         with pytest.raises(ValueError, match="shape"):
