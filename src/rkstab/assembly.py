@@ -25,11 +25,11 @@ read; under the consistent policy it is M-tilde.
 l2_project solves its one system in M with no factorisation: a Chebyshev
 iteration on the Jacobi-scaled M, over the reference element's interval and
 for a step count fixed in advance.  surrogate_solver is for the stepper and the
-Lanczos eigensolve of a pencil with a wide band, which solve with one matrix
-hundreds of times and share the one solve each system builds
-(AssembledSystem.surrogate_solve): it divides by a diagonal, factors a narrow
-band (every 1D mass) by banded Cholesky, and any other matrix by one
-symmetric_lu, and it refuses a matrix that is not positive definite.
+Lanczos eigensolve of a pencil with a wide band and a non-diagonal surrogate,
+which solve with one matrix hundreds of times and share the one solve each
+system builds (AssembledSystem.surrogate_solve): it divides by a diagonal,
+factors a narrow band (every 1D mass) by banded Cholesky, and any other matrix
+by one symmetric_lu, and it refuses a matrix that is not positive definite.
 band_renumbering holds the one band rule, which the solve and the banded
 eigensolve of rkstab.bounds share.
 
@@ -410,6 +410,44 @@ def _renumbered_entries(matrix: sp.csr_array, position: np.ndarray) -> tuple[np.
     return np.repeat(position, np.diff(matrix.indptr)), position[matrix.indices]
 
 
+_BALL_LEVELS = 12  # levels _outgrows_band may grow; a 2D P1 pattern needs 8 at 128x128
+
+
+def _outgrows_band(union: sp.csr_array, band: int) -> bool:
+    """Whether a breadth-first ball of the pattern union, grown from its
+    middle vertex for at most _BALL_LEVELS levels, proves that no numbering
+    gives union a band of at most band.
+
+    Under a numbering of band b, every vertex within r steps of v is
+    numbered within b r of v, so v's r-ball holds at most 2 b r + 1
+    vertices: a larger ball rules every such numbering out.  A 2D pattern
+    outgrows the bound within a few levels, since its balls grow like r^2.
+    The walk gives up, and leaves the decision to the renumbering, once a
+    level holds no more vertices than the one before (a 1D pattern, a thin
+    strip, or the ball reaching the boundary).
+    """
+    indptr, indices = union.indptr, union.indices
+    seen = np.zeros(union.shape[0], dtype=bool)
+    level = np.array([union.shape[0] // 2])
+    seen[level] = True
+    ball = 1
+    for radius in range(1, _BALL_LEVELS + 1):
+        # the stored columns of every row in level, in one gather (a CSR row
+        # slice, union[level].indices, took 4x as long)
+        starts, counts = indptr[level], indptr[level + 1] - indptr[level]
+        neighbours = indices[np.repeat(starts - np.cumsum(counts) + counts, counts)
+                             + np.arange(counts.sum())]
+        grown = np.unique(neighbours[~seen[neighbours]])
+        seen[grown] = True
+        ball += grown.size
+        if ball > 2 * band * radius + 1:
+            return True
+        if grown.size <= level.size:
+            return False
+        level = grown
+    return False
+
+
 def band_renumbering(*matrices: sp.csr_array) -> tuple[np.ndarray, np.ndarray, int] | None:
     """A reverse Cuthill-McKee renumbering of the union pattern of symmetric
     matrices of one shape, if it gives them a narrow band; else None.
@@ -421,20 +459,27 @@ def band_renumbering(*matrices: sp.csr_array) -> tuple[np.ndarray, np.ndarray, i
     (b + 1) n <= 2 nnz with nnz the union's, as timestepping._product_storage
     asks of DIA storage; the rule is decided before any band storage is
     allocated.  Every 1D pencil meets it, with b at most the element order;
-    a 2D one only on a small or thin mesh.  The union matters: _scatter
-    drops exact zeros, so a stiffness can store fewer entries than its
-    mass, and a band of its pattern alone would cut mass entries off.  A
-    diagonal matrix never widens the band, so it joins the union only when
-    every matrix is diagonal.
+    a 2D one only on a small or thin mesh.  Before the renumbering,
+    _outgrows_band's ball test turns away a pattern that no numbering can
+    fit into the widest band the rule admits, 2 nnz // n - 1: it is a
+    proof, so it never turns away a pattern that the renumbering would
+    admit, and it spares every wide 2D pencil the renumbering: at P2 that
+    took 1.2 ms at 9,025 DOFs and 10 ms at 65,025, and the ball 0.2 ms.
+    The union matters: _scatter drops exact zeros, so a stiffness can store
+    fewer entries than its mass, and a band of its pattern alone would cut
+    mass entries off.  A diagonal matrix never widens the band, so it joins
+    the union only when every matrix is diagonal.
     """
-    # csgraph loads here only: a run with a diagonal surrogate and no eigensolve never needs it
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
     wide = [m for m in matrices if not _is_diagonal(m)] or matrices[:1]
     patterns = [sp.csr_array((np.ones(m.nnz, dtype=np.int8), m.indices, m.indptr), shape=m.shape)
                 for m in map(_canonical, wide)]
     union = sum(patterns[1:], patterns[0])
     n = union.shape[0]
+    if _outgrows_band(union, 2 * union.nnz // n - 1):
+        return None
+    # csgraph loads here only: a run whose patterns all fail the ball test never needs it
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
     order = reverse_cuthill_mckee(union, symmetric_mode=True).astype(np.intp)
     position = np.empty(n, dtype=np.intp)
     position[order] = np.arange(n)
@@ -478,8 +523,8 @@ def surrogate_solver(matrix: sp.csr_array) -> Callable[[np.ndarray], np.ndarray]
     3-4x as long as dpbtrs.  A 2D mass keeps the solve of one symmetric_lu
     unless its mesh is small or a thin strip: at 64x64 P2, b is 501 against
     a limit of 21.  The exact eigensolve of a pencil whose union pattern is
-    narrow needs no solve (rkstab.bounds), so of a 1D system only
-    integrate's stages solve with the surrogate.
+    narrow, or whose surrogate is diagonal, needs no solve (rkstab.bounds),
+    so of a 1D system only integrate's stages solve with the surrogate.
 
     Both factorisations raise ValueError unless every pivot is positive, so
     an indefinite or singular matrix never gets a solve.  On the SuperLU

@@ -13,11 +13,13 @@ band (assembly.band_renumbering: every 1D system, and small or thin 2D
 ones) comes from bisection on the banded Cholesky of sigma Mt - A, to one
 ulp, and its eigenvector from inverse iteration with the last factor; no
 product with A is made.  Every other pencil runs one three-term Lanczos
-recurrence for Mt^-1 A in the Mt inner product: one A @ q and one
-surrogate solve per step, no restarts, no reorthogonalization, and a Ritz
-residual test on a growing schedule, from the one start vector that
-DEFAULT_SEED draws: the value belongs to the pencil alone.  A system makes
-its eigensolve once and keeps it, for the report's value and
+recurrence, no restarts, no reorthogonalization, and a Ritz residual test
+on a growing schedule, from the one start vector that DEFAULT_SEED draws:
+the value belongs to the pencil alone.  Under a diagonal Mt the recurrence
+runs on S A S, S = Mt^-1/2, which has the pencil's spectrum: one product
+and no solve per step.  Any other Mt runs it for Mt^-1 A in the Mt inner
+product: one A @ q and one surrogate solve per step.  A system makes its
+eigensolve once and keeps it, for the report's value and
 lambda_max_with_vector's vector.
 
 A BoundReport holds every expression for one configuration, with the mesh's
@@ -42,6 +44,7 @@ from .assembly import (
     AssembledSystem,
     DiffusionField,
     SurrogatePolicy,
+    _is_diagonal,
     assemble_system,
     band_renumbering,
     surrogate_cholesky,
@@ -87,11 +90,11 @@ class ConvergenceError(RuntimeError):
 
 # Convergence checks run at steps 10, 20, ..., 100 and then after gaps of
 # max(_CHECK_EVERY, k // 10) steps.  A check bisects the whole T_k, so on a
-# fixed gap the checks of a long run cost as much as its A products; the
+# fixed gap the checks of a long run cost as much as its products; the
 # growing gap makes about 24 checks per decade of steps, for at most 10%
 # more steps than checking every step.
 _CHECK_EVERY = 10
-_MAX_OPS = 10000  # applications of A a forward run may make, the one a failure makes included
+_MAX_OPS = 10000  # applications of the pencil's operator a forward run may make, a failure's too
 _RITZ_TOL = 1e-10  # converged: Ritz residual bound beta_k+1 |s_k| <= _RITZ_TOL * theta
 _INVERSE_SOLVES = 3  # inverse-iteration solves behind a banded pencil's eigenvector
 
@@ -115,31 +118,35 @@ def _tridiagonal_top_pair(alphas: np.ndarray, betas: np.ndarray) -> tuple[float,
     return float(w[0]), s[:, 0]
 
 
-def _lanczos(A: sp.csr_array, solve: Callable, v0: np.ndarray):
-    """Yield (q_k, p_k, alpha_k, beta_k+1), one step per application of A.
+def _lanczos(operator: sp.csr_array, solve: Callable | None, v0: np.ndarray):
+    """Yield (q_k, p_k, alpha_k, beta_k+1), one step per application of operator.
 
     The q_k are Mt-orthonormal, starting from q_0 ~ solve(v0), and p_k = Mt q_k
     is carried along from the vector that solve turned into q_k, so Mt is
-    never applied.  The alphas and betas make the tridiagonal T.  Stops after
-    a zero beta (an invariant subspace).  The three-term subtractions update
-    A @ q in place (BLAS daxpy), with no temporaries.
+    never applied.  solve None is the identity (Mt = I, the scaled pencil of
+    a diagonal surrogate): then q_k and p_k are one array, divided once.
+    The alphas and betas make the tridiagonal T.  Stops after a zero beta
+    (an invariant subspace).  The three-term subtractions update
+    operator @ q in place (BLAS daxpy), with no temporaries.
     """
-    w = solve(v0)
+    w = v0 if solve is None else solve(v0)
     beta = math.sqrt(v0 @ w)
-    q, p, p_prev = w / beta, v0 / beta, None
+    q = w / beta
+    p, p_prev = q if solve is None else v0 / beta, None
     while True:
-        u = A @ q
+        u = operator @ q
         if p_prev is not None:
             u = daxpy(p_prev, u, a=-beta)
         alpha = float(q @ u)
         u = daxpy(p, u, a=-alpha)
-        w = solve(u)
+        w = u if solve is None else solve(u)
         beta = math.sqrt(max(float(u @ w), 0.0))
         yield q, p, alpha, beta
         if beta == 0.0:
             return
         w /= beta
-        u /= beta
+        if w is not u:
+            u /= beta
         q, p, p_prev = w, u, p
 
 
@@ -235,21 +242,22 @@ def _banded_vector(factor: np.ndarray, renumbering: tuple, surrogate: sp.csr_arr
     return x
 
 
-def _top_ritz_pair(A: sp.csr_array, surrogate: sp.csr_array, solve: Callable, v0: np.ndarray,
-                   ratios: np.ndarray, diag_m: np.ndarray) -> tuple[float, np.ndarray]:
+def _top_ritz_pair(operator: sp.csr_array, surrogate: sp.csr_array | None, solve: Callable | None,
+                   v0: np.ndarray, ratios: np.ndarray) -> tuple[float, np.ndarray]:
     """Converged top Ritz value theta and its T eigenvector s, from v0.
 
-    solve applies surrogate^-1, and ratios are A_ii / Mt_ii.  The residual
-    test runs on the schedule of _CHECK_EVERY, at the last step allowed, and
-    whenever beta falls below _RITZ_TOL times the largest alpha: then it
-    passes, since theta >= alpha_j and |s_k| <= 1.  Steps are capped at
-    _MAX_OPS - 1, so that _MAX_OPS applications of A cover the run and the
-    one application a failure makes.
+    solve applies surrogate^-1; both are None for the scaled pencil
+    (S A S, I).  ratios are A_ii / Mt_ii, the diagonal of S A S.  The
+    residual test runs on the schedule of _CHECK_EVERY, at the last step
+    allowed, and whenever beta falls below _RITZ_TOL times the largest
+    alpha: then it passes, since theta >= alpha_j and |s_k| <= 1.  Steps are
+    capped at _MAX_OPS - 1, so that _MAX_OPS applications of the operator
+    cover the run and the one application a failure makes.
     """
     max_steps = max(_MAX_OPS - 1, 0)
     alphas, betas = np.empty(max_steps), np.empty(max_steps)
     largest, next_check = 0.0, _CHECK_EVERY
-    steps = itertools.islice(_lanczos(A, solve, v0), max_steps)
+    steps = itertools.islice(_lanczos(operator, solve, v0), max_steps)
     for k, (_, _, alpha, beta) in enumerate(steps, start=1):
         alphas[k - 1], betas[k - 1] = alpha, beta
         largest = max(largest, alpha)
@@ -259,13 +267,20 @@ def _top_ritz_pair(A: sp.csr_array, surrogate: sp.csr_array, solve: Callable, v0
             if beta * abs(s[-1]) <= _RITZ_TOL * theta:
                 return theta, s
     # No Ritz value met the tolerance.  Report the Rayleigh quotient of the
-    # unit vector at the largest diagonal ratio, a true lower bound.
+    # unit vector e at the largest diagonal ratio, a true lower bound, and
+    # its residual ||A e - theta Mt e||_{Mt^-1} / (theta ||e||_Mt): in the
+    # scaled variables, ||S A S e - theta e||_2 / theta, the same number.
     top = int(np.argmax(ratios))
     theta = float(ratios[top])
     e = np.zeros(ratios.size)
     e[top] = 1.0
-    r = A @ e - theta * (surrogate @ e)
-    residual = float(np.sqrt(r @ solve(r) / diag_m[top])) / theta
+    r = operator @ e
+    if surrogate is None:
+        r[top] -= theta
+        residual = math.sqrt(r @ r) / theta
+    else:
+        r -= theta * (surrogate @ e)
+        residual = math.sqrt(r @ solve(r) / surrogate[top, top]) / theta
     raise ConvergenceError(
         f"no convergence within {_MAX_OPS} operator applications "
         f"(diagonal-ratio estimate {theta:.17g}, residual {residual:.3e})",
@@ -274,20 +289,30 @@ def _top_ritz_pair(A: sp.csr_array, surrogate: sp.csr_array, solve: Callable, v0
     )
 
 
-def _replayed_vector(A: sp.csr_array, solve: Callable, s: np.ndarray, v0: np.ndarray) -> np.ndarray:
+def _replayed_vector(operator: sp.csr_array, solve: Callable | None, s: np.ndarray,
+                     v0: np.ndarray) -> np.ndarray:
     """x = sum_j s_j q_j, Mt-normalized, by replaying the Lanczos run from v0.
 
     The recurrence is deterministic, so the replay regenerates the q_j bit
     for bit, while Mt x = sum_j s_j p_j is accumulated alongside: normalizing
-    x^T Mt x = 1 needs no product with Mt.  It applies A once per entry of s.
+    x^T Mt x = 1 needs no product with Mt.  It applies the operator once per
+    entry of s.
     """
     x = np.zeros(v0.size)
     mx = np.zeros_like(x)
-    for s_j, (q, p, _, _) in zip(s, _lanczos(A, solve, v0)):
+    for s_j, (q, p, _, _) in zip(s, _lanczos(operator, solve, v0)):
         x += s_j * q
         mx += s_j * p
     x /= math.sqrt(x @ mx)
     return x
+
+
+def _scaled_stiffness(A: sp.csr_array, scale: np.ndarray) -> sp.csr_array:
+    """S A S, S = diag(scale): A's entries times their row and column
+    scales, in a new data array that shares A's indices and indptr."""
+    data = A.data * scale[A.indices]
+    data *= np.repeat(scale, np.diff(A.indptr))
+    return sp.csr_array((data, A.indices, A.indptr), shape=A.shape)
 
 
 def _eigensolve(A: sp.csr_array, surrogate: sp.csr_array,
@@ -295,22 +320,33 @@ def _eigensolve(A: sp.csr_array, surrogate: sp.csr_array,
     """lambda_max of the pencil (A, Mt) and a function that builds its
     eigenvector, after one check of the pencil: _banded_top's value and
     _banded_vector's inverse iteration where band_renumbering admits the
-    union pattern, else _top_ritz_pair's run with the solve that solver()
-    returns, and _replayed_vector's replay of that run."""
+    union pattern, else _top_ritz_pair's run and _replayed_vector's replay
+    of it.  A diagonal Mt runs them on the standard problem S A S,
+    S = Mt^-1/2, which has the pencil's spectrum, from S v0, and maps the
+    vector z back to x = S z; any other Mt runs them on (A, Mt) from v0,
+    with the solve that solver() returns."""
     diag_a, diag_m = _pencil_diagonals(A, surrogate)
     ratios = diag_a / diag_m
     renumbering = band_renumbering(A, surrogate)
     if renumbering is not None:
         sigma, factor = _banded_top(A, surrogate, renumbering, float(np.max(ratios)))
         return sigma, lambda: _banded_vector(factor, renumbering, surrogate, _start_vector(ratios))
-    v0, solve = _start_vector(ratios), solver()
-    theta, s = _top_ritz_pair(A, surrogate, solve, v0, ratios, diag_m)
+    v0 = _start_vector(ratios)
+    if _is_diagonal(surrogate):
+        scale = 1.0 / np.sqrt(diag_m)
+        scaled, z0 = _scaled_stiffness(A, scale), scale * v0
+        theta, s = _top_ritz_pair(scaled, None, None, z0, ratios)
+        return theta, lambda: scale * _replayed_vector(scaled, None, s, z0)
+    solve = solver()
+    theta, s = _top_ritz_pair(A, surrogate, solve, v0, ratios)
     return theta, lambda: _replayed_vector(A, solve, s, v0)
 
 
 def _system_eigensolve(system: AssembledSystem) -> tuple[float, Callable[[], np.ndarray]]:
-    """The system's _eigensolve, with its surrogate_solve: made on the first
-    request and kept, so the report and the eigenvector share it."""
+    """The system's _eigensolve, with its surrogate_solve where the pencil
+    needs one: made on the first request and kept, so the report and the
+    eigenvector share it.  Under a diagonal surrogate it keeps S A S for the
+    replay, a copy of A's data (0.8 MB at 9,025 P2 DOFs)."""
     if not system._eigensolution:
         system._eigensolution.append(_eigensolve(system.stiffness, system.surrogate_mass,
                                                  lambda: system.surrogate_solve))
@@ -329,21 +365,27 @@ def lambda_max_with_vector(system: AssembledSystem) -> tuple[float, np.ndarray]:
     inverse-iteration solves with the factor at that value (_banded_vector).
     No product with A is made, so no ConvergenceError can arise.
 
-    Every other pencil runs the plain three-term Lanczos recurrence for
-    Mt^-1 A in the Mt inner product, without restarts or
-    reorthogonalization (Paige 1980; Parlett, The Symmetric Eigenvalue
-    Problem, 1998), which finds the top Ritz value reliably.  Each step
-    applies A once (as A @ q) and the system's surrogate_solve once;
-    M-tilde itself is never applied.  The start vector is Mt^-1 v0, with
-    v0 drawn from default_rng(DEFAULT_SEED) and boosted toward the largest
-    diagonal ratio.  At steps 10, 20, ..., 100, and after that every k // 10
-    steps, the top eigenpair (theta, s) of the tridiagonal T_k is computed,
-    and the run stops when the Ritz residual bound beta_k+1 |s_k| is at most
-    _RITZ_TOL * theta, or when beta vanishes (an invariant subspace).  A
-    k-step solve makes about 10 + 24 log10(k / 100) checks, for at most 10%
-    more steps than a check at every step would take.  The run may take
-    _MAX_OPS - 1 steps.  Its eigenvector is rebuilt by replaying the run
-    (_replayed_vector), which applies A as often as the run did.
+    Every other pencil runs the plain three-term Lanczos recurrence,
+    without restarts or reorthogonalization (Paige 1980; Parlett, The
+    Symmetric Eigenvalue Problem, 1998), which finds the top Ritz value
+    reliably.  Under a diagonal M-tilde it runs on the standard problem
+    S A S, S = Mt^-1/2, whose spectrum is the pencil's: S A S is built
+    once, from A's entries with A's index arrays, and each step applies it
+    once, with no solve, from the start S v0; the vector z it finds maps
+    back to x = S z.  Under any other M-tilde it runs for Mt^-1 A in the
+    Mt inner product, from the start Mt^-1 v0: each step applies A once
+    (as A @ q) and the system's surrogate_solve once.  Either way M-tilde
+    itself is never applied, and in exact arithmetic both runs make the
+    same tridiagonal T.  v0 is drawn from default_rng(DEFAULT_SEED) and
+    boosted toward the largest diagonal ratio.  At steps 10, 20, ..., 100,
+    and after that every k // 10 steps, the top eigenpair (theta, s) of
+    the tridiagonal T_k is computed, and the run stops when the Ritz
+    residual bound beta_k+1 |s_k| is at most _RITZ_TOL * theta, or when
+    beta vanishes (an invariant subspace).  A k-step solve makes about
+    10 + 24 log10(k / 100) checks, for at most 10% more steps than a check
+    at every step would take.  The run may take _MAX_OPS - 1 steps.  Its
+    eigenvector is rebuilt by replaying the run (_replayed_vector), which
+    applies the operator as often as the run did.
 
     Either way the system keeps the one result, so compute_bound_report
     reads its value from the same solve.  The sign of the vector is fixed
@@ -366,8 +408,8 @@ def lambda_max_generalized(A: sp.csr_array, surrogate: sp.csr_array) -> float:
     """Largest eigenvalue of the pencil (A, M-tilde); see lambda_max_with_vector.
 
     The same eigensolve, on bare matrices: a pencil that fails the band rule
-    runs Lanczos with a solve of its own from surrogate_solver.  Nothing is
-    kept.
+    and has a non-diagonal surrogate runs Lanczos with a solve of its own
+    from surrogate_solver.  Nothing is kept.
     """
     return _eigensolve(A, surrogate, lambda: surrogate_solver(surrogate))[0]
 

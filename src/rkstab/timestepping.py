@@ -184,7 +184,9 @@ def scheme_from_tableau(
     """Build a scheme from an explicit Butcher tableau (A strictly lower).
 
     The stability polynomial of an s-stage explicit method is
-    R(z) = 1 + sum_{k=1..s} (b^T A^{k-1} 1) z^k.
+    R(z) = 1 + sum_{k=1..s} (b^T A^{k-1} 1) z^k.  ValueError for a tableau
+    with a non-finite entry, one that is not explicit, and one with no real
+    stability interval (boundary 0), which no step size could make stable.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -203,7 +205,10 @@ def scheme_from_tableau(
     while len(coeffs) > 1 and coeffs[-1] == 0.0:
         coeffs.pop()
     poly = tuple(coeffs)
-    return RKScheme(name, poly, _boundary_from_poly(poly))
+    boundary = _boundary_from_poly(poly)
+    if boundary == 0.0:
+        raise ValueError("tableau has no real stability interval: |R(-x)| > 1 for small x > 0")
+    return RKScheme(name, poly, boundary)
 
 
 def stable_timestep(scheme: RKScheme, bound_source: str, report: BoundReport) -> float:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from conftest import lambda_max_dense, verify_matrix_inequalities
 
@@ -30,6 +31,7 @@ from rkstab.assembly import (
     assemble_mass,
     assemble_stiffness,
     assemble_system,
+    band_renumbering,
     l2_project,
     surrogate_reference_matrix,
     surrogate_solver,
@@ -306,6 +308,68 @@ def test_wide_band_surrogate_keeps_superlu(monkeypatch):
     assert len(factored) == 1 and factored[0] is system.surrogate_mass
     b = np.ones(system.n_dofs)
     assert np.allclose(system.surrogate_mass @ solve(b), b, rtol=0, atol=1e-12)
+
+
+def union_pattern(*matrices):
+    """The union of the matrices' stored patterns, as band_renumbering builds
+    it: a diagonal joins only when every matrix is diagonal."""
+    wide = [m for m in matrices if not _is_diagonal(m)] or matrices[:1]
+    return sum(sp.csr_array((np.ones(m.nnz), m.indices, m.indptr), shape=m.shape) for m in wide)
+
+
+def rcm_admits(union) -> bool:
+    """The band rule applied to the reverse Cuthill-McKee numbering alone."""
+    order = reverse_cuthill_mckee(union, symmetric_mode=True)
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    rows = np.repeat(np.arange(union.shape[0]), np.diff(union.indptr))
+    band = np.abs(position[rows] - position[union.indices]).max()
+    return (band + 1) * union.shape[0] <= 2 * union.nnz
+
+
+BALL_CASES = {
+    **{f"1d-p{m}-n{n}": (lambda m=m, n=n: (uniform_interval(n), 1, m))
+       for m in (1, 2, 3) for n in (5, 40, 250)},
+    **{f"strip-p{m}-{nx}x{ny}": (lambda m=m, nx=nx, ny=ny: (structured_triangular(nx, ny), 2, m))
+       for m in (1, 2, 3) for nx, ny in ((40, 2), (60, 3), (30, 5))},
+    **{f"2d-p{m}-{n}x{n}": (lambda m=m, n=n: (random_perturbed(n, n, 0.01, seed=4), 2, m))
+       for m in (1, 2, 3) for n in (2, 4, 8, 16)},
+    "2d-p2-stretched-12x3": lambda: (stretched(12, 3, 8.0), 2, 2),
+}
+
+
+@pytest.mark.parametrize("policy", [CONSISTENT, HRZ_DIAGONAL], ids=lambda p: p.kind)
+@pytest.mark.parametrize("case", BALL_CASES)
+def test_ball_test_never_turns_away_a_pencil_the_renumbering_admits(case, policy):
+    # The ball test is a proof that no numbering fits the band: where reverse
+    # Cuthill-McKee meets the rule it never fires, so band_renumbering
+    # decides every pencil as the renumbering alone does.
+    mesh, d, m = BALL_CASES[case]()
+    system = assemble_system(mesh, build_reference_element(d, m), identity(d), policy)
+    pencil = system.stiffness, system.surrogate_mass
+    union = union_pattern(*pencil)
+    admitted = rcm_admits(union)
+    if admitted:
+        assert not assembly._outgrows_band(union, 2 * union.nnz // union.shape[0] - 1)
+    assert (band_renumbering(*pencil) is not None) == admitted
+
+
+@pytest.mark.parametrize("n", [48, 128])
+def test_wide_2d_pencils_never_run_the_renumbering(monkeypatch, n):
+    # The 48x48 and 128x128 P2 pencils (9,025 and 65,025 DOFs) fail the ball
+    # test, so reverse Cuthill-McKee, 1.4-22 ms on them, is never called.
+    import scipy.sparse.csgraph
+
+    calls = []
+    rcm = scipy.sparse.csgraph.reverse_cuthill_mckee
+    monkeypatch.setattr(scipy.sparse.csgraph, "reverse_cuthill_mckee",
+                        lambda *args, **kwargs: calls.append(args) or rcm(*args, **kwargs))
+    system = assemble_system(structured_triangular(n, n), build_reference_element(2, 2),
+                             DiffusionField.rotated_anisotropic(0.5, (1.0, 50.0)), HRZ_DIAGONAL)
+    assert band_renumbering(system.stiffness, system.surrogate_mass) is None
+    assert band_renumbering(system.stiffness, system.mass) is None
+    assert band_renumbering(system.mass) is None
+    assert calls == []
 
 
 def test_1d_p3_consistent_eigensolve_and_integrate_never_reach_superlu(monkeypatch):

@@ -109,21 +109,32 @@ def test_consistent_mass_approaches_asymptote():
     assert lam > 11.5 * 64**2
 
 
-@pytest.mark.parametrize("d,m,make,policy", [
-    (1, 2, lambda: uniform_interval(12), CONSISTENT),
-    (1, 3, lambda: uniform_interval(8), HRZ_DIAGONAL),
-    (2, 1, lambda: structured_triangular(4, 4), CONSISTENT),
-    (2, 2, lambda: random_perturbed(3, 3, 0.05, seed=5), HRZ_DIAGONAL),
+@pytest.mark.parametrize("d,m,make,policy,banded", [
+    (1, 2, lambda: uniform_interval(12), CONSISTENT, True),
+    (1, 3, lambda: uniform_interval(8), HRZ_DIAGONAL, True),
+    (2, 1, lambda: structured_triangular(4, 4), CONSISTENT, True),
+    # 2D pencils past the band rule with a diagonal surrogate: Lanczos on S A S
+    (2, 2, lambda: random_perturbed(3, 3, 0.05, seed=5), HRZ_DIAGONAL, False),
+    (2, 1, lambda: random_perturbed(14, 14, 0.01, seed=3), HRZ_DIAGONAL, False),
+    (2, 1, lambda: stretched(14, 14, 8.0), NODE_QUADRATURE, False),
+    (2, 2, lambda: stretched(7, 7, 4.0), HRZ_DIAGONAL, False),
+    (2, 3, lambda: random_perturbed(4, 4, 0.05, seed=2), HRZ_DIAGONAL, False),
 ])
-def test_lambda_max_matches_dense_oracle(d, m, make, policy):
+def test_lambda_max_matches_dense_oracle(d, m, make, policy, banded):
     mesh = make()
     elem = build_reference_element(d, m)
     D = identity(d) if d == 1 else DiffusionField.rotated_anisotropic(0.4, (1.0, 20.0))
     system = assemble_system(mesh, elem, D, policy)
+    A, Mt = system.stiffness, system.surrogate_mass
     assert system.n_dofs <= 200
-    lam = lambda_max_generalized(system.stiffness, system.surrogate_mass)
-    dense = lambda_max_dense(system.stiffness, system.surrogate_mass)
+    assert (band_renumbering(A, Mt) is not None) == banded
+    lam = lambda_max_generalized(A, Mt)
+    dense = lambda_max_dense(A, Mt)
     assert abs(lam - dense) < 1e-8 * dense
+    again, x = lambda_max_with_vector(system)
+    assert again == lam
+    assert abs(x @ (Mt @ x) - 1.0) <= 1e-13
+    assert np.linalg.norm(A @ x - lam * (Mt @ x)) <= 1e-8 * lam * np.linalg.norm(Mt @ x)
 
 
 @pytest.mark.parametrize("policy", [HRZ_DIAGONAL, CONSISTENT], ids=lambda p: p.kind)
@@ -155,6 +166,24 @@ def test_convergence_error_carries_best_estimate(monkeypatch):
     assert np.isfinite(err.residual)
 
 
+@pytest.mark.parametrize("policy", [HRZ_DIAGONAL, CONSISTENT], ids=lambda p: p.kind)
+def test_convergence_error_residual_is_the_pencils(monkeypatch, policy):
+    # ||A e - theta Mt e||_{Mt^-1} / (theta ||e||_Mt) at the unit vector e of
+    # the largest diagonal ratio: under HRZ the run computes it in the
+    # scaled variables, as ||S A S e - theta e|| / theta, the same number.
+    system = small_2d_p2(policy)
+    monkeypatch.setattr(rkstab.bounds, "_MAX_OPS", 3)
+    with pytest.raises(ConvergenceError) as info:
+        lambda_max_generalized(system.stiffness, system.surrogate_mass)
+    A, Mt = system.stiffness.toarray(), system.surrogate_mass.toarray()
+    ratios = np.diag(A) / np.diag(Mt)
+    top = int(np.argmax(ratios))
+    r = A[:, top] - ratios[top] * Mt[:, top]
+    residual = math.sqrt(r @ np.linalg.solve(Mt, r) / Mt[top, top]) / ratios[top]
+    assert info.value.best_estimate == ratios[top]
+    assert info.value.residual == pytest.approx(residual, rel=1e-12)
+
+
 class CountingCSR(sp.csr_array):
     """CSR matrix that counts its applications A @ x."""
 
@@ -163,6 +192,24 @@ class CountingCSR(sp.csr_array):
     def __matmul__(self, other):
         self.applications += 1
         return super().__matmul__(other)
+
+
+def counted_operators(monkeypatch) -> list:
+    """Every operator _lanczos receives from now on, each as a CountingCSR:
+    S A S for a diagonal surrogate, else A itself."""
+    operators = []
+    lanczos = rkstab.bounds._lanczos
+
+    def counting(operator, *args):
+        operators.append(CountingCSR(operator))
+        return lanczos(operators[-1], *args)
+
+    monkeypatch.setattr(rkstab.bounds, "_lanczos", counting)
+    return operators
+
+
+def applications(operators: list) -> int:
+    return sum(operator.applications for operator in operators)
 
 
 def banded_lambda_max(A: sp.csr_array, diag_m: np.ndarray) -> float:
@@ -220,11 +267,11 @@ def coupled_p3_strip():
 
 def test_capped_solve_respects_max_ops(coupled_p3_strip, monkeypatch):
     A, Mt, oracle = coupled_p3_strip
-    stiffness = CountingCSR(A)
+    operators = counted_operators(monkeypatch)
     monkeypatch.setattr(rkstab.bounds, "_MAX_OPS", 500)
     with pytest.raises(ConvergenceError) as info:
-        lambda_max_generalized(stiffness, Mt)
-    assert 0 < stiffness.applications <= 500
+        lambda_max_generalized(A, Mt)
+    assert 0 < applications(operators) <= 500
     err = info.value
     assert 0 < err.best_estimate <= oracle
     assert np.isfinite(err.residual) and err.residual > 0
@@ -257,12 +304,12 @@ def test_long_solve_checks_on_a_growing_schedule(coupled_p3_strip, monkeypatch):
     # makes 37 checks, up to step 1,273: at most 10% more products.
     A, Mt, oracle = coupled_p3_strip
     steps = checked_steps(monkeypatch)
-    stiffness = CountingCSR(A)
-    lam = lambda_max_generalized(stiffness, Mt)
+    operators = counted_operators(monkeypatch)
+    lam = lambda_max_generalized(A, Mt)
     assert abs(lam - oracle) < 1e-10 * oracle
     assert len(steps) <= 45
-    assert stiffness.applications <= 1397
-    assert steps == check_schedule(stiffness.applications)
+    assert applications(operators) <= 1397
+    assert steps == check_schedule(applications(operators))
 
 
 def test_capped_solve_checks_its_last_step(coupled_p3_strip, monkeypatch):
@@ -270,11 +317,11 @@ def test_capped_solve_checks_its_last_step(coupled_p3_strip, monkeypatch):
     # and 1,273 steps, so a cap of 1,270 steps ends between them, past convergence.
     A, Mt, oracle = coupled_p3_strip
     steps = checked_steps(monkeypatch)
-    stiffness = CountingCSR(A)
+    operators = counted_operators(monkeypatch)
     monkeypatch.setattr(rkstab.bounds, "_MAX_OPS", 1271)
-    lam = lambda_max_generalized(stiffness, Mt)
+    lam = lambda_max_generalized(A, Mt)
     assert abs(lam - oracle) < 1e-10 * oracle
-    assert stiffness.applications == 1270
+    assert applications(operators) == 1270
     assert 1270 not in check_schedule(1400)
     assert steps == check_schedule(1270) + [1270]
 
@@ -351,38 +398,65 @@ def test_eigensolve_never_applies_the_surrogate(policy, solver):
     assert np.array_equal(flat(result), flat(plain))
 
 
-def test_diagonal_surrogate_eigensolve_keeps_the_operator_count():
-    # 60 applications of A, one per Lanczos step up to the converged check at
-    # step 60.  ARPACK's implicitly restarted solve made 61 here.
+def test_diagonal_surrogate_eigensolve_keeps_the_operator_count(monkeypatch):
+    # 60 applications of the scaled operator S A S, one per Lanczos step up
+    # to the converged check at step 60, and none of A itself.  ARPACK's
+    # implicitly restarted solve made 61 here.
     system = small_2d_p2(HRZ_DIAGONAL)
+    operators = counted_operators(monkeypatch)
     stiffness = CountingCSR(system.stiffness)
     lambda_max_generalized(stiffness, system.surrogate_mass)
-    assert stiffness.applications == 60
-    assert stiffness.applications < 61
+    assert applications(operators) == 60
+    assert applications(operators) < 61
+    assert stiffness.applications == 0
+
+
+def test_scaled_run_matches_the_mt_inner_product_run(monkeypatch):
+    # Under a diagonal Mt the eigensolve runs Lanczos on S A S from S v0.
+    # In exact arithmetic that makes the T, and the q_k = S z_k, of Lanczos
+    # for Mt^-1 A in the Mt inner product from v0; over 30 steps the two
+    # runs agree to roundoff.
+    runs = []
+    lanczos = rkstab.bounds._lanczos
+    monkeypatch.setattr(rkstab.bounds, "_lanczos", lambda *args: runs.append(args) or lanczos(*args))
+    system = small_2d_p2(HRZ_DIAGONAL)
+    A, diag_m = system.stiffness, system.diag_surrogate
+    lambda_max_generalized(A, system.surrogate_mass)
+    scaled, solve, z0 = runs[0]
+    assert solve is None and scaled is not A
+    v0 = rkstab.bounds._start_vector(system.diag_stiffness / diag_m)
+    scale = 1.0 / np.sqrt(diag_m)
+    pencil_run = lanczos(A, lambda b: b / diag_m, v0)
+    for _, (q, _, alpha, beta), (z, p, scaled_alpha, scaled_beta) in zip(
+            range(30), pencil_run, lanczos(scaled, None, z0)):
+        assert p is z
+        assert abs(scaled_alpha - alpha) <= 1e-12 * abs(alpha)
+        assert abs(scaled_beta - beta) <= 1e-12 * beta
+        assert np.abs(scale * z - q).max() <= 1e-12 * np.abs(q).max()
 
 
 def test_report_and_eigenvector_share_one_forward_run(monkeypatch):
-    # The report's value takes 60 applications of A.  The eigenvector reads
-    # the same forward run and only replays its 60 steps, as often as it is
-    # asked.  Each eigensolve, the system's and lambda_max_generalized's,
-    # checks the pencil once.
+    # The report's value takes 60 applications of the operator.  The
+    # eigenvector reads the same forward run and only replays its 60 steps,
+    # as often as it is asked.  Each eigensolve, the system's and
+    # lambda_max_generalized's, checks the pencil once.
     checks = []
     pencil_diagonals = rkstab.bounds._pencil_diagonals
     monkeypatch.setattr(rkstab.bounds, "_pencil_diagonals",
                         lambda *pencil: checks.append(pencil) or pencil_diagonals(*pencil))
     system = small_2d_p2(HRZ_DIAGONAL)
-    counted = dataclasses.replace(system, stiffness=CountingCSR(system.stiffness))
-    report = compute_bound_report(counted.mesh, counted.elem, counted.diffusion,
-                                  counted.policy, system=counted)
-    assert counted.stiffness.applications == 60
-    lam, x = lambda_max_with_vector(counted)
-    assert counted.stiffness.applications == 60 + 60
+    operators = counted_operators(monkeypatch)
+    report = compute_bound_report(system.mesh, system.elem, system.diffusion,
+                                  system.policy, system=system)
+    assert applications(operators) == 60
+    lam, x = lambda_max_with_vector(system)
+    assert applications(operators) == 60 + 60
     assert lam == report.lambda_max_exact
-    assert lam == lambda_max_generalized(system.stiffness, system.surrogate_mass)
-    again, y = lambda_max_with_vector(counted)
-    assert counted.stiffness.applications == 60 + 60 + 60
+    again, y = lambda_max_with_vector(system)
+    assert applications(operators) == 60 + 60 + 60
     assert again == lam and x.tobytes() == y.tobytes()
-    assert len(counted._eigensolution) == 1
+    assert len(system._eigensolution) == 1
+    assert lam == lambda_max_generalized(system.stiffness, system.surrogate_mass)
     assert len(checks) == 2
 
 

@@ -140,6 +140,10 @@ BAD_CONFIGS = {
     "str_n.json": {"mesh": MESH_1D, "sweep_axis": "n", "sweep_values": ["8"]},
     "bool_tableau.json": {"mesh": MESH_1D, "scheme": "generic",
                           "tableau": {"a": [[False]], "b": [True]}},
+    # R(z) = 1 - z, with no real stability interval: a step size of 0
+    "unstable_tableau.json": {"mesh": MESH_1D, "scheme": "generic",
+                              "tableau": {"a": [[0.0]], "b": [-1.0]},
+                              "sweep_axis": "n", "sweep_values": [4]},
     # a list, which a dict of choices could not look up
     "list_bound_source.json": {"mesh": MESH_1D, "bound_source": ["exact"]},
 }
@@ -393,6 +397,9 @@ class TestConfigErrors:
          "--seed", "-1"],
         *([command, "--mesh", "random_perturbed:nx=4,ny=4,amplitude=0.01,seed=-1"]
           for command in ("bounds", "validate", "mesh-gen")),
+        # a tableau with no real stability interval, so no stable step
+        *([command, "--config", "{tmp}/unstable_tableau.json"]
+          for command in ("integrate", "bounds", "sweep")),
     ])
     def test_input_errors_exit_2(self, capsys, tmp_path, argv):
         for name, config in BAD_CONFIGS.items():

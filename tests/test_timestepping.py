@@ -151,6 +151,11 @@ class TestSchemes:
         with pytest.raises(ValueError, match="non-finite"):
             scheme_from_tableau(a, b)
 
+    def test_tableau_needs_a_real_stability_interval(self):
+        # R(z) = 1 - z: |R(-x)| = 1 + x > 1 for every x > 0, so the boundary is 0.
+        with pytest.raises(ValueError, match="no real stability interval"):
+            scheme_from_tableau([[0.0]], [-1.0])
+
 
 class TestStableTimestep:
     def test_diag_ratio_step_is_half_h_squared_for_lumped_p1(self):
